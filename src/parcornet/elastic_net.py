@@ -6,8 +6,12 @@ Minimizes
 
 with the intercept a left unpenalized. Columns are NOT standardized
 internally; the penalty acts on the coefficients as given. The solver
-works on centered second moments (Gram form), so a Gram matrix shared
-across many responses can be reused via solve_gram.
+works on centered second moments (Gram form). solve_gram regresses
+several columns of one Gram on all its other columns at once: the
+coefficients form a matrix with one column per response and a zero in
+each response's own row, and each coordinate update is one row-times-
+block product over the responses still running. solve is its
+one-response case, on the Gram of [X, y].
 """
 from __future__ import annotations
 
@@ -49,15 +53,31 @@ class ElasticNetFit:
     sweeps: int
     converged: bool
     kkt_residual: float
-    objective_path: list | None = None
 
 
-def _soft(z: float, thr: float) -> float:
-    if z > thr:
-        return z - thr
-    if z < -thr:
-        return z + thr
-    return 0.0
+@dataclass
+class GramFit:
+    """Coordinate descent on several responses of one Gram.
+
+    Column i of coefficients regresses Gram column columns[i] on all the
+    others; its own row is 0. The response_* arrays hold each response's
+    sweep count, convergence flag and subgradient residual.
+    """
+
+    coefficients: np.ndarray
+    response_sweeps: np.ndarray
+    response_converged: np.ndarray
+    response_kkt: np.ndarray
+
+    @property
+    def sweeps(self) -> int:
+        """Sweeps summed over the responses."""
+        return int(self.response_sweeps.sum())
+
+    @property
+    def converged(self) -> bool:
+        """True only when every response converged."""
+        return bool(self.response_converged.all())
 
 
 def penalty_value(b: np.ndarray, penalty: PenaltyConfig) -> float:
@@ -73,73 +93,95 @@ def _gram_objective(b, gram, cross, y_var, penalty):
     return quad + penalty_value(b, penalty)
 
 
-def _kkt_residual(b, gram, cross, penalty):
-    grad = gram @ b - cross + penalty.lam * (1.0 - penalty.alpha) * b
+def _kkt_residuals(b, gram, cols, penalty):
+    """Largest subgradient violation in each column of b (responses cols)."""
+    grad = gram @ b - gram[:, cols] + penalty.lam * (1.0 - penalty.alpha) * b
     thr = penalty.lam * penalty.alpha
-    res = 0.0
-    for j in range(b.size):
-        if b[j] != 0.0:
-            res = max(res, abs(grad[j] + thr * np.sign(b[j])))
-        else:
-            res = max(res, max(0.0, abs(grad[j]) - thr))
-    return float(res)
+    res = np.where(b != 0.0, np.abs(grad + thr * np.sign(b)), np.maximum(np.abs(grad) - thr, 0.0))
+    res[cols, np.arange(cols.size)] = 0.0  # a response is not one of its own coordinates
+    return res.max(axis=0, initial=0.0)
 
 
 def solve_gram(
     gram: np.ndarray,
-    cross: np.ndarray,
-    y_var: float,
+    columns,
     penalty: PenaltyConfig,
     tol: float = COEF_TOL,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
     b0: np.ndarray | None = None,
-    track_objective: bool = False,
-) -> ElasticNetFit:
-    """Coordinate descent on centered moments.
+) -> GramFit:
+    """Regress each listed column of a centered Gram on all its other columns.
 
-    gram is X_c^T X_c / n, cross is X_c^T y_c / n, y_var is y_c^T y_c / n.
-    The returned intercept is 0; callers with uncentered data add it back.
-    Exact zeros come from the soft-threshold update. A sweep ends the loop
-    only when the coefficient change is below tol AND the subgradient
-    residual is below kkt_tol; hitting max_sweeps returns converged=False.
+    gram is X_c^T X_c / n. Column i of the result holds the coefficients
+    of response columns[i], with its own row held at 0; b0 of the same
+    shape warm-starts it. Exact zeros come from the soft-threshold update,
+    and a coordinate with no curvature (zero variance, no ridge term)
+    stays at 0. Each response stops on its own scale, max(1, |cross|_inf,
+    largest diagonal of the other columns): it is frozen after the first
+    sweep whose coefficient change is below tol AND whose subgradient
+    residual is below kkt_tol, both times that scale. A response still
+    running after max_sweeps is returned unconverged.
     """
-    m = gram.shape[0]
-    b = np.zeros(m) if b0 is None else np.array(b0, dtype=float, copy=True)
+    gram = np.asarray(gram, dtype=float)
+    p = gram.shape[0]
+    cols = np.asarray(columns, dtype=np.intp).reshape(-1)
+    r = cols.size
+    own = (cols, np.arange(r))
+    b = np.zeros((p, r)) if b0 is None else np.array(b0, dtype=float)
+    if b.shape != (p, r):
+        raise ShapeError(f"b0 must have shape ({p},{r}), got {b.shape}")
+    b[own] = 0.0
     thr = penalty.lam * penalty.alpha
-    denom = np.diag(gram) + penalty.lam * (1.0 - penalty.alpha)
-    scale = max(1.0, float(np.abs(cross).max(initial=0.0)), float(np.diag(gram).max(initial=0.0)))
+    diag = np.diag(gram).tolist()
+    denom = [d + penalty.lam * (1.0 - penalty.alpha) for d in diag]
+    # each response's scale: max(1, |cross|_inf, largest diagonal of the others)
+    peaks = np.maximum(np.abs(gram[:, cols]), np.diag(gram)[:, None])
+    peaks[own] = 0.0
+    scale = np.maximum(peaks.max(axis=0, initial=0.0), 1.0)
     tol_eff = tol * scale
     kkt_eff = kkt_tol * scale
-    path = [] if track_objective else None
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        delta = 0.0
-        for j in range(m):
-            bj_old = b[j]
-            # partial residual correlation with column j
-            g = cross[j] - float(gram[j] @ b) + gram[j, j] * bj_old
-            if denom[j] > 0.0:
-                bj = _soft(g, thr) / denom[j]
-            else:
-                bj = 0.0  # degenerate column: no variance and no penalty curvature
-            if bj != bj_old:
-                b[j] = bj
-                delta = max(delta, abs(bj - bj_old))
-        if path is not None:
-            path.append(_gram_objective(b, gram, cross, y_var, penalty))
-        if delta < tol_eff:
-            if _kkt_residual(b, gram, cross, penalty) <= kkt_eff:
-                converged = True
-                break
-            # stationarity not yet certified: keep sweeping
-    kkt = _kkt_residual(b, gram, cross, penalty)
-    obj = _gram_objective(b, gram, cross, y_var, penalty)
-    if not np.isfinite(obj):
-        raise DomainError("elastic net objective is non-finite")
-    return ElasticNetFit(b, 0.0, obj, sweeps, converged, kkt, path)
+    sweeps = np.zeros(r, dtype=np.int64)
+    converged = np.zeros(r, dtype=bool)
+    live = np.arange(r)  # responses still running
+    sweep = 0
+    while live.size and sweep < max_sweeps:
+        # work on a compact copy of the running responses until one converges
+        w = b[:, live]
+        cross = gram[:, cols[live]]
+        slot = [None] * p  # slot[j]: the running response whose own column is j
+        for i, c in enumerate(cols[live].tolist()):
+            slot[c] = i
+        done = np.zeros(live.size, dtype=bool)
+        while not done.any() and sweep < max_sweeps:
+            sweep += 1
+            delta = np.zeros(live.size)
+            for j in range(p):
+                old = w[j]
+                # partial residual correlation with column j, every response at once
+                g = cross[j] - gram[j] @ w
+                g += diag[j] * old
+                if denom[j] > 0.0:
+                    new = g - np.minimum(np.maximum(g, -thr), thr)  # soft-threshold
+                    new /= denom[j]
+                else:
+                    new = np.zeros(live.size)  # degenerate column: no variance and no curvature
+                if slot[j] is not None:
+                    new[slot[j]] = 0.0
+                change = new - old
+                np.maximum(delta, np.abs(change, out=change), out=delta)
+                w[j] = new
+            small = np.flatnonzero(delta < tol_eff[live])
+            if small.size:
+                kkt = _kkt_residuals(w[:, small], gram, cols[live[small]], penalty)
+                done[small] = kkt <= kkt_eff[live[small]]
+        b[:, live] = w
+        sweeps[live] = sweep
+        converged[live[done]] = True
+        live = live[~done]
+    if not np.all(np.isfinite(b)):
+        raise DomainError("elastic net coefficients are non-finite")
+    return GramFit(b, sweeps, converged, _kkt_residuals(b, gram, cols, penalty))
 
 
 def solve(
@@ -149,14 +191,13 @@ def solve(
     tol: float = COEF_TOL,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
-    track_objective: bool = False,
 ) -> ElasticNetFit:
     """Fit the penalized regression of response on design with an intercept."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"design must be 2-d, got shape {x.shape}")
-    n = x.shape[0]
+    n, m = x.shape
     if y.shape != (n,):
         raise ShapeError(f"response must have shape ({n},), got {y.shape}")
     if n < 2:
@@ -167,14 +208,20 @@ def solve(
     y_mean = float(y.mean())
     xc = x - x_mean
     yc = y - y_mean
-    gram = xc.T @ xc / n
-    cross = xc.T @ yc / n
-    y_var = float(yc @ yc) / n
-    fit = solve_gram(gram, cross, y_var, penalty, tol, max_sweeps, kkt_tol,
-                     track_objective=track_objective)
+    # the Gram of [X, y], built from blocks so that its cross column is
+    # exactly the one lambda_max computes
+    gram = np.empty((m + 1, m + 1))
+    gram[:m, :m] = xc.T @ xc / n
+    gram[:m, m] = gram[m, :m] = xc.T @ yc / n
+    gram[m, m] = float(yc @ yc) / n
+    fit = solve_gram(gram, [m], penalty, tol, max_sweeps, kkt_tol)
+    b = fit.coefficients[:m, 0].copy()
+    obj = _gram_objective(b, gram[:m, :m], gram[:m, m], gram[m, m], penalty)
+    if not np.isfinite(obj):
+        raise DomainError("elastic net objective is non-finite")
     # unpenalized intercept recovered from the centering identity
-    fit.intercept = y_mean - float(x_mean @ fit.coefficients)
-    return fit
+    intercept = y_mean - float(x_mean @ b)
+    return ElasticNetFit(b, intercept, obj, fit.sweeps, fit.converged, float(fit.response_kkt[0]))
 
 
 def lambda_max(design: np.ndarray, response: np.ndarray, alpha: float) -> float:

@@ -64,13 +64,18 @@ class EMState:
         return self.psi.p
 
 
+def mahalanobis(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix) -> np.ndarray:
+    """Squared Mahalanobis distance of each row under (mean, psi)."""
+    x = data.values - mean
+    return np.einsum("ij,jk,ik->i", x, psi.values, x)
+
+
 def expected_scales(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix, nu: float) -> np.ndarray:
     """Posterior mean of each row's latent scale: (nu + p) / (nu + d_i).
 
     d_i is the squared Mahalanobis distance of row i under (mean, psi).
     """
-    x = data.values - mean
-    d = np.einsum("ij,jk,ik->i", x, psi.values, x)
+    d = mahalanobis(data, mean, psi)
     if not np.all(np.isfinite(d)):
         bad = int(np.argwhere(~np.isfinite(d))[0][0])
         raise DataError(f"non-finite Mahalanobis distance at row {bad}")

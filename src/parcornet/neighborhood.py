@@ -1,9 +1,10 @@
 """Neighborhood selection: one penalized regression per node.
 
 Each column is regressed on all others with a shared penalty; a node's
-neighbors are the columns with nonzero coefficients. The centered Gram
-matrix is computed once and sliced per response, so the p regressions
-cost one matrix product plus p coordinate descents.
+neighbors are the columns with nonzero coefficients. The p regressions
+cost one centered Gram product plus one coordinate descent over the
+full Gram, which updates every node's coefficients together and stops
+each node on its own convergence test.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def select_neighborhoods(
     """Run the p conditional regressions and collect nonzero supports.
 
     A regression that hits the sweep cap is kept (its support is still
-    used) but recorded in unconverged and reported through warnings.
+    used) but recorded in unconverged; one warning per call names them.
     Callers that already hold the centered Gram of data pass it as gram.
     """
     if not isinstance(data, Dataset):
@@ -63,18 +64,13 @@ def select_neighborhoods(
         gram = centered_gram(data.values)
     elif gram.shape != (p, p):
         raise ShapeError(f"gram must have shape ({p},{p}), got {gram.shape}")
-    sets = []
-    bad = []
-    for k in range(p):
-        others = np.delete(np.arange(p), k)
-        sub = gram[np.ix_(others, others)]
-        cross = gram[others, k]
-        fit = solve_gram(sub, cross, gram[k, k], penalty, tol, max_sweeps, kkt_tol)
-        if not fit.converged:
-            bad.append(k)
-            warnings.warn(f"regression for node {k} did not converge in {fit.sweeps} sweeps")
-        sets.append(frozenset(int(others[j]) for j in np.nonzero(fit.coefficients)[0]))
-    return Neighborhoods(p, tuple(sets), tuple(bad))
+    fit = solve_gram(gram, np.arange(p), penalty, tol, max_sweeps, kkt_tol)
+    sets = tuple(frozenset(np.flatnonzero(col).tolist()) for col in fit.coefficients.T)
+    bad = tuple(np.flatnonzero(~fit.response_converged).tolist())
+    if bad:
+        warnings.warn(f"regressions for {len(bad)} of {p} nodes did not converge "
+                      f"in {max_sweeps} sweeps: nodes {list(bad)}")
+    return Neighborhoods(p, sets, bad)
 
 
 def assemble_edges(neighborhoods, rule: str) -> EdgeSet:

@@ -11,7 +11,7 @@ from scipy import optimize, signal, stats
 
 from . import analytics, selection
 from .em import EMConfig
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, ParcornetError
 from .matrices import Dataset, precision_to_partial_correlation
 from .selection import LambdaGrid, SelectionReport
 
@@ -333,7 +333,8 @@ def rolling_estimate(
             pc = precision_to_partial_correlation(report.state.psi)
             meas = analytics.measures(pc, absolute_strength=absolute_strength)
             out.append(WindowResult(i, start, stop, report, meas))
-        except Exception as exc:  # noqa: BLE001 - window failures must not kill the sweep
+        except (ParcornetError, np.linalg.LinAlgError) as exc:
+            # an estimation or numeric failure flags the window; a bug still propagates
             out.append(WindowResult(i, start, stop, None, None, f"{type(exc).__name__}: {exc}"))
     return out
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .em import EMConfig, EMState, estimate
+from .em import EMConfig, EMState, estimate, mahalanobis
 from .errors import ConfigError, EstimationError, SelectionError
 from .matrices import Dataset, PrecisionMatrix
 
@@ -60,16 +60,11 @@ def build_grid(lo: float, hi: float, count: int) -> LambdaGrid:
     return LambdaGrid(tuple(vals.tolist()))
 
 
-def _mahalanobis(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix) -> np.ndarray:
-    x = data.values - mean
-    return np.einsum("ij,jk,ik->i", x, psi.values, x)
-
-
 def gaussian_log_likelihood(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix) -> float:
     """Log density sum for N(mean, psi^{-1}) rows."""
     n, p = data.n, data.p
     sign, logdet = np.linalg.slogdet(psi.values)
-    d = _mahalanobis(data, mean, psi)
+    d = mahalanobis(data, mean, psi)
     return float(0.5 * n * (logdet - p * np.log(2.0 * np.pi)) - 0.5 * d.sum())
 
 
@@ -77,7 +72,7 @@ def t_log_likelihood(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix, nu: 
     """Log density sum for multivariate t rows with scatter inverse psi."""
     n, p = data.n, data.p
     sign, logdet = np.linalg.slogdet(psi.values)
-    d = _mahalanobis(data, mean, psi)
+    d = mahalanobis(data, mean, psi)
     const = gammaln(0.5 * (nu + p)) - gammaln(0.5 * nu) - 0.5 * p * np.log(nu * np.pi)
     per_row = const + 0.5 * logdet - 0.5 * (nu + p) * np.log1p(d / nu)
     return float(per_row.sum())

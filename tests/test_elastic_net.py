@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from cd_reference import reference_nodes
 from parcornet.elastic_net import (
-    ElasticNetFit,
     PenaltyConfig,
     lambda_max,
     penalty_value,
@@ -28,6 +28,13 @@ def orthonormalize(x):
 
 def soft(z, t):
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+def joint_gram(x, y):
+    # centered Gram of [X, y]: regressing its last column is solve(x, y)
+    z = np.column_stack([x, y])
+    zc = z - z.mean(axis=0)
+    return zc.T @ zc / z.shape[0]
 
 
 class TestPenaltyConfig:
@@ -89,8 +96,11 @@ class TestSolverBehavior:
     def test_objective_decreases_each_sweep(self):
         rng = np.random.default_rng(13)
         x, y = make_problem(100, 8, rng)
-        fit = solve(x, y, PenaltyConfig(0.7, 0.05), track_objective=True)
-        path = np.asarray(fit.objective_path)
+        x[:, 1:] += 2.0 * x[:, :1]  # correlated columns: many sweeps to converge
+        pen = PenaltyConfig(0.7, 0.05)
+        full = solve(x, y, pen)
+        assert full.sweeps > 10
+        path = [solve(x, y, pen, max_sweeps=k).objective for k in range(1, full.sweeps + 1)]
         assert np.all(np.diff(path) <= 1e-12)
 
     def test_kkt_residual_enforced(self):
@@ -111,12 +121,11 @@ class TestSolverBehavior:
     def test_warm_start_reaches_same_solution(self):
         rng = np.random.default_rng(16)
         x, y = make_problem(80, 6, rng)
-        n = x.shape[0]
-        xc, yc = x - x.mean(axis=0), y - y.mean()
-        gram, cross, yv = xc.T @ xc / n, xc.T @ yc / n, float(yc @ yc) / n
+        gram = joint_gram(x, y)
         pen = PenaltyConfig(0.6, 0.08)
-        cold = solve_gram(gram, cross, yv, pen)
-        warm = solve_gram(gram, cross, yv, pen, b0=cold.coefficients + 0.05)
+        cold = solve_gram(gram, [6], pen)
+        warm = solve_gram(gram, [6], pen, b0=cold.coefficients + 0.05)
+        assert warm.coefficients[6, 0] == 0.0
         assert np.abs(cold.coefficients - warm.coefficients).max() < 1e-6
 
     def test_sweep_cap_reports_unconverged(self):
@@ -143,6 +152,65 @@ class TestSolverBehavior:
         xc, yc = x - x.mean(axis=0), y - y.mean()
         want = np.linalg.solve(xc.T @ xc / n + lam * np.eye(5), xc.T @ yc / n)
         assert np.abs(fit.coefficients - want).max() < 1e-7
+
+
+class TestBlockKernel:
+    """solve_gram against the scalar per-node loop in tests/cd_reference.py.
+
+    The stopping rule is per response, so supports and sweep counts must
+    match exactly; coefficients differ only by summation order, fixed at
+    1e-12 times each response's problem scale.
+    """
+
+    @staticmethod
+    def gram_with_constant_column(p, rng):
+        x = rng.standard_normal((3 * p + 10, p)) + 0.5 * rng.standard_normal((3 * p + 10, 1))
+        x[:, p // 2] = 1.5  # zero variance: an all-zero Gram row and column
+        xc = x - x.mean(axis=0)
+        return xc.T @ xc / x.shape[0]
+
+    @staticmethod
+    def lam_max(gram, alpha):
+        # smallest lam at which every node's all-zero solution is exact
+        peak = float(np.abs(gram - np.diag(np.diag(gram))).max())
+        lam = peak / alpha
+        while lam * alpha < peak:
+            lam = np.nextafter(lam, np.inf)
+        return lam
+
+    def assert_matches(self, gram, pen, max_sweeps=10_000, b0=None, columns=None):
+        columns = range(gram.shape[0]) if columns is None else columns
+        fit = solve_gram(gram, columns, pen, max_sweeps=max_sweeps, b0=b0)
+        coefs, sweeps, converged, scales = reference_nodes(gram, columns, pen, max_sweeps, b0)
+        assert np.array_equal(fit.coefficients != 0.0, coefs != 0.0)
+        assert np.array_equal(fit.response_sweeps, sweeps)
+        assert np.array_equal(fit.response_converged, converged)
+        assert np.all(np.abs(fit.coefficients - coefs) <= 1e-12 * scales)
+        assert fit.sweeps == sweeps.sum()
+        assert fit.converged == converged.all()
+        return fit
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 60])
+    def test_matches_per_node_reference(self, p):
+        rng = np.random.default_rng(50 + p)
+        gram = self.gram_with_constant_column(p, rng)
+        self.assert_matches(gram, PenaltyConfig(1.0, 0.0))
+        for alpha in (0.0, 0.5, 1.0):
+            top = self.lam_max(gram, alpha) if alpha > 0.0 else float(np.abs(gram).max())
+            for factor in (0.05, 0.4, 1.0, 1.5):
+                pen = PenaltyConfig(alpha, factor * top)
+                fit = self.assert_matches(gram, pen)
+                if alpha > 0.0 and factor >= 1.0:
+                    assert np.all(fit.coefficients == 0.0)
+                self.assert_matches(gram, pen, max_sweeps=1)
+                if factor == 0.4:
+                    warm = fit.coefficients + 0.05 * rng.standard_normal((p, p))
+                    self.assert_matches(gram, pen, b0=warm)
+                    self.assert_matches(gram, pen, columns=[p - 1, 0], b0=warm[:, [p - 1, 0]])
+
+    def test_b0_shape_checked(self):
+        with pytest.raises(ShapeError):
+            solve_gram(np.eye(3), [0, 1], PenaltyConfig(0.5, 0.1), b0=np.zeros((3, 3)))
 
 
 class TestLambdaMax:

@@ -92,9 +92,12 @@ class TestSelectNeighborhoods:
     def test_sweep_cap_recorded_and_warned(self):
         rng = np.random.default_rng(25)
         data = Dataset(rng.standard_normal((60, 5)))
-        with pytest.warns(UserWarning, match="did not converge"):
+        with pytest.warns(UserWarning) as record:
             nbhd = select_neighborhoods(data, PenaltyConfig(0.5, 0.001), max_sweeps=1)
         assert len(nbhd.unconverged) > 0
+        assert len(record) == 1
+        assert "did not converge" in str(record[0].message)
+        assert str(list(nbhd.unconverged)) in str(record[0].message)
 
     def test_result_bundles_rule(self):
         rng = np.random.default_rng(26)

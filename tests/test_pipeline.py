@@ -4,7 +4,8 @@ from scipy import stats
 
 from parcornet.em import EMConfig
 from parcornet.elastic_net import PenaltyConfig
-from parcornet.errors import ConfigError, DataError, FitError
+from parcornet import pipeline, selection
+from parcornet.errors import ConfigError, DataError, EstimationError, FitError
 from parcornet.pipeline import (
     PriceTable,
     _garch_sigma2,
@@ -206,6 +207,31 @@ class TestRolling:
                                    grid=build_grid(0.1, 0.5, 3))
         assert results[0].error is not None and results[0].report is None
         assert results[1].error is None and results[2].error is None
+
+    def test_estimation_error_flags_window_but_bug_propagates(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        vals = rng.standard_normal((80, 3))
+        real_select = selection.select
+        calls = []
+
+        def failing_first(data, grid, config, exc):
+            calls.append(1)
+            if len(calls) == 1:
+                raise exc
+            return real_select(data, grid, config)
+
+        monkeypatch.setattr(pipeline.selection, "select",
+                            lambda d, g, c: failing_first(d, g, c, EstimationError("no fit")))
+        results = rolling_estimate(vals, window=40, step=20, config=self._config(),
+                                   grid=build_grid(0.1, 0.5, 2))
+        assert results[0].error == "EstimationError: no fit" and results[0].report is None
+        assert results[1].error is None and results[2].error is None
+        calls.clear()
+        monkeypatch.setattr(pipeline.selection, "select",
+                            lambda d, g, c: failing_first(d, g, c, TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            rolling_estimate(vals, window=40, step=20, config=self._config(),
+                             grid=build_grid(0.1, 0.5, 2))
 
     def test_window_bounds_validated(self):
         vals = np.zeros((50, 3))
