@@ -133,10 +133,11 @@ def solve_gram(
         raise ShapeError(f"b0 must have shape ({p},{r}), got {b.shape}")
     b[own] = 0.0
     thr = penalty.lam * penalty.alpha
-    diag = np.diag(gram).tolist()
-    denom = [d + penalty.lam * (1.0 - penalty.alpha) for d in diag]
+    diag = np.diag(gram)
+    denom = (diag + penalty.lam * (1.0 - penalty.alpha)).tolist()
+    off = gram - np.diag(diag)  # off[j] @ b leaves coordinate j out
     # each response's scale: max(1, |cross|_inf, largest diagonal of the others)
-    peaks = np.maximum(np.abs(gram[:, cols]), np.diag(gram)[:, None])
+    peaks = np.maximum(np.abs(gram[:, cols]), diag[:, None])
     peaks[own] = 0.0
     scale = np.maximum(peaks.max(axis=0, initial=0.0), 1.0)
     tol_eff = tol * scale
@@ -155,22 +156,19 @@ def solve_gram(
         done = np.zeros(live.size, dtype=bool)
         while not done.any() and sweep < max_sweeps:
             sweep += 1
-            delta = np.zeros(live.size)
+            start = w.copy()
             for j in range(p):
-                old = w[j]
                 # partial residual correlation with column j, every response at once
-                g = cross[j] - gram[j] @ w
-                g += diag[j] * old
+                g = cross[j] - off[j] @ w
                 if denom[j] > 0.0:
-                    new = g - np.minimum(np.maximum(g, -thr), thr)  # soft-threshold
-                    new /= denom[j]
+                    g -= np.minimum(np.maximum(g, -thr), thr)  # soft-threshold
+                    np.divide(g, denom[j], out=w[j])
                 else:
-                    new = np.zeros(live.size)  # degenerate column: no variance and no curvature
+                    w[j] = 0.0  # degenerate column: no variance and no curvature
                 if slot[j] is not None:
-                    new[slot[j]] = 0.0
-                change = new - old
-                np.maximum(delta, np.abs(change, out=change), out=delta)
-                w[j] = new
+                    w[j, slot[j]] = 0.0
+            # each coordinate is updated once a sweep: its step is its change over the sweep
+            delta = np.abs(w - start).max(axis=0)
             small = np.flatnonzero(delta < tol_eff[live])
             if small.size:
                 kkt = _kkt_residuals(w[:, small], gram, cols[live[small]], penalty)
