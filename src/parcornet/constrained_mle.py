@@ -7,15 +7,21 @@ Given a scatter matrix S and an edge set E, maximizes
 subject to psi_jk = 0 for all off-diagonal (j,k) not in E. The solver
 sweeps the working covariance W column by column (regression form of the
 concentration-graph MLE): each column's non-edge entries are left free
-while its edge entries are matched to S. At the optimum W = Psi^{-1}
-satisfies w_jk = s_jk on E and the diagonal, and Psi is recovered
-column-wise with exact zeros off the pattern.
+while its edge entries are matched to S. A column update solves the
+node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
+column to W[:, nb] beta, so it reads only the neighbor columns of W. The
+neighbor index arrays and the pattern mask are built once per fit. At the
+optimum W = Psi^{-1} satisfies w_jk = s_jk on E and the diagonal, and Psi
+is recovered column-wise from the same neighbor solves, with exact zeros
+off the pattern.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DomainError, EstimationError
 from .matrices import EdgeSet, PrecisionMatrix, symmetrize
@@ -33,28 +39,30 @@ class ConstrainedMLEResult:
     kkt_residual: float
 
 
-def kkt_residual(w: np.ndarray, s: np.ndarray, edges: EdgeSet) -> float:
-    """max |w_jk - s_jk| over the edge pattern plus the diagonal."""
-    mask = edges.to_adjacency()
-    np.fill_diagonal(mask, True)
-    diff = np.abs(w - s)[mask]
-    return float(diff.max()) if diff.size else 0.0
+def _kkt_residual(w: np.ndarray, s: np.ndarray, mask: np.ndarray) -> float:
+    """max |w_jk - s_jk| over the mask of the edge pattern plus the diagonal."""
+    return float(np.abs(w - s)[mask].max())
 
 
-def _recover_precision(w, s, edges, neighbor_lists):
+def _neighbor_solve(w, block, rhs, j, sweep):
+    """Solve W[nb, nb] beta = S[nb, j] for node j by Cholesky.
+
+    block holds the flat indices of W[nb, nb] into W and rhs is S[nb, j].
+    """
+    _, beta, info = lapack.dposv(w.take(block), rhs)
+    if info:
+        raise EstimationError(
+            f"edge subproblem at node {j}, sweep {sweep} is singular or not positive definite"
+        )
+    return beta
+
+
+def _recover_precision(w, s, nodes, sweep):
     p = s.shape[0]
     psi = np.zeros((p, p))
-    for j in range(p):
-        nb = neighbor_lists[j]
-        if nb.size:
-            try:
-                beta = np.linalg.solve(w[np.ix_(nb, nb)], s[nb, j])
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError(f"singular subproblem at node {j}") from exc
-            gap = s[j, j] - float(s[nb, j] @ beta)
-        else:
-            beta = np.zeros(0)
-            gap = s[j, j]
+    for j, nb, block, rhs in nodes:
+        beta = _neighbor_solve(w, block, rhs, j, sweep) if nb.size else rhs
+        gap = s[j, j] - float(rhs @ beta)
         if not np.isfinite(gap) or gap <= 0.0:
             raise EstimationError(f"nonpositive partial variance at node {j}: {gap:.3e}")
         psi[j, j] = 1.0 / gap
@@ -76,8 +84,10 @@ def fit(
     w_init warm-starts the working covariance (its diagonal is reset to
     the scatter's). Convergence needs both a small average change in W
     and a relative pattern residual below kkt_rtol; exhausting max_sweeps
-    without that raises EstimationError, as do singular or nonpositive
-    column subproblems.
+    without that raises EstimationError, as do neighbor blocks that are
+    singular or not positive definite, non-finite column updates,
+    nonpositive partial variances and a recovered precision that is not
+    positive definite.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
@@ -86,9 +96,13 @@ def fit(
     if np.diag(s).min() <= 0.0:
         raise DomainError("scatter matrix needs a strictly positive diagonal")
 
-    adj = edges.to_adjacency()
-    neighbor_lists = [np.nonzero(adj[j])[0] for j in range(p)]
-    others = [np.delete(np.arange(p), j) for j in range(p)]
+    mask = edges.to_adjacency()
+    # per node: its neighbors, their block as flat indices into W, and S[nb, j]
+    nodes = []
+    for j in range(p):
+        nb = np.flatnonzero(mask[j])
+        nodes.append((j, nb, nb[:, None] * p + nb, s[nb, j]))
+    np.fill_diagonal(mask, True)
 
     if w_init is not None:
         w = symmetrize(w_init, "w_init")
@@ -105,40 +119,33 @@ def fit(
     while sweeps < max_sweeps:
         sweeps += 1
         change = 0.0
-        for j in range(p):
-            nb = neighbor_lists[j]
-            oth = others[j]
+        for j, nb, block, rhs in nodes:
             if nb.size:
-                try:
-                    beta_nb = np.linalg.solve(w[np.ix_(nb, nb)], s[nb, j])
-                except np.linalg.LinAlgError as exc:
-                    raise EstimationError(
-                        f"singular edge subproblem at node {j}, sweep {sweeps}"
-                    ) from exc
-                beta = np.zeros(p - 1)
-                pos = np.searchsorted(oth, nb)
-                beta[pos] = beta_nb
-                new_col = w[np.ix_(oth, oth)] @ beta
+                col = w[:, nb] @ _neighbor_solve(w, block, rhs, j, sweeps)
             else:
-                new_col = np.zeros(p - 1)
-            if not np.all(np.isfinite(new_col)):
+                col = np.zeros(p)
+            col[j] = s[j, j]
+            # w is exactly symmetric and stays finite, so a non-finite
+            # column shows in its change against row j
+            step = float(np.abs(col - w[j]).sum())
+            if not math.isfinite(step):
                 raise EstimationError(f"non-finite column update at node {j}, sweep {sweeps}")
-            change += float(np.abs(new_col - w[oth, j]).sum())
-            w[oth, j] = new_col
-            w[j, oth] = new_col
+            change += step
+            w[:, j] = col
+            w[j] = col
         if change / n_off < w_tol:
-            if kkt_residual(w, s, edges) <= kkt_rtol * scale:
+            if _kkt_residual(w, s, mask) <= kkt_rtol * scale:
                 break
             # pattern residual still too large: keep sweeping
     else:
         raise EstimationError(
             f"covariance sweeps did not converge in {max_sweeps} iterations "
-            f"(pattern residual {kkt_residual(w, s, edges):.3e})"
+            f"(pattern residual {_kkt_residual(w, s, mask):.3e})"
         )
 
-    psi_vals = _recover_precision(w, s, edges, neighbor_lists)
+    psi_vals = _recover_precision(w, s, nodes, sweeps)
     try:
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    return ConstrainedMLEResult(psi, w, sweeps, kkt_residual(w, s, edges))
+    return ConstrainedMLEResult(psi, w, sweeps, _kkt_residual(w, s, mask))

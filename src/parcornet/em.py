@@ -67,7 +67,7 @@ class EMState:
 def mahalanobis(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix) -> np.ndarray:
     """Squared Mahalanobis distance of each row under (mean, psi)."""
     x = data.values - mean
-    return np.einsum("ij,jk,ik->i", x, psi.values, x)
+    return np.einsum("ij,ij->i", x @ psi.values, x)
 
 
 def expected_scales(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix, nu: float) -> np.ndarray:

@@ -7,7 +7,6 @@ immutable after construction.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,14 +310,3 @@ def save_matrix_csv(m, path) -> None:
 def load_matrix_csv(path) -> np.ndarray:
     a = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     return a
-
-
-def save_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cmle_reference import reference_fit
 from parcornet import constrained_mle
 from parcornet.errors import DomainError, EstimationError
 from parcornet.matrices import EdgeSet
@@ -128,3 +129,48 @@ class TestErrors:
         s = random_scatter(8, rng)
         with pytest.raises(EstimationError, match="converge"):
             constrained_mle.fit(s, random_edges(8, rng, q=0.6), max_sweeps=0)
+
+
+class TestNeighborKernel:
+    """fit against the full-block LU sweep in tests/cmle_reference.py.
+
+    Only the summation order of the column products and the solver of the
+    neighbor blocks differ, so sweep counts and exact-zero patterns must
+    match exactly and psi to 1e-12 times max|psi|.
+    """
+
+    @staticmethod
+    def assert_matches(s, edges, w_init=None):
+        want = reference_fit(s, edges, w_init=w_init)
+        got = constrained_mle.fit(s, edges, w_init=w_init)
+        assert got.sweeps == want.sweeps
+        assert np.array_equal(got.psi.values == 0.0, want.psi.values == 0.0)
+        tol = 1e-12 * np.abs(want.psi.values).max()
+        assert np.abs(got.psi.values - want.psi.values).max() <= tol
+        return want
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 60])
+    def test_matches_full_block_reference(self, p):
+        rng = np.random.default_rng(60 + p)
+        for _ in range(3):
+            s = random_scatter(p, rng)
+            for edges in (EdgeSet.empty(p), EdgeSet.complete(p),
+                          random_edges(p, rng, q=0.1), random_edges(p, rng, q=0.4)):
+                want = self.assert_matches(s, edges)
+                # warm start from the converged covariance of a nearby scatter
+                nearby = s + 0.05 * random_scatter(p, rng)
+                self.assert_matches(nearby, edges, w_init=want.covariance)
+
+    def test_same_errors_as_reference(self):
+        v = np.arange(1.0, 5.0)
+        cases = [
+            (np.outer(v, v), EdgeSet.complete(4), {}),
+            (random_scatter(8, np.random.default_rng(39)),
+             random_edges(8, np.random.default_rng(40), q=0.6), {"max_sweeps": 0}),
+        ]
+        for s, edges, kwargs in cases:
+            with pytest.raises(EstimationError) as want:
+                reference_fit(s, edges, **kwargs)
+            with pytest.raises(EstimationError) as got:
+                constrained_mle.fit(s, edges, **kwargs)
+            assert type(got.value) is type(want.value)

@@ -5,13 +5,14 @@ from parcornet import constrained_mle
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import (
     EMConfig,
+    _fit_step,
     estimate,
     expected_scales,
     transform_rows,
     weighted_mean,
     weighted_scatter,
 )
-from parcornet.errors import ConfigError
+from parcornet.errors import ConfigError, EstimationError
 from parcornet.matrices import Dataset, PrecisionMatrix
 from parcornet.neighborhood import select_edges
 from parcornet.netgen import TopologySpec, generate_precision
@@ -134,6 +135,43 @@ class TestGaussianMode:
         a = estimate(data, EMConfig(pen(0.2), mode="gaussian", nu=3.0))
         b = estimate(data, EMConfig(pen(0.2), mode="gaussian", nu=50.0))
         assert np.array_equal(a.psi.values, b.psi.values)
+
+
+class TestColdRetry:
+    @staticmethod
+    def stage_inputs():
+        x = np.random.default_rng(58).standard_normal((120, 5))
+        xc = x - x.mean(axis=0)
+        return xc, xc.T @ xc / 120, EMConfig(pen(0.15), mode="gaussian")
+
+    def test_failed_warm_start_is_redone_cold(self, monkeypatch):
+        xc, scatter, cfg = self.stage_inputs()
+        real_fit = constrained_mle.fit
+        warm_calls = []
+
+        def warm_fails(scatter, edges, w_init=None):
+            warm_calls.append(w_init is not None)
+            if w_init is not None:
+                raise EstimationError("warm start stalled")
+            return real_fit(scatter, edges, w_init=w_init)
+
+        monkeypatch.setattr(constrained_mle, "fit", warm_fails)
+        edges, res = _fit_step(xc, scatter, cfg, np.eye(5))
+        assert warm_calls == [True, False]
+        assert np.array_equal(res.psi.values, real_fit(scatter, edges).psi.values)
+
+    def test_cold_failure_propagates(self, monkeypatch):
+        xc, scatter, cfg = self.stage_inputs()
+        cold_calls = []
+
+        def always_fails(scatter, edges, w_init=None):
+            cold_calls.append(w_init)
+            raise EstimationError("cold fit failed")
+
+        monkeypatch.setattr(constrained_mle, "fit", always_fails)
+        with pytest.raises(EstimationError, match="cold fit failed"):
+            _fit_step(xc, scatter, cfg, None)
+        assert cold_calls == [None]
 
 
 class TestTMode:
