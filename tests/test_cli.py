@@ -304,6 +304,89 @@ class TestPipeline:
             assert r["ks_t_reject"] in ("0", "1")
 
 
+PINNED_NETWORK = {
+    "p": 4,
+    "nodes": ["a", "b", "c", "d"],
+    "edges": [{"i": 1, "j": 2, "weight": 0.25}, {"i": 1, "j": 3, "weight": 0.3},
+              {"i": 2, "j": 3, "weight": -0.125}, {"i": 3, "j": 4, "weight": 0.2}],
+    "lambda": 0.1,
+    "bic": 0.0,
+}
+
+PINNED_MEASURES = (
+    "p,edge_count,mean_degree,mean_distance,mean_eccentricity,mean_clustering,mean_strength\n"
+    "4,4,2,1.33333333333,1.75,0.583333333333,0.3125\n"
+)
+
+PINNED_CENTRALITIES = (
+    "node,name,degree,strength,eigenvector\n"
+    "1,a,2,0.55,1\n"
+    "2,b,2,0.125,0.76677681977\n"
+    "3,c,3,0.375,0.980770635113\n"
+    "4,d,1,0.2,0.403671281333\n"
+)
+
+PINNED_STRENGTH = (
+    "window,start_date,end_date,mean_strength,error\n"
+    "0,2018-01-03,2018-09-11,0,\n"
+    "1,2018-03-07,2018-11-13,0,\n"
+    "2,2018-05-09,2019-01-15,-0.0767812824393,\n"
+    "3,2018-07-11,2019-03-19,-0.0778356929673,\n"
+    "4,2018-09-12,2019-05-21,-0.0649573627791,\n"
+)
+
+PINNED_GARCH_HEADER = (
+    "series,c,phi,omega,a,b,loglik,ks_normal,ks_normal_reject,ks_t,ks_t_reject\n"
+)
+PINNED_GARCH_FITS = (
+    "s0,0.0021463882711,-0.0180931568504,0.000115913338332,3.85404365276e-27,"
+    "0.713526574178,1254.1636753,0.0213523883904,0,",
+    "s1,-0.00114459400763,0.0788016445667,7.12620222519e-05,0.0782804868093,"
+    "0.776102662326,1210.79631033,0.0270923111024,0,",
+    "s2,-0.0014973487148,0.0579870081342,3.52466246951e-05,0.0528863408364,"
+    "0.850143224278,1280.82203528,0.0251227862071,0,",
+)
+PINNED_KS_T = ("0.0562229743773,0", "0.0545357102217,0", "0.0455871198966,0")
+
+PINNED_RESIDUALS_HEAD = (
+    "date,s0,s1,s2\n"
+    "2018-01-03,0.61965468069,-0.818597378404,0.956727452395\n"
+    "2018-01-04,0.846054900061,1.22206422793,-0.841928346097\n"
+)
+
+
+class TestPinnedBytes:
+    """Exact text of the CSV files the CLI writes, fixed on known inputs."""
+
+    def test_analyze_files(self, tmp_path):
+        net = write_json(tmp_path / "net.json", PINNED_NETWORK)
+        assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "measures.csv").read_text() == PINNED_MEASURES
+        assert (tmp_path / "centralities.csv").read_text() == PINNED_CENTRALITIES
+
+    def test_pipeline_gaussian_files(self, tmp_path):
+        prices = make_price_csv(tmp_path / "px.csv")
+        out = tmp_path / "out"
+        flags = ["--mode", "gaussian", "--window", "252", "--step", "63",
+                 "--lambda-lo", "0.02", "--lambda-hi", "0.2", "--lambda-count", "3"]
+        assert cli.main(["pipeline", prices, *flags, "--out", str(out)]) == 0
+        assert (out / "strength.csv").read_text() == PINNED_STRENGTH
+        assert (out / "garch.csv").read_text() == PINNED_GARCH_HEADER + "".join(
+            f"{row},\n" for row in PINNED_GARCH_FITS)
+        resid = (out / "residuals.csv").read_text()
+        assert resid.startswith(PINNED_RESIDUALS_HEAD)
+        assert resid.count("\n") == 505 and resid.endswith("\n")
+
+    def test_pipeline_t_garch_file(self, tmp_path):
+        prices = make_price_csv(tmp_path / "px.csv")
+        out = tmp_path / "out"
+        flags = ["--mode", "t", "--nu", "5", "--window", "252", "--step", "126",
+                 "--lambda-lo", "0.2", "--lambda-hi", "0.8", "--lambda-count", "2"]
+        assert cli.main(["pipeline", prices, *flags, "--out", str(out)]) == 0
+        assert (out / "garch.csv").read_text() == PINNED_GARCH_HEADER + "".join(
+            f"{row}{ks}\n" for row, ks in zip(PINNED_GARCH_FITS, PINNED_KS_T))
+
+
 class TestNetworkJson:
     def test_round_trip_exact(self):
         vals = np.zeros((4, 4))
