@@ -29,7 +29,6 @@ from .matrices import (
     PrecisionMatrix,
     is_positive_definite,
     precision_to_partial_correlation,
-    scatter_to_precision,
 )
 from .metrics import ConfusionCounts, confusion, f1_score, false_discovery_rate, frobenius_distance
 from .netgen import TopologySpec, generate_pattern, generate_precision, pattern_to_precision
@@ -48,5 +47,5 @@ __all__ = [
     "estimate", "f1_score", "false_discovery_rate", "frobenius_distance",
     "generate_pattern", "generate_precision", "is_positive_definite", "measures",
     "node_centralities", "pattern_to_precision", "precision_to_partial_correlation",
-    "sample", "scatter_to_precision", "select", "shock", "spawned_rng",
+    "sample", "select", "shock", "spawned_rng",
 ]

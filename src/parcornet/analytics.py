@@ -180,24 +180,10 @@ def spectral_radius(network) -> float:
     return float(np.abs(np.linalg.eigvalsh(vals)).max())
 
 
-def abs_radius_bound(network, tol: float = 1e-10, max_iter: int = EIG_MAX_ITER) -> float:
-    """Power-iteration estimate of the spectral radius of |P|; an upper
-    bound for the radius of P itself."""
-    w = np.abs(_pc_values(network))
-    if w.max() == 0.0:
-        return 0.0
-    v = np.full(w.shape[0], 1.0 / np.sqrt(w.shape[0]))
-    est = 0.0
-    for _ in range(max_iter):
-        nxt = (w + np.eye(w.shape[0])) @ v
-        norm = np.linalg.norm(nxt)
-        nxt /= norm
-        new_est = float(v @ w @ v)
-        if abs(new_est - est) < tol:
-            return new_est
-        est = new_est
-        v = nxt
-    return est
+def abs_radius_bound(network) -> float:
+    """Spectral radius of |P|, its Perron root; an upper bound for the
+    radius of P itself."""
+    return float(np.linalg.eigvalsh(np.abs(_pc_values(network)))[-1])
 
 
 def shock(network, node: int) -> ShockResult:

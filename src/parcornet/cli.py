@@ -44,8 +44,8 @@ INPUT_ERRORS = (ConfigError, DataError, ShapeError, DomainError)
 RUN_ERRORS = (EstimationError, SelectionError, NumericError, DivergenceError, FitError)
 
 SIM_COLUMNS = (
-    "topology,distribution,n,run,estimator,alpha,lambda,bic,edges,"
-    "tp,fp,fn,f1,fdr,frobenius,em_converged,failed,error"
+    "topology", "distribution", "n", "run", "estimator", "alpha", "lambda", "bic", "edges",
+    "tp", "fp", "fn", "f1", "fdr", "frobenius", "em_converged", "failed", "error",
 )
 
 MANIFEST_DEFAULTS = {
@@ -77,6 +77,12 @@ def _fmt(v) -> str:
 
 def _clean_msg(msg: str) -> str:
     return str(msg).replace(",", ";").replace("\n", " ")
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """One line per row, cells formatted by _fmt and joined by commas."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in (header, *rows))
 
 
 # ---------------------------------------------------------------- simulate
@@ -224,10 +230,7 @@ def cmd_simulate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(SIM_COLUMNS + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[c]) for c in SIM_COLUMNS.split(",")) + "\n")
+    _write_csv(csv_path, SIM_COLUMNS, ([r[c] for c in SIM_COLUMNS] for r in rows))
 
     groups = {}
     for r in rows:
@@ -248,9 +251,7 @@ def cmd_simulate(args) -> int:
             agg["median_frobenius"] = statistics.median(r["frobenius"] for r in ok)
         aggregates.append(agg)
     summary = {"manifest": manifest, "rows": len(rows), "aggregates": aggregates}
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0
 
@@ -348,18 +349,12 @@ def cmd_analyze(args) -> int:
     cent = analytics.node_centralities(pc, absolute_strength=args.absolute_strength)
     os.makedirs(args.out, exist_ok=True)
     mpath = os.path.join(args.out, "measures.csv")
-    with open(mpath, "w") as fh:
-        d = meas.to_json_dict()
-        fh.write(",".join(d.keys()) + "\n")
-        fh.write(",".join(_fmt(float(v) if isinstance(v, float) else v) for v in d.values()) + "\n")
+    d = meas.to_json_dict()
+    _write_csv(mpath, d.keys(), [d.values()])
     cpath = os.path.join(args.out, "centralities.csv")
-    with open(cpath, "w") as fh:
-        fh.write("node,name,degree,strength,eigenvector\n")
-        for j, name in enumerate(names):
-            fh.write(
-                f"{j + 1},{name},{int(cent.degree[j])},"
-                f"{_fmt(float(cent.strength[j]))},{_fmt(float(cent.eigenvector[j]))}\n"
-            )
+    rows = [(j + 1, name, int(cent.degree[j]), float(cent.strength[j]), float(cent.eigenvector[j]))
+            for j, name in enumerate(names)]
+    _write_csv(cpath, ("node", "name", "degree", "strength", "eigenvector"), rows)
     print(f"wrote {mpath} and {cpath}")
     return 0
 
@@ -413,24 +408,22 @@ def cmd_pipeline(args) -> int:
     resid_dates = returns.dates[1:]
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "residuals.csv"), "w") as fh:
-        fh.write("date," + ",".join(returns.names) + "\n")
-        for d, row in zip(resid_dates, resid):
-            fh.write(d + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
+    _write_csv(os.path.join(args.out, "residuals.csv"), ("date", *returns.names),
+               ((d, *row) for d, row in zip(resid_dates, resid)))
 
-    with open(os.path.join(args.out, "garch.csv"), "w") as fh:
-        fh.write("series,c,phi,omega,a,b,loglik,ks_normal,ks_normal_reject,ks_t,ks_t_reject\n")
-        for name, f in zip(returns.names, fits):
-            ksn, rejn = pipeline.ks_statistic(f.residuals, "normal")
-            if config.mode == "t":
-                kst, rejt = pipeline.ks_statistic(f.residuals, "t", nu=config.nu)
-                t_cells = f"{_fmt(kst)},{int(rejt)}"
-            else:
-                t_cells = ","
-            fh.write(
-                f"{name},{_fmt(f.c)},{_fmt(f.phi)},{_fmt(f.omega)},{_fmt(f.a)},"
-                f"{_fmt(f.b)},{_fmt(f.loglik)},{_fmt(ksn)},{int(rejn)},{t_cells}\n"
-            )
+    garch_rows = []
+    for name, f in zip(returns.names, fits):
+        ksn, rejn = pipeline.ks_statistic(f.residuals, "normal")
+        if config.mode == "t":
+            kst, rejt = pipeline.ks_statistic(f.residuals, "t", nu=config.nu)
+            t_cells = (kst, int(rejt))
+        else:
+            t_cells = (None, None)
+        garch_rows.append((name, f.c, f.phi, f.omega, f.a, f.b, f.loglik, ksn, int(rejn),
+                           *t_cells))
+    _write_csv(os.path.join(args.out, "garch.csv"),
+               ("series", "c", "phi", "omega", "a", "b", "loglik", "ks_normal",
+                "ks_normal_reject", "ks_t", "ks_t_reject"), garch_rows)
 
     try:
         windows = pipeline.rolling_estimate(
@@ -461,15 +454,14 @@ def cmd_pipeline(args) -> int:
         else:
             _write_json({**base, "error": w.error}, path)
 
-    with open(os.path.join(args.out, "strength.csv"), "w") as fh:
-        fh.write("window,start_date,end_date,mean_strength,error\n")
-        for w in windows:
-            val = w.net_measures.mean_strength if w.net_measures is not None else None
-            err = _clean_msg(w.error) if w.error else ""
-            fh.write(
-                f"{w.index},{resid_dates[w.start]},{resid_dates[w.stop - 1]},"
-                f"{_fmt(val)},{err}\n"
-            )
+    strength_rows = [
+        (w.index, resid_dates[w.start], resid_dates[w.stop - 1],
+         w.net_measures.mean_strength if w.net_measures is not None else None,
+         _clean_msg(w.error) if w.error else "")
+        for w in windows
+    ]
+    _write_csv(os.path.join(args.out, "strength.csv"),
+               ("window", "start_date", "end_date", "mean_strength", "error"), strength_rows)
 
     summary = {
         "config": _config_echo(config, grid),
@@ -480,9 +472,7 @@ def cmd_pipeline(args) -> int:
         "windows": len(windows),
         "failed_windows": sum(1 for w in windows if w.error),
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"wrote {len(windows)} windows to {args.out}")
     return 0
 
@@ -520,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data")
     _add_estimator_flags(sp)
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    sp.add_argument("--seed", type=int, default=None, help="accepted for uniformity; unused")
     sp.set_defaults(func=cmd_estimate)
 
     sp = sub.add_parser("analyze", help="measures and centralities from a network JSON")
@@ -542,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=int, default=pipeline.TRADING_DAYS_PER_MONTH)
     sp.add_argument("--absolute-strength", action="store_true")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--seed", type=int, default=None, help="accepted for uniformity; unused")
     sp.set_defaults(func=cmd_pipeline)
 
     return parser

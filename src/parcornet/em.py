@@ -115,16 +115,15 @@ def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
 
 def _fit_step(xt: np.ndarray, scatter: np.ndarray, config: EMConfig, w_init):
     """Neighborhood selection on transformed rows, then the constrained fit."""
-    gram = centered_gram(xt)
-    sel = select_edges(Dataset(xt), config.penalty, config.rule, gram=gram)
+    edges = select_edges(centered_gram(xt), config.penalty, config.rule)
     try:
-        res = constrained_mle.fit(scatter, sel.edges, w_init=w_init)
+        res = constrained_mle.fit(scatter, edges, w_init=w_init)
     except EstimationError:
         if w_init is None:
             raise
         # warm start can stall after a pattern change: retry cold
-        res = constrained_mle.fit(scatter, sel.edges, w_init=None)
-    return sel.edges, res
+        res = constrained_mle.fit(scatter, edges, w_init=None)
+    return edges, res
 
 
 def estimate(data: Dataset, config: EMConfig) -> EMState:

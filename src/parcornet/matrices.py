@@ -41,7 +41,11 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
 
 def is_positive_definite(m) -> bool:
     """Cholesky-based test; pivots must clear PD_PIVOT_TOL relative to the diagonal."""
-    a = symmetrize(m)
+    return _pivots_clear(symmetrize(m))
+
+
+def _pivots_clear(a: np.ndarray) -> bool:
+    """is_positive_definite for an array that is already exactly symmetric."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -63,19 +67,12 @@ class PrecisionMatrix:
             raise ShapeError("precision matrix needs dimension >= 2")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
-        if not is_positive_definite(a):
+        if not _pivots_clear(a):
             raise DomainError("precision matrix is not positive definite")
 
     @property
     def p(self) -> int:
         return self.values.shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "values": self.values.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PrecisionMatrix":
-        return cls(np.asarray(d["values"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -104,13 +101,6 @@ class PartialCorrelationMatrix:
         """Edges are exactly the nonzero off-diagonal entries."""
         jj, kk = np.nonzero(np.triu(self.values, k=1))
         return EdgeSet.from_pairs(self.p, zip(jj.tolist(), kk.tolist()))
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "values": self.values.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PartialCorrelationMatrix":
-        return cls(np.asarray(d["values"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -166,39 +156,6 @@ class EdgeSet:
         for j, k in self.pairs:
             adj[j, k] = adj[k, j] = True
         return adj
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        if other.p != self.p:
-            raise ShapeError("edge sets have different p")
-        return EdgeSet(self.p, self.pairs | other.pairs)
-
-    def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        if other.p != self.p:
-            raise ShapeError("edge sets have different p")
-        return EdgeSet(self.p, self.pairs & other.pairs)
-
-    def issubset(self, other: "EdgeSet") -> bool:
-        return self.p == other.p and self.pairs <= other.pairs
-
-    def to_json_dict(self) -> dict:
-        # nodes are 1-based in external formats
-        return {"p": self.p, "edges": [[j + 1, k + 1] for j, k in sorted(self.pairs)]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EdgeSet":
-        return cls.from_pairs(int(d["p"]), ((j - 1, k - 1) for j, k in d["edges"]))
-
-    def to_csv_text(self) -> str:
-        lines = ["i,j"]
-        lines += [f"{j + 1},{k + 1}" for j, k in sorted(self.pairs)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str, p: int) -> "EdgeSet":
-        rows = [r for r in csv.reader(text.splitlines()) if r]
-        if rows and rows[0][:2] == ["i", "j"]:
-            rows = rows[1:]
-        return cls.from_pairs(p, ((int(r[0]) - 1, int(r[1]) - 1) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -288,25 +245,3 @@ def precision_to_partial_correlation(theta) -> PartialCorrelationMatrix:
     pc = -a * np.outer(inv_sd, inv_sd)
     np.fill_diagonal(pc, 0.0)
     return PartialCorrelationMatrix(pc)
-
-
-def scatter_to_precision(psi, nu: float) -> PrecisionMatrix:
-    """Rescale a scatter inverse to the precision of the implied covariance.
-
-    For a scale-mixture model with tail parameter nu > 2 the covariance is
-    nu/(nu-2) times the scatter, so the precision is (nu-2)/nu times psi.
-    """
-    if nu <= 2.0:
-        raise DomainError(f"need nu > 2 for a finite covariance, got {nu}")
-    a = symmetrize(psi, "scatter inverse")
-    return PrecisionMatrix((nu - 2.0) / nu * a)
-
-
-def save_matrix_csv(m, path) -> None:
-    a = _square_values(m, "matrix")
-    np.savetxt(path, a, delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return a

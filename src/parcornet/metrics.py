@@ -32,16 +32,6 @@ def confusion(estimated: EdgeSet, truth: EdgeSet) -> ConfusionCounts:
     return ConfusionCounts(tp, fp, fn, total - tp - fp - fn)
 
 
-def precision_score(c: ConfusionCounts) -> float:
-    """tp / (tp + fp); an empty estimate scores 1 (nothing wrongly claimed)."""
-    return c.tp / (c.tp + c.fp) if (c.tp + c.fp) else 1.0
-
-
-def recall_score(c: ConfusionCounts) -> float:
-    """tp / (tp + fn); an empty truth scores 1 (nothing missed)."""
-    return c.tp / (c.tp + c.fn) if (c.tp + c.fn) else 1.0
-
-
 def f1_score(c: ConfusionCounts) -> float:
     """Harmonic mean of precision and recall.
 

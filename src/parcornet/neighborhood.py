@@ -15,7 +15,7 @@ import numpy as np
 
 from .elastic_net import COEF_TOL, KKT_TOL, MAX_SWEEPS, PenaltyConfig, solve_gram
 from .errors import ConfigError, ShapeError
-from .matrices import Dataset, EdgeSet
+from .matrices import EdgeSet
 
 RULES = ("and", "or")
 
@@ -29,13 +29,6 @@ class Neighborhoods:
     unconverged: tuple = ()
 
 
-@dataclass(frozen=True)
-class NeighborhoodResult:
-    neighborhoods: Neighborhoods
-    edges: EdgeSet
-    rule: str
-
-
 def centered_gram(values: np.ndarray) -> np.ndarray:
     """X_c^T X_c / n for column-centered X."""
     x = np.asarray(values, dtype=float)
@@ -44,26 +37,22 @@ def centered_gram(values: np.ndarray) -> np.ndarray:
 
 
 def select_neighborhoods(
-    data: Dataset,
+    gram: np.ndarray,
     penalty: PenaltyConfig,
     tol: float = COEF_TOL,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
-    gram: np.ndarray | None = None,
 ) -> Neighborhoods:
-    """Run the p conditional regressions and collect nonzero supports.
+    """Run the p conditional regressions on the centered Gram of the data
+    (see centered_gram) and collect nonzero supports.
 
     A regression that hits the sweep cap is kept (its support is still
     used) but recorded in unconverged; one warning per call names them.
-    Callers that already hold the centered Gram of data pass it as gram.
     """
-    if not isinstance(data, Dataset):
-        data = Dataset(np.asarray(data, dtype=float))
-    p = data.p
-    if gram is None:
-        gram = centered_gram(data.values)
-    elif gram.shape != (p, p):
-        raise ShapeError(f"gram must have shape ({p},{p}), got {gram.shape}")
+    gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ShapeError(f"gram must be a square 2-d array, got shape {gram.shape}")
+    p = gram.shape[0]
     fit = solve_gram(gram, np.arange(p), penalty, tol, max_sweeps, kkt_tol)
     sets = tuple(frozenset(np.flatnonzero(col).tolist()) for col in fit.coefficients.T)
     bad = tuple(np.flatnonzero(~fit.response_converged).tolist())
@@ -101,12 +90,6 @@ def assemble_edges(neighborhoods, rule: str) -> EdgeSet:
     return EdgeSet.from_pairs(p, pairs)
 
 
-def select_edges(
-    data: Dataset,
-    penalty: PenaltyConfig,
-    rule: str = "and",
-    gram: np.ndarray | None = None,
-) -> NeighborhoodResult:
-    """Neighborhood selection followed by edge assembly."""
-    nbhd = select_neighborhoods(data, penalty, gram=gram)
-    return NeighborhoodResult(nbhd, assemble_edges(nbhd, rule), str(rule).lower())
+def select_edges(gram: np.ndarray, penalty: PenaltyConfig, rule: str = "and") -> EdgeSet:
+    """Neighborhood selection on a centered Gram followed by edge assembly."""
+    return assemble_edges(select_neighborhoods(gram, penalty), rule)

@@ -6,7 +6,7 @@ numpy's Generator seeded per spec.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class TopologySpec:
                 raise ConfigError(
                     f"ring_neighbors must be even, >= 2 and <= p-2, got {k}"
                 )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind, "p": self.p, "seed": self.seed,
-            "v": self.v, "u": self.u,
-        }
 
 
 def _pattern_scale_free(p: int, rng) -> set:

@@ -91,21 +91,6 @@ class ReturnTable:
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-    def to_csv_text(self) -> str:
-        lines = ["date," + ",".join(self.names)]
-        for d, row in zip(self.dates, self.values):
-            cells = [("" if not np.isfinite(v) else f"{v:.17g}") for v in row]
-            lines.append(d + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def log_returns(prices: PriceTable) -> ReturnTable:
     """ln(p_t / p_{t-1}) per cell; a NaN price makes both touching returns NaN."""
@@ -336,13 +321,4 @@ def rolling_estimate(
         except (ParcornetError, np.linalg.LinAlgError) as exc:
             # an estimation or numeric failure flags the window; a bug still propagates
             out.append(WindowResult(i, start, stop, None, None, f"{type(exc).__name__}: {exc}"))
-    return out
-
-
-def strength_series(results: list) -> list:
-    """(window index, mean strength) pairs; failed windows give NaN."""
-    out = []
-    for w in results:
-        val = w.net_measures.mean_strength if w.net_measures is not None else float("nan")
-        out.append((w.index, val))
     return out

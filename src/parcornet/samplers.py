@@ -38,14 +38,6 @@ class DistributionSpec:
             return f"contaminated{self.keep_prob:g}"
         return "normal"
 
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "t":
-            d["nu"] = self.nu
-        if self.kind == "contaminated":
-            d["keep_prob"] = self.keep_prob
-        return d
-
 
 def spawned_rng(seed: int, *key) -> np.random.Generator:
     """Generator for stream (seed, key...); distinct keys give independent streams."""

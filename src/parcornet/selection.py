@@ -110,16 +110,6 @@ class SelectionReport:
     state: EMState
     bic_value: float
 
-    def to_csv_text(self) -> str:
-        lines = ["lambda,bic,edges,em_converged,failed,error"]
-        for r in self.records:
-            bic_txt = f"{r.bic:.12g}" if np.isfinite(r.bic) else ""
-            err = (r.error or "").replace(",", ";")
-            lines.append(
-                f"{r.lam:.12g},{bic_txt},{r.n_edges},{int(r.em_converged)},{int(r.failed)},{err}"
-            )
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "chosen_lambda": self.chosen_lambda,

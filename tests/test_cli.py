@@ -138,6 +138,16 @@ class TestEstimate:
         assert cli.main(["estimate", str(path), "--mode", "gaussian", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == []
 
+    def test_seed_flag_rejected(self, tmp_path):
+        data = self._correlated_csv(tmp_path)
+        prices = make_price_csv(tmp_path / "px.csv")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["estimate", data, "--seed", "1"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            cli.main(["pipeline", prices, "--seed", "1", "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+
     def test_unreadable_input_exit_2(self, tmp_path):
         assert cli.main(["estimate", str(tmp_path / "missing.csv")]) == 2
         bad = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from parcornet.em import (
 )
 from parcornet.errors import ConfigError, EstimationError
 from parcornet.matrices import Dataset, PrecisionMatrix
-from parcornet.neighborhood import select_edges
+from parcornet.neighborhood import centered_gram, select_edges
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
 
@@ -124,9 +124,9 @@ class TestGaussianMode:
         # oracle: run the two stages directly on the plain scatter
         xc = x - x.mean(axis=0)
         scatter = xc.T @ xc / 120
-        sel = select_edges(Dataset(xc), pen(0.15), "and")
-        res = constrained_mle.fit(scatter, sel.edges)
-        assert sel.edges == state.edges
+        edges = select_edges(centered_gram(xc), pen(0.15), "and")
+        res = constrained_mle.fit(scatter, edges)
+        assert edges == state.edges
         assert np.abs(res.psi.values - state.psi.values).max() < 1e-10
 
     def test_nu_does_not_matter(self):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parcornet.elastic_net import PenaltyConfig
-from parcornet.errors import ConfigError
-from parcornet.matrices import Dataset
+from parcornet.errors import ConfigError, ShapeError
 from parcornet.neighborhood import (
-    Neighborhoods,
     assemble_edges,
     centered_gram,
     select_edges,
@@ -17,11 +17,10 @@ def block_data(n, rng):
     # two independent pairs of strongly coupled columns
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    x = np.column_stack([
+    return np.column_stack([
         z1, z1 + 0.3 * rng.standard_normal(n),
         z2, z2 + 0.3 * rng.standard_normal(n),
     ])
-    return Dataset(x)
 
 
 class TestAssembleEdges:
@@ -49,59 +48,67 @@ class TestAssembleEdges:
         with pytest.raises(ConfigError):
             assemble_edges([frozenset({5}), frozenset()], "or")
 
+    @given(st.data())
+    def test_and_subset_of_or_property(self, data):
+        p = data.draw(st.integers(1, 8))
+        sets = [data.draw(st.frozensets(st.integers(0, p - 1))) - {j} for j in range(p)]
+        e_and, e_or = assemble_edges(sets, "and"), assemble_edges(sets, "or")
+        assert e_and.pairs <= e_or.pairs
+        for j, k in e_and:
+            assert k in sets[j] and j in sets[k]
+        for j, k in e_or:
+            assert k in sets[j] or j in sets[k]
+
 
 class TestSelectNeighborhoods:
     def test_and_subset_of_or(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
-            data = Dataset(rng.standard_normal((80, 6)))
-            nbhd = select_neighborhoods(data, PenaltyConfig(0.8, 0.05))
-            assert assemble_edges(nbhd, "and").issubset(assemble_edges(nbhd, "or"))
+            gram = centered_gram(rng.standard_normal((80, 6)))
+            nbhd = select_neighborhoods(gram, PenaltyConfig(0.8, 0.05))
+            assert assemble_edges(nbhd, "and").pairs <= assemble_edges(nbhd, "or").pairs
 
     def test_no_self_neighbors(self):
         rng = np.random.default_rng(21)
-        data = Dataset(rng.standard_normal((60, 5)))
-        nbhd = select_neighborhoods(data, PenaltyConfig(0.5, 0.01))
+        gram = centered_gram(rng.standard_normal((60, 5)))
+        nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.01))
         for j, s in enumerate(nbhd.sets):
             assert j not in s
 
     def test_block_structure_recovered(self):
         rng = np.random.default_rng(22)
         data = block_data(400, rng)
-        res = select_edges(data, PenaltyConfig(1.0, 0.1), "and")
-        assert (0, 1) in res.edges
-        assert (2, 3) in res.edges
+        edges = select_edges(centered_gram(data), PenaltyConfig(1.0, 0.1), "and")
+        assert (0, 1) in edges
+        assert (2, 3) in edges
         for j in (0, 1):
             for k in (2, 3):
-                assert (j, k) not in res.edges
+                assert (j, k) not in edges
 
-    def test_precomputed_gram_matches(self):
-        rng = np.random.default_rng(23)
-        data = Dataset(rng.standard_normal((50, 5)))
-        pen = PenaltyConfig(0.6, 0.08)
-        a = select_neighborhoods(data, pen)
-        b = select_neighborhoods(data, pen, gram=centered_gram(data.values))
-        assert a.sets == b.sets
+    def test_non_square_gram_rejected(self):
+        with pytest.raises(ShapeError):
+            select_neighborhoods(np.ones((3, 4)), PenaltyConfig(0.5, 0.1))
+        with pytest.raises(ShapeError):
+            select_edges(np.ones(3), PenaltyConfig(0.5, 0.1))
 
     def test_huge_penalty_gives_empty_sets(self):
         rng = np.random.default_rng(24)
-        data = Dataset(rng.standard_normal((50, 4)))
-        nbhd = select_neighborhoods(data, PenaltyConfig(1.0, 50.0))
+        gram = centered_gram(rng.standard_normal((50, 4)))
+        nbhd = select_neighborhoods(gram, PenaltyConfig(1.0, 50.0))
         assert all(len(s) == 0 for s in nbhd.sets)
 
     def test_sweep_cap_recorded_and_warned(self):
         rng = np.random.default_rng(25)
-        data = Dataset(rng.standard_normal((60, 5)))
+        gram = centered_gram(rng.standard_normal((60, 5)))
         with pytest.warns(UserWarning) as record:
-            nbhd = select_neighborhoods(data, PenaltyConfig(0.5, 0.001), max_sweeps=1)
+            nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.001), max_sweeps=1)
         assert len(nbhd.unconverged) > 0
         assert len(record) == 1
         assert "did not converge" in str(record[0].message)
         assert str(list(nbhd.unconverged)) in str(record[0].message)
 
-    def test_result_bundles_rule(self):
+    def test_select_edges_rule_case_insensitive(self):
         rng = np.random.default_rng(26)
-        data = Dataset(rng.standard_normal((40, 4)))
-        res = select_edges(data, PenaltyConfig(0.5, 0.2), "OR")
-        assert res.rule == "or"
-        assert isinstance(res.neighborhoods, Neighborhoods)
+        gram = centered_gram(rng.standard_normal((40, 4)))
+        pen = PenaltyConfig(0.5, 0.2)
+        assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")

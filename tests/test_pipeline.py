@@ -14,7 +14,6 @@ from parcornet.pipeline import (
     log_returns,
     rolling_estimate,
     simulate_ar_garch,
-    strength_series,
     window_count,
 )
 from parcornet.selection import build_grid
@@ -245,12 +244,14 @@ class TestRolling:
             rolling_estimate(vals, window=40, step=0, config=self._config(),
                              grid=build_grid(0.1, 0.5, 2))
 
-    def test_strength_series_nan_for_failures(self):
+    def test_window_with_missing_row_flagged_next_finite(self):
         rng = np.random.default_rng(33)
         vals = rng.standard_normal((80, 3))
         vals[5, 0] = np.nan
         results = rolling_estimate(vals, window=40, step=20, config=self._config(),
                                    grid=build_grid(0.1, 0.5, 2))
-        series = strength_series(results)
-        assert series[0][0] == 0 and np.isnan(series[0][1])
-        assert np.isfinite(series[1][1])
+        assert results[0].index == 0
+        assert results[0].net_measures is None and results[0].report is None
+        assert "missing" in results[0].error
+        assert results[1].error is None
+        assert np.isfinite(results[1].net_measures.mean_strength)
