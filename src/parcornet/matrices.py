@@ -160,11 +160,10 @@ class EdgeSet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n x p observation matrix with optional positive row weights."""
+    """n x p observation matrix with optional column names."""
 
     values: np.ndarray
     names: tuple | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.array(self.values, dtype=float, copy=True)
@@ -183,14 +182,6 @@ class Dataset:
             if len(names) != p:
                 raise ShapeError(f"{len(names)} column names for {p} columns")
             object.__setattr__(self, "names", names)
-        if self.weights is not None:
-            w = np.array(self.weights, dtype=float, copy=True)
-            if w.shape != (n,):
-                raise ShapeError(f"weights must have shape ({n},), got {w.shape}")
-            if not np.all(np.isfinite(w)) or w.min() <= 0.0:
-                raise DataError("weights must be finite and strictly positive")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:

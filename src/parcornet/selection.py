@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .em import EMConfig, EMState, estimate, mahalanobis
-from .errors import ConfigError, EstimationError, SelectionError
+from .errors import ConfigError, DataError, EstimationError, SelectionError
 from .matrices import Dataset, PrecisionMatrix
 
 
@@ -100,6 +100,7 @@ class LambdaRecord:
     em_converged: bool
     failed: bool
     error: str | None = None
+    iterations: int = 0
 
 
 @dataclass
@@ -121,6 +122,7 @@ class SelectionReport:
                     "bic": r.bic if np.isfinite(r.bic) else None,
                     "edges": r.n_edges,
                     "em_converged": r.em_converged,
+                    "em_iterations": r.iterations,
                     "failed": r.failed,
                     "error": r.error,
                 }
@@ -129,13 +131,38 @@ class SelectionReport:
         }
 
 
+COLLINEAR_TOL = 1e-12
+
+
+def check_columns(data: Dataset) -> None:
+    """Raise DataError for a constant column or an exactly collinear pair.
+
+    Neither can be estimated in any mode: a constant column has no scatter
+    diagonal and a collinear pair makes every scatter singular.
+    """
+    names = data.names or range(data.p)
+    const = np.flatnonzero(np.ptp(data.values, axis=0) == 0.0)
+    if const.size:
+        raise DataError(f"column {names[const[0]]!r} has zero variance")
+    x = data.values - data.values.mean(axis=0)
+    gram = x.T @ x
+    scale = np.sqrt(np.diag(gram))
+    corr = np.triu(np.abs(gram) / np.outer(scale, scale), k=1)
+    j, k = np.unravel_index(np.argmax(corr), corr.shape)
+    if corr[j, k] >= 1.0 - COLLINEAR_TOL:
+        raise DataError(f"columns {names[j]!r} and {names[k]!r} are collinear "
+                        f"(|correlation| = {corr[j, k]:.15g})")
+
+
 def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport:
     """Fit at every grid value, score by BIC, keep the best.
 
+    Raises DataError up front for columns no mode can fit (check_columns).
     Failed fits are recorded and excluded from the comparison. Ties go to
     the larger lambda (sparser model). Raises SelectionError when every
     grid value fails.
     """
+    check_columns(data)
     records = []
     best = None  # (bic, index, lam, state)
     for idx, lam in enumerate(grid.values):
@@ -146,7 +173,8 @@ def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport
             records.append(LambdaRecord(lam, np.nan, 0, False, True, str(exc)))
             continue
         score = bic(state, data, cfg)
-        records.append(LambdaRecord(lam, score, len(state.edges), state.converged, False))
+        records.append(LambdaRecord(lam, score, len(state.edges), state.converged, False,
+                                    iterations=state.iterations))
         if best is None or score <= best[0]:  # <= so later (larger) lam wins ties
             best = (score, idx, lam, state)
     if best is None:

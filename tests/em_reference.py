@@ -1,0 +1,54 @@
+"""Plain t-mode EM: the reference for em.estimate's rescaled scale step.
+
+reference_estimate is the t-mode loop that em.estimate replaced: the
+E-step scales are used as they come, so the scatter is divided by n
+rather than by sum(tau). Both schemes share their fixed points; where a
+lambda leads both to the same edge set, a tight delta must bring them to
+the same psi, and the rescaled loop must get there in far fewer
+iterations.
+"""
+import numpy as np
+
+from parcornet.em import (
+    EMState,
+    _fit_step,
+    _initial_psi,
+    expected_scales,
+    transform_rows,
+    weighted_mean,
+    weighted_scatter,
+)
+from parcornet.errors import EstimationError
+from parcornet.matrices import EdgeSet
+
+
+def reference_estimate(data, config):
+    """em.estimate's t mode with the n denominator of plain EM."""
+    n, p = data.n, data.p
+    nu = config.nu
+    tau = np.ones(n)
+    mean = data.values.mean(axis=0)
+    scatter = weighted_scatter(data, tau, mean)
+    psi = _initial_psi(scatter, nu / (nu - 2.0))
+    edges = EdgeSet.empty(p)
+    w_prev = None
+    max_change = np.inf
+    converged = False
+    it = 0
+    while it < config.max_iter:
+        it += 1
+        tau = expected_scales(data, mean, psi, nu)
+        mean = weighted_mean(data, tau)
+        scatter = weighted_scatter(data, tau, mean)
+        xt = transform_rows(data, tau, mean)
+        try:
+            edges, res = _fit_step(xt, scatter, config, w_prev)
+        except EstimationError as exc:
+            raise EstimationError(f"iteration {it}: {exc}") from exc
+        max_change = float(np.abs(res.psi.values - psi.values).max())
+        psi = res.psi
+        w_prev = res.covariance
+        if max_change < config.delta:
+            converged = True
+            break
+    return EMState(mean, psi, tau, edges, it, max_change, converged)

@@ -138,6 +138,15 @@ class TestEstimate:
         assert cli.main(["estimate", str(path), "--mode", "gaussian", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == []
 
+    @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
+    def test_constant_column_exit_2(self, tmp_path, capsys, mode):
+        x = np.random.default_rng(5).standard_normal((100, 3))
+        x[:, 1] = 1.0
+        path = tmp_path / "flat.csv"
+        path.write_text(Dataset(x, names=("a", "b", "c")).to_csv_text())
+        assert cli.main(["estimate", str(path), *mode, "--out", str(tmp_path / "o.json")]) == 2
+        assert "column 'b' has zero variance" in capsys.readouterr().err
+
     def test_seed_flag_rejected(self, tmp_path):
         data = self._correlated_csv(tmp_path)
         prices = make_price_csv(tmp_path / "px.csv")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from em_reference import reference_estimate
 from parcornet import constrained_mle
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import (
@@ -17,6 +18,7 @@ from parcornet.matrices import Dataset, PrecisionMatrix
 from parcornet.neighborhood import centered_gram, select_edges
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
+from parcornet.selection import build_grid
 
 
 def pen(lam, alpha=0.5):
@@ -212,3 +214,43 @@ class TestTMode:
         # scales are monotone decreasing in the Mahalanobis distance
         order = np.argsort(d)
         assert np.all(np.diff(state.tau[order]) <= 1e-12)
+
+
+class TestRescaledScaleStep:
+    """estimate's t mode against the plain n-denominator EM in tests/em_reference.py.
+
+    Tolerances were fixed before the rescaled step was written: psi within
+    1e-7 * max|psi| at delta 1e-9, sum(tau) = n within 1e-12 relative, and
+    at most 20 iterations per lambda on the criterion-04 shape.
+    """
+
+    @staticmethod
+    def criterion_04_draw():
+        _, theta = generate_precision(TopologySpec("scale-free", 20, seed=7))
+        return sample(theta, 500, DistributionSpec("t", nu=3.0), spawned_rng(4000, 0))
+
+    @pytest.mark.parametrize("index", [6, 12])  # 19 edges, and the empty graph
+    def test_same_fixed_point_as_plain_em(self, index):
+        data = self.criterion_04_draw()
+        lam = build_grid(0.02, 2.0, 16).values[index]
+        cfg = EMConfig(pen(lam), mode="t", nu=3.0, delta=1e-9, max_iter=1000)
+        got = estimate(data, cfg)
+        want = reference_estimate(data, cfg)
+        assert got.converged and want.converged
+        assert got.edges == want.edges
+        scale = np.abs(want.psi.values).max()
+        assert np.abs(got.psi.values - want.psi.values).max() <= 1e-7 * scale
+        assert got.iterations < want.iterations
+
+    def test_scales_sum_to_n(self):
+        data = self.criterion_04_draw()
+        state = estimate(data, EMConfig(pen(0.1), mode="t", nu=3.0))
+        assert abs(state.tau.sum() - data.n) <= 1e-12 * data.n
+        # the stored scales are the ones that built the final mean
+        assert np.array_equal(state.mean, weighted_mean(data, state.tau))
+
+    def test_few_iterations_on_criterion_04_shape(self):
+        data = self.criterion_04_draw()
+        state = estimate(data, EMConfig(pen(0.2), mode="t", nu=3.0))
+        assert state.converged
+        assert state.iterations <= 20

@@ -172,13 +172,6 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(np.ones((1, 3)))
 
-    def test_weights_validated(self):
-        x = np.ones((3, 2))
-        with pytest.raises(DataError):
-            Dataset(x, weights=np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(ShapeError):
-            Dataset(x, weights=np.ones(2))
-
     def test_names_length_checked(self):
         with pytest.raises(ShapeError):
             Dataset(np.ones((2, 2)), names=("a",))

@@ -5,7 +5,7 @@ from scipy import stats
 import parcornet.em as em_mod
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import EMConfig, estimate
-from parcornet.errors import ConfigError, EstimationError, SelectionError
+from parcornet.errors import ConfigError, DataError, EstimationError, SelectionError
 from parcornet.matrices import Dataset, PrecisionMatrix
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
@@ -158,3 +158,58 @@ class TestSelect:
         d = report.to_json_dict()
         assert d["chosen_lambda"] == report.chosen_lambda
         assert len(d["records"]) == 4
+
+    def test_records_em_iterations(self, monkeypatch):
+        states = []
+        real = em_mod.estimate
+
+        def recording(data, config):
+            states.append(real(data, config))
+            return states[-1]
+
+        monkeypatch.setattr("parcornet.selection.estimate", recording)
+        edges, theta = generate_precision(TopologySpec("band", 4, seed=5))
+        data = sample(theta, 200, DistributionSpec("t", nu=3.0), spawned_rng(3, 0))
+        grid = build_grid(0.05, 1.0, 4)
+        report = select(data, grid, EMConfig(PenaltyConfig(0.5, grid.lo), mode="t", nu=3.0))
+        assert [r.iterations for r in report.records] == [s.iterations for s in states]
+        assert all(s.iterations > 1 for s in states)
+        table = report.to_json_dict()["records"]
+        assert [r["em_iterations"] for r in table] == [s.iterations for s in states]
+
+
+class TestDegenerateColumns:
+    """One entry check, the same DataError in gaussian and t mode."""
+
+    @staticmethod
+    def base(seed=67):
+        return np.random.default_rng(seed).standard_normal((200, 10))
+
+    @pytest.mark.parametrize("mode", ["gaussian", "t"])
+    def test_constant_column(self, mode):
+        x = self.base()
+        x[:, 3] = 2.5
+        grid = build_grid(0.02, 1.0, 8)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
+        with pytest.raises(DataError, match="column 3 has zero variance"):
+            select(Dataset(x), grid, cfg)
+        names = tuple(f"c{j}" for j in range(10))
+        with pytest.raises(DataError, match="column 'c3' has zero variance"):
+            select(Dataset(x, names=names), grid, cfg)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "t"])
+    @pytest.mark.parametrize("factor", [1.0, -3.0])
+    def test_collinear_columns(self, mode, factor):
+        x = self.base()
+        x[:, 7] = factor * x[:, 2] + 1.0
+        grid = build_grid(0.02, 1.0, 8)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
+        with pytest.raises(DataError, match="columns 2 and 7 are collinear"):
+            select(Dataset(x), grid, cfg)
+
+    def test_nearly_collinear_columns_pass(self):
+        x = self.base()
+        x[:, 7] = x[:, 2] + 1e-3 * x[:, 5]
+        grid = build_grid(0.5, 1.0, 2)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian")
+        assert len(select(Dataset(x), grid, cfg).records) == 2
