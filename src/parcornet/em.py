@@ -1,8 +1,8 @@
 """Two-stage sparse precision estimation inside an EM loop.
 
 Each iteration re-estimates latent row scales for a t scale mixture,
-rebuilds the weighted scatter, reruns neighborhood selection on the
-rescaled rows, and refits the zero-constrained MLE on the selected
+rebuilds the weighted scatter, reruns neighborhood selection on that
+scatter, and refits the zero-constrained MLE to it on the selected
 pattern. Convergence is the max absolute entry change of the scatter
 inverse between iterations. Gaussian mode is a single pass with all
 row scales fixed at one.
@@ -27,11 +27,12 @@ from . import constrained_mle
 from .elastic_net import PenaltyConfig
 from .errors import ConfigError, DataError, DomainError, EstimationError, ShapeError
 from .matrices import Dataset, EdgeSet, PrecisionMatrix
-from .neighborhood import RULES, centered_gram, select_edges
+from .neighborhood import RULES, select_edges
 
 MODES = ("gaussian", "t")
 DELTA = 1e-4
 MAX_ITER = 200
+COLLINEAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,23 @@ def weighted_scatter(data: Dataset, tau: np.ndarray, mean: np.ndarray) -> np.nda
     return (x * tau[:, None]).T @ x / data.n
 
 
-def transform_rows(data: Dataset, tau: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Rows recentered and rescaled by sqrt(tau): the working sample whose
-    plain 1/n scatter equals the weighted scatter."""
-    return (data.values - mean) * np.sqrt(tau)[:, None]
+def check_columns(data: Dataset, scatter: np.ndarray) -> None:
+    """Raise DataError for a constant column or an exactly collinear pair.
+
+    scatter is the unit-weight scatter of data. Neither case can be
+    estimated in any mode: a constant column has no scatter diagonal and
+    a collinear pair makes every scatter singular.
+    """
+    names = data.names or range(data.p)
+    const = np.flatnonzero(np.ptp(data.values, axis=0) == 0.0)
+    if const.size:
+        raise DataError(f"column {names[const[0]]!r} has zero variance")
+    scale = np.sqrt(np.diag(scatter))
+    corr = np.triu(np.abs(scatter) / np.outer(scale, scale), k=1)
+    j, k = np.unravel_index(np.argmax(corr), corr.shape)
+    if corr[j, k] >= 1.0 - COLLINEAR_TOL:
+        raise DataError(f"columns {names[j]!r} and {names[k]!r} are collinear "
+                        f"(|correlation| = {corr[j, k]:.15g})")
 
 
 def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
@@ -123,9 +137,9 @@ def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
     raise EstimationError("could not build an initial scatter inverse")
 
 
-def _fit_step(xt: np.ndarray, scatter: np.ndarray, config: EMConfig, w_init):
-    """Neighborhood selection on transformed rows, then the constrained fit."""
-    edges = select_edges(centered_gram(xt), config.penalty, config.rule)
+def _fit_step(scatter: np.ndarray, config: EMConfig, w_init):
+    """Neighborhood selection on the scatter, then the constrained fit to it."""
+    edges = select_edges(scatter, config.penalty, config.rule)
     try:
         res = constrained_mle.fit(scatter, edges, w_init=w_init)
     except EstimationError:
@@ -139,6 +153,8 @@ def _fit_step(xt: np.ndarray, scatter: np.ndarray, config: EMConfig, w_init):
 def estimate(data: Dataset, config: EMConfig) -> EMState:
     """Run the estimator in the configured mode.
 
+    Raises DataError first, in either mode, for a constant column or an
+    exactly collinear column pair (check_columns).
     Gaussian mode: one pass with unit scales on the plain 1/n scatter.
     t mode: EM iterations until max |psi change| < delta or max_iter;
     the cap returns a state flagged converged=False rather than raising.
@@ -149,19 +165,16 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
     n, p = data.n, data.p
-
-    if config.mode == "gaussian":
-        tau = np.ones(n)
-        mean = data.values.mean(axis=0)
-        scatter = weighted_scatter(data, tau, mean)
-        xt = data.values - mean
-        edges, res = _fit_step(xt, scatter, config, None)
-        return EMState(mean, res.psi, tau, edges, 1, 0.0, True)
-
-    nu = config.nu
     tau = np.ones(n)
     mean = data.values.mean(axis=0)
     scatter = weighted_scatter(data, tau, mean)
+    check_columns(data, scatter)
+
+    if config.mode == "gaussian":
+        edges, res = _fit_step(scatter, config, None)
+        return EMState(mean, res.psi, tau, edges, 1, 0.0, True)
+
+    nu = config.nu
     psi = _initial_psi(scatter, nu / (nu - 2.0))
     edges = EdgeSet.empty(p)
     w_prev = None
@@ -174,9 +187,8 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
         tau *= n / tau.sum()
         mean = weighted_mean(data, tau)
         scatter = weighted_scatter(data, tau, mean)
-        xt = transform_rows(data, tau, mean)
         try:
-            edges, res = _fit_step(xt, scatter, config, w_prev)
+            edges, res = _fit_step(scatter, config, w_prev)
         except EstimationError as exc:
             raise EstimationError(f"iteration {it}: {exc}") from exc
         max_change = float(np.abs(res.psi.values - psi.values).max())

@@ -196,11 +196,6 @@ class Dataset:
             return self.names
         return tuple(f"x{j + 1}" for j in range(self.p))
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.column_names())]
-        lines += [",".join(f"{v:.17g}" for v in row) for row in self.values]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv_text(cls, text: str) -> "Dataset":
         rows = [r for r in csv.reader(text.splitlines()) if r]

@@ -1,10 +1,10 @@
 """Neighborhood selection: one penalized regression per node.
 
 Each column is regressed on all others with a shared penalty; a node's
-neighbors are the columns with nonzero coefficients. The p regressions
-cost one centered Gram product plus one coordinate descent over the
-full Gram, which updates every node's coefficients together and stops
-each node on its own convergence test.
+neighbors are the columns with nonzero coefficients. The regressions
+read only the p x p scatter (or centered Gram) of the data, and all p
+run as one coordinate descent over it, which updates every node's
+coefficients together and stops each node on its own convergence test.
 """
 from __future__ import annotations
 
@@ -29,13 +29,6 @@ class Neighborhoods:
     unconverged: tuple = ()
 
 
-def centered_gram(values: np.ndarray) -> np.ndarray:
-    """X_c^T X_c / n for column-centered X."""
-    x = np.asarray(values, dtype=float)
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc / x.shape[0]
-
-
 def select_neighborhoods(
     gram: np.ndarray,
     penalty: PenaltyConfig,
@@ -43,8 +36,8 @@ def select_neighborhoods(
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
 ) -> Neighborhoods:
-    """Run the p conditional regressions on the centered Gram of the data
-    (see centered_gram) and collect nonzero supports.
+    """Run the p conditional regressions on a scatter or centered Gram of
+    the data and collect nonzero supports.
 
     A regression that hits the sweep cap is kept (its support is still
     used) but recorded in unconverged; one warning per call names them.
@@ -91,5 +84,5 @@ def assemble_edges(neighborhoods, rule: str) -> EdgeSet:
 
 
 def select_edges(gram: np.ndarray, penalty: PenaltyConfig, rule: str = "and") -> EdgeSet:
-    """Neighborhood selection on a centered Gram followed by edge assembly."""
+    """Neighborhood selection on a scatter or centered Gram, then edge assembly."""
     return assemble_edges(select_neighborhoods(gram, penalty), rule)

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .em import EMConfig, EMState, estimate, mahalanobis
-from .errors import ConfigError, DataError, EstimationError, SelectionError
+from .errors import ConfigError, EstimationError, SelectionError
 from .matrices import Dataset, PrecisionMatrix
 
 
@@ -131,38 +131,15 @@ class SelectionReport:
         }
 
 
-COLLINEAR_TOL = 1e-12
-
-
-def check_columns(data: Dataset) -> None:
-    """Raise DataError for a constant column or an exactly collinear pair.
-
-    Neither can be estimated in any mode: a constant column has no scatter
-    diagonal and a collinear pair makes every scatter singular.
-    """
-    names = data.names or range(data.p)
-    const = np.flatnonzero(np.ptp(data.values, axis=0) == 0.0)
-    if const.size:
-        raise DataError(f"column {names[const[0]]!r} has zero variance")
-    x = data.values - data.values.mean(axis=0)
-    gram = x.T @ x
-    scale = np.sqrt(np.diag(gram))
-    corr = np.triu(np.abs(gram) / np.outer(scale, scale), k=1)
-    j, k = np.unravel_index(np.argmax(corr), corr.shape)
-    if corr[j, k] >= 1.0 - COLLINEAR_TOL:
-        raise DataError(f"columns {names[j]!r} and {names[k]!r} are collinear "
-                        f"(|correlation| = {corr[j, k]:.15g})")
-
-
 def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport:
     """Fit at every grid value, score by BIC, keep the best.
 
-    Raises DataError up front for columns no mode can fit (check_columns).
     Failed fits are recorded and excluded from the comparison. Ties go to
     the larger lambda (sparser model). Raises SelectionError when every
-    grid value fails.
+    grid value fails. A column no mode can fit is not a failed fit: the
+    first estimate call raises DataError (em.check_columns) and select
+    lets it propagate.
     """
-    check_columns(data)
     records = []
     best = None  # (bic, index, lam, state)
     for idx, lam in enumerate(grid.values):

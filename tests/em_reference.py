@@ -14,7 +14,6 @@ from parcornet.em import (
     _fit_step,
     _initial_psi,
     expected_scales,
-    transform_rows,
     weighted_mean,
     weighted_scatter,
 )
@@ -40,9 +39,8 @@ def reference_estimate(data, config):
         tau = expected_scales(data, mean, psi, nu)
         mean = weighted_mean(data, tau)
         scatter = weighted_scatter(data, tau, mean)
-        xt = transform_rows(data, tau, mean)
         try:
-            edges, res = _fit_step(xt, scatter, config, w_prev)
+            edges, res = _fit_step(scatter, config, w_prev)
         except EstimationError as exc:
             raise EstimationError(f"iteration {it}: {exc}") from exc
         max_change = float(np.abs(res.psi.values - psi.values).max())

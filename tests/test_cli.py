@@ -18,6 +18,11 @@ def write_json(path, obj):
     return str(path)
 
 
+def write_data_csv(path, x, names):
+    np.savetxt(path, x, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    return str(path)
+
+
 def read_csv_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -94,10 +99,7 @@ class TestEstimate:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(400)
         y = x + 0.4 * rng.standard_normal(400)
-        data = Dataset(np.column_stack([x, y]), names=("x", "y"))
-        path = tmp_path / "data.csv"
-        path.write_text(data.to_csv_text())
-        return str(path)
+        return write_data_csv(tmp_path / "data.csv", np.column_stack([x, y]), ("x", "y"))
 
     def test_two_correlated_columns_one_positive_edge(self, tmp_path):
         data = self._correlated_csv(tmp_path)
@@ -132,19 +134,18 @@ class TestEstimate:
         assert empty >= 95
         # and once through the actual command
         rng = np.random.default_rng(2000)
-        path = tmp_path / "noise.csv"
-        path.write_text(Dataset(rng.standard_normal((500, 4))).to_csv_text())
+        path = write_data_csv(tmp_path / "noise.csv", rng.standard_normal((500, 4)),
+                              ("x1", "x2", "x3", "x4"))
         out = tmp_path / "net.json"
-        assert cli.main(["estimate", str(path), "--mode", "gaussian", "--out", str(out)]) == 0
+        assert cli.main(["estimate", path, "--mode", "gaussian", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == []
 
     @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
     def test_constant_column_exit_2(self, tmp_path, capsys, mode):
         x = np.random.default_rng(5).standard_normal((100, 3))
         x[:, 1] = 1.0
-        path = tmp_path / "flat.csv"
-        path.write_text(Dataset(x, names=("a", "b", "c")).to_csv_text())
-        assert cli.main(["estimate", str(path), *mode, "--out", str(tmp_path / "o.json")]) == 2
+        path = write_data_csv(tmp_path / "flat.csv", x, ("a", "b", "c"))
+        assert cli.main(["estimate", path, *mode, "--out", str(tmp_path / "o.json")]) == 2
         assert "column 'b' has zero variance" in capsys.readouterr().err
 
     def test_seed_flag_rejected(self, tmp_path):

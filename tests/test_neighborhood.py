@@ -7,7 +7,6 @@ from parcornet.elastic_net import PenaltyConfig
 from parcornet.errors import ConfigError, ShapeError
 from parcornet.neighborhood import (
     assemble_edges,
-    centered_gram,
     select_edges,
     select_neighborhoods,
 )
@@ -64,21 +63,26 @@ class TestSelectNeighborhoods:
     def test_and_subset_of_or(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
-            gram = centered_gram(rng.standard_normal((80, 6)))
+            x = rng.standard_normal((80, 6))
+            xc = x - x.mean(axis=0)
+            gram = xc.T @ xc / 80
             nbhd = select_neighborhoods(gram, PenaltyConfig(0.8, 0.05))
             assert assemble_edges(nbhd, "and").pairs <= assemble_edges(nbhd, "or").pairs
 
     def test_no_self_neighbors(self):
         rng = np.random.default_rng(21)
-        gram = centered_gram(rng.standard_normal((60, 5)))
+        x = rng.standard_normal((60, 5))
+        xc = x - x.mean(axis=0)
+        gram = xc.T @ xc / 60
         nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.01))
         for j, s in enumerate(nbhd.sets):
             assert j not in s
 
     def test_block_structure_recovered(self):
         rng = np.random.default_rng(22)
-        data = block_data(400, rng)
-        edges = select_edges(centered_gram(data), PenaltyConfig(1.0, 0.1), "and")
+        xc = block_data(400, rng)
+        xc -= xc.mean(axis=0)
+        edges = select_edges(xc.T @ xc / 400, PenaltyConfig(1.0, 0.1), "and")
         assert (0, 1) in edges
         assert (2, 3) in edges
         for j in (0, 1):
@@ -93,13 +97,17 @@ class TestSelectNeighborhoods:
 
     def test_huge_penalty_gives_empty_sets(self):
         rng = np.random.default_rng(24)
-        gram = centered_gram(rng.standard_normal((50, 4)))
+        x = rng.standard_normal((50, 4))
+        xc = x - x.mean(axis=0)
+        gram = xc.T @ xc / 50
         nbhd = select_neighborhoods(gram, PenaltyConfig(1.0, 50.0))
         assert all(len(s) == 0 for s in nbhd.sets)
 
     def test_sweep_cap_recorded_and_warned(self):
         rng = np.random.default_rng(25)
-        gram = centered_gram(rng.standard_normal((60, 5)))
+        x = rng.standard_normal((60, 5))
+        xc = x - x.mean(axis=0)
+        gram = xc.T @ xc / 60
         with pytest.warns(UserWarning) as record:
             nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.001), max_sweeps=1)
         assert len(nbhd.unconverged) > 0
@@ -109,6 +117,8 @@ class TestSelectNeighborhoods:
 
     def test_select_edges_rule_case_insensitive(self):
         rng = np.random.default_rng(26)
-        gram = centered_gram(rng.standard_normal((40, 4)))
+        x = rng.standard_normal((40, 4))
+        xc = x - x.mean(axis=0)
+        gram = xc.T @ xc / 40
         pen = PenaltyConfig(0.5, 0.2)
         assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")

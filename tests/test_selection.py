@@ -179,33 +179,36 @@ class TestSelect:
 
 
 class TestDegenerateColumns:
-    """One entry check, the same DataError in gaussian and t mode."""
+    """One entry check in estimate, the same DataError in gaussian and t mode,
+    whether estimate is called directly or through select."""
 
     @staticmethod
     def base(seed=67):
         return np.random.default_rng(seed).standard_normal((200, 10))
 
+    @staticmethod
+    def assert_rejected(data, mode, match):
+        grid = build_grid(0.02, 1.0, 8)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
+        with pytest.raises(DataError, match=match):
+            estimate(data, cfg)
+        with pytest.raises(DataError, match=match):
+            select(data, grid, cfg)
+
     @pytest.mark.parametrize("mode", ["gaussian", "t"])
     def test_constant_column(self, mode):
         x = self.base()
         x[:, 3] = 2.5
-        grid = build_grid(0.02, 1.0, 8)
-        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
-        with pytest.raises(DataError, match="column 3 has zero variance"):
-            select(Dataset(x), grid, cfg)
+        self.assert_rejected(Dataset(x), mode, "column 3 has zero variance")
         names = tuple(f"c{j}" for j in range(10))
-        with pytest.raises(DataError, match="column 'c3' has zero variance"):
-            select(Dataset(x, names=names), grid, cfg)
+        self.assert_rejected(Dataset(x, names=names), mode, "column 'c3' has zero variance")
 
     @pytest.mark.parametrize("mode", ["gaussian", "t"])
     @pytest.mark.parametrize("factor", [1.0, -3.0])
     def test_collinear_columns(self, mode, factor):
         x = self.base()
         x[:, 7] = factor * x[:, 2] + 1.0
-        grid = build_grid(0.02, 1.0, 8)
-        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
-        with pytest.raises(DataError, match="columns 2 and 7 are collinear"):
-            select(Dataset(x), grid, cfg)
+        self.assert_rejected(Dataset(x), mode, "columns 2 and 7 are collinear")
 
     def test_nearly_collinear_columns_pass(self):
         x = self.base()
