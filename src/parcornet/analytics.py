@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import DivergenceError, NumericError
+from .errors import DataError, DivergenceError, NumericError
 from .matrices import PartialCorrelationMatrix
 
 EIG_TOL = 1e-12
@@ -122,7 +122,7 @@ def clustering_coefficients(network) -> np.ndarray:
     return out
 
 
-def eigenvector_centrality(network, tol: float = EIG_TOL, max_iter: int = EIG_MAX_ITER) -> np.ndarray:
+def eigenvector_centrality(network) -> np.ndarray:
     """Principal eigenvector of |P|, scaled so the largest entry is 1.
 
     Power iteration on |P| + I from a uniform start; the identity shift
@@ -130,6 +130,7 @@ def eigenvector_centrality(network, tol: float = EIG_TOL, max_iter: int = EIG_MA
     nonnegative matrix, so the iteration cannot oscillate. With equal
     disconnected components the limit splits mass by the uniform start
     rather than picking one component. An all-zero matrix returns zeros.
+    No step below EIG_TOL within EIG_MAX_ITER iterations raises NumericError.
     """
     w = np.abs(_pc_values(network))
     p = w.shape[0]
@@ -137,15 +138,15 @@ def eigenvector_centrality(network, tol: float = EIG_TOL, max_iter: int = EIG_MA
         return np.zeros(p)
     shifted = w + np.eye(p)
     v = np.full(p, 1.0 / np.sqrt(p))
-    for _ in range(max_iter):
+    for _ in range(EIG_MAX_ITER):
         nxt = shifted @ v
         nxt /= np.linalg.norm(nxt)
-        if np.abs(nxt - v).max() < tol:
+        if np.abs(nxt - v).max() < EIG_TOL:
             v = nxt
             break
         v = nxt
     else:
-        raise NumericError(f"eigenvector centrality did not converge in {max_iter} iterations")
+        raise NumericError(f"eigenvector centrality did not converge in {EIG_MAX_ITER} iterations")
     top = np.abs(v).max()
     return np.abs(v) / top if top > 0.0 else np.zeros(p)
 
@@ -196,7 +197,7 @@ def shock(network, node: int) -> ShockResult:
     vals = _pc_values(network)
     p = vals.shape[0]
     if not (0 <= node < p):
-        raise NumericError(f"node {node} out of range for p={p}")
+        raise DataError(f"node {node} out of range for p={p}")
     rho = spectral_radius(vals)
     if rho >= 1.0:
         raise DivergenceError(

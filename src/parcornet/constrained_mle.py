@@ -13,7 +13,8 @@ column to W[:, nb] beta, so it reads only the neighbor columns of W. The
 neighbor index arrays and the pattern mask are built once per fit. At the
 optimum W = Psi^{-1} satisfies w_jk = s_jk on E and the diagonal, and Psi
 is recovered column-wise from the same neighbor solves, with exact zeros
-off the pattern.
+off the pattern. The sweep cap and the two stopping tolerances are the
+module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -75,19 +76,16 @@ def fit(
     scatter,
     edges: EdgeSet,
     w_init: np.ndarray | None = None,
-    tol_scale: float = W_TOL_SCALE,
-    max_sweeps: int = MAX_SWEEPS,
-    kkt_rtol: float = KKT_RTOL,
 ) -> ConstrainedMLEResult:
     """Fit the zero-constrained precision matrix for the given scatter.
 
     w_init warm-starts the working covariance (its diagonal is reset to
-    the scatter's). Convergence needs both a small average change in W
-    and a relative pattern residual below kkt_rtol; exhausting max_sweeps
-    without that raises EstimationError, as do neighbor blocks that are
-    singular or not positive definite, non-finite column updates,
-    nonpositive partial variances and a recovered precision that is not
-    positive definite.
+    the scatter's). Convergence needs both an average change in W below
+    W_TOL_SCALE times mean |S| and a pattern residual below KKT_RTOL
+    times max(max |S|, 1); exhausting MAX_SWEEPS without that raises
+    EstimationError, as do neighbor blocks that are singular or not
+    positive definite, non-finite column updates, nonpositive partial
+    variances and a recovered precision that is not positive definite.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
@@ -113,10 +111,10 @@ def fit(
         w = s.copy()
 
     scale = max(float(np.abs(s).max()), 1.0)
-    w_tol = tol_scale * float(np.abs(s).mean())
+    w_tol = W_TOL_SCALE * float(np.abs(s).mean())
     n_off = max(p * (p - 1), 1)
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         change = 0.0
         for j, nb, block, rhs in nodes:
@@ -134,12 +132,12 @@ def fit(
             w[:, j] = col
             w[j] = col
         if change / n_off < w_tol:
-            if _kkt_residual(w, s, mask) <= kkt_rtol * scale:
+            if _kkt_residual(w, s, mask) <= KKT_RTOL * scale:
                 break
             # pattern residual still too large: keep sweeping
     else:
         raise EstimationError(
-            f"covariance sweeps did not converge in {max_sweeps} iterations "
+            f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
             f"(pattern residual {_kkt_residual(w, s, mask):.3e})"
         )
 

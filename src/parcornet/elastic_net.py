@@ -11,7 +11,8 @@ several columns of one Gram on all its other columns at once: the
 coefficients form a matrix with one column per response and a zero in
 each response's own row, and each coordinate update is one row-times-
 block product over the responses still running. solve is its
-one-response case, on the Gram of [X, y].
+one-response case, on the Gram of [X, y]. The sweep cap and the two
+tolerances are the module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -106,9 +107,6 @@ def solve_gram(
     gram: np.ndarray,
     columns,
     penalty: PenaltyConfig,
-    tol: float = COEF_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-    kkt_tol: float = KKT_TOL,
     b0: np.ndarray | None = None,
 ) -> GramFit:
     """Regress each listed column of a centered Gram on all its other columns.
@@ -119,9 +117,9 @@ def solve_gram(
     and a coordinate with no curvature (zero variance, no ridge term)
     stays at 0. Each response stops on its own scale, max(1, |cross|_inf,
     largest diagonal of the other columns): it is frozen after the first
-    sweep whose coefficient change is below tol AND whose subgradient
-    residual is below kkt_tol, both times that scale. A response still
-    running after max_sweeps is returned unconverged.
+    sweep whose coefficient change is below COEF_TOL AND whose subgradient
+    residual is below KKT_TOL, both times that scale. A response still
+    running after MAX_SWEEPS is returned unconverged.
     """
     gram = np.asarray(gram, dtype=float)
     p = gram.shape[0]
@@ -140,13 +138,13 @@ def solve_gram(
     peaks = np.maximum(np.abs(gram[:, cols]), diag[:, None])
     peaks[own] = 0.0
     scale = np.maximum(peaks.max(axis=0, initial=0.0), 1.0)
-    tol_eff = tol * scale
-    kkt_eff = kkt_tol * scale
+    tol_eff = COEF_TOL * scale
+    kkt_eff = KKT_TOL * scale
     sweeps = np.zeros(r, dtype=np.int64)
     converged = np.zeros(r, dtype=bool)
     live = np.arange(r)  # responses still running
     sweep = 0
-    while live.size and sweep < max_sweeps:
+    while live.size and sweep < MAX_SWEEPS:
         # work on a compact copy of the running responses until one converges
         w = b[:, live]
         cross = gram[:, cols[live]]
@@ -154,7 +152,7 @@ def solve_gram(
         for i, c in enumerate(cols[live].tolist()):
             slot[c] = i
         done = np.zeros(live.size, dtype=bool)
-        while not done.any() and sweep < max_sweeps:
+        while not done.any() and sweep < MAX_SWEEPS:
             sweep += 1
             start = w.copy()
             for j in range(p):
@@ -186,9 +184,6 @@ def solve(
     design: np.ndarray,
     response: np.ndarray,
     penalty: PenaltyConfig,
-    tol: float = COEF_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-    kkt_tol: float = KKT_TOL,
 ) -> ElasticNetFit:
     """Fit the penalized regression of response on design with an intercept."""
     x = np.asarray(design, dtype=float)
@@ -212,7 +207,7 @@ def solve(
     gram[:m, :m] = xc.T @ xc / n
     gram[:m, m] = gram[m, :m] = xc.T @ yc / n
     gram[m, m] = float(yc @ yc) / n
-    fit = solve_gram(gram, [m], penalty, tol, max_sweeps, kkt_tol)
+    fit = solve_gram(gram, [m], penalty)
     b = fit.coefficients[:m, 0].copy()
     obj = _gram_objective(b, gram[:m, :m], gram[:m, m], gram[m, m], penalty)
     if not np.isfinite(obj):

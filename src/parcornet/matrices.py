@@ -137,10 +137,6 @@ class EdgeSet:
     def empty(cls, p: int) -> "EdgeSet":
         return cls(p, frozenset())
 
-    @classmethod
-    def complete(cls, p: int) -> "EdgeSet":
-        return cls.from_pairs(p, ((j, k) for j in range(p) for k in range(j + 1, p)))
-
     def __len__(self) -> int:
         return len(self.pairs)
 

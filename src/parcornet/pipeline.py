@@ -157,7 +157,7 @@ def _logit(x: float) -> float:
     return float(np.log(x / (1.0 - x)))
 
 
-def fit_ar_garch(series, max_restarts: int = 5) -> GarchFit:
+def fit_ar_garch(series) -> GarchFit:
     """Gaussian quasi-maximum-likelihood fit of an AR(1) mean with
     GARCH(1,1) innovations.
 
@@ -197,9 +197,9 @@ def fit_ar_garch(series, max_restarts: int = 5) -> GarchFit:
         np.array([0.0, 0.0, -1.0, 1.5, -1.0]),
     ]
     last_reason = "no restart accepted"
-    for k in range(min(max_restarts, len(nudges))):
+    for nudge in nudges:
         res = optimize.minimize(
-            _negloglik, base + nudges[k], args=(r,), method="Nelder-Mead",
+            _negloglik, base + nudge, args=(r,), method="Nelder-Mead",
             options={"maxiter": 4000, "xatol": 1e-7, "fatol": 1e-9},
         )
         if not np.isfinite(res.fun):

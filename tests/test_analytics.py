@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parcornet import analytics
 from parcornet.analytics import (
     abs_radius_bound,
     adjacency,
@@ -16,7 +17,7 @@ from parcornet.analytics import (
     spectral_radius,
     strengths,
 )
-from parcornet.errors import DivergenceError, NumericError
+from parcornet.errors import DataError, DivergenceError, NumericError
 from parcornet.matrices import PartialCorrelationMatrix
 
 
@@ -154,15 +155,17 @@ class TestEigenvectorCentrality:
     def test_zero_matrix(self):
         assert eigenvector_centrality(EMPTY4).tolist() == [0.0] * 4
 
-    def test_bipartite_converges(self):
+    def test_bipartite_converges(self, monkeypatch):
         # plain power iteration oscillates on this path; the shift must not
-        c = eigenvector_centrality(PATH3, max_iter=2000)
+        monkeypatch.setattr(analytics, "EIG_MAX_ITER", 2000)
+        c = eigenvector_centrality(PATH3)
         assert c[1] == pytest.approx(1.0)
         assert c[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(analytics, "EIG_MAX_ITER", 1)
         with pytest.raises(NumericError):
-            eigenvector_centrality(PATH3, max_iter=1)
+            eigenvector_centrality(PATH3)
 
 
 class TestMeasures:
@@ -199,6 +202,11 @@ class TestShock:
         assert res.steady_state == pytest.approx([4.0 / 3.0, 2.0 / 3.0], abs=1e-12)
         assert res.total == pytest.approx(2.0, abs=1e-12)
         assert res.spectral_radius == pytest.approx(0.5)
+
+    def test_node_out_of_range_is_data_error(self):
+        for node in (3, -1):
+            with pytest.raises(DataError, match="out of range"):
+                shock(PATH3, node)
 
     def test_zero_network_total_one(self):
         res = shock(EMPTY4, 2)

@@ -51,7 +51,7 @@ class TestClosedFormOracles:
     def test_complete_pattern_is_plain_inverse(self):
         rng = np.random.default_rng(32)
         s = random_scatter(5, rng)
-        res = constrained_mle.fit(s, EdgeSet.complete(5))
+        res = constrained_mle.fit(s, EdgeSet.from_adjacency(~np.eye(5, dtype=bool)))
         assert np.abs(res.psi.values - np.linalg.inv(s)).max() < 1e-8
 
     def test_empty_pattern_is_diagonal_inverse(self):
@@ -122,13 +122,14 @@ class TestErrors:
         v = np.arange(1.0, 5.0)
         s = np.outer(v, v)
         with pytest.raises(EstimationError):
-            constrained_mle.fit(s, EdgeSet.complete(4))
+            constrained_mle.fit(s, EdgeSet.from_adjacency(~np.eye(4, dtype=bool)))
 
-    def test_sweep_cap_raises(self):
+    def test_sweep_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(39)
         s = random_scatter(8, rng)
+        monkeypatch.setattr(constrained_mle, "MAX_SWEEPS", 0)
         with pytest.raises(EstimationError, match="converge"):
-            constrained_mle.fit(s, random_edges(8, rng, q=0.6), max_sweeps=0)
+            constrained_mle.fit(s, random_edges(8, rng, q=0.6))
 
 
 class TestNeighborKernel:
@@ -154,23 +155,25 @@ class TestNeighborKernel:
         rng = np.random.default_rng(60 + p)
         for _ in range(3):
             s = random_scatter(p, rng)
-            for edges in (EdgeSet.empty(p), EdgeSet.complete(p),
+            for edges in (EdgeSet.empty(p), EdgeSet.from_adjacency(~np.eye(p, dtype=bool)),
                           random_edges(p, rng, q=0.1), random_edges(p, rng, q=0.4)):
                 want = self.assert_matches(s, edges)
                 # warm start from the converged covariance of a nearby scatter
                 nearby = s + 0.05 * random_scatter(p, rng)
                 self.assert_matches(nearby, edges, w_init=want.covariance)
 
-    def test_same_errors_as_reference(self):
+    def test_same_errors_as_reference(self, monkeypatch):
         v = np.arange(1.0, 5.0)
         cases = [
-            (np.outer(v, v), EdgeSet.complete(4), {}),
+            (np.outer(v, v), EdgeSet.from_adjacency(~np.eye(4, dtype=bool)),
+             constrained_mle.MAX_SWEEPS),
             (random_scatter(8, np.random.default_rng(39)),
-             random_edges(8, np.random.default_rng(40), q=0.6), {"max_sweeps": 0}),
+             random_edges(8, np.random.default_rng(40), q=0.6), 0),
         ]
-        for s, edges, kwargs in cases:
+        for s, edges, cap in cases:
+            monkeypatch.setattr(constrained_mle, "MAX_SWEEPS", cap)
             with pytest.raises(EstimationError) as want:
-                reference_fit(s, edges, **kwargs)
+                reference_fit(s, edges, max_sweeps=cap)
             with pytest.raises(EstimationError) as got:
-                constrained_mle.fit(s, edges, **kwargs)
+                constrained_mle.fit(s, edges)
             assert type(got.value) is type(want.value)

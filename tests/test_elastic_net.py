@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cd_reference import reference_nodes
+from parcornet import elastic_net
 from parcornet.elastic_net import (
     PenaltyConfig,
     lambda_max,
@@ -93,14 +94,17 @@ class TestClosedFormOracles:
 
 
 class TestSolverBehavior:
-    def test_objective_decreases_each_sweep(self):
+    def test_objective_decreases_each_sweep(self, monkeypatch):
         rng = np.random.default_rng(13)
         x, y = make_problem(100, 8, rng)
         x[:, 1:] += 2.0 * x[:, :1]  # correlated columns: many sweeps to converge
         pen = PenaltyConfig(0.7, 0.05)
         full = solve(x, y, pen)
         assert full.sweeps > 10
-        path = [solve(x, y, pen, max_sweeps=k).objective for k in range(1, full.sweeps + 1)]
+        path = []
+        for k in range(1, full.sweeps + 1):
+            monkeypatch.setattr(elastic_net, "MAX_SWEEPS", k)
+            path.append(solve(x, y, pen).objective)
         assert np.all(np.diff(path) <= 1e-12)
 
     def test_kkt_residual_enforced(self):
@@ -128,10 +132,11 @@ class TestSolverBehavior:
         assert warm.coefficients[6, 0] == 0.0
         assert np.abs(cold.coefficients - warm.coefficients).max() < 1e-6
 
-    def test_sweep_cap_reports_unconverged(self):
+    def test_sweep_cap_reports_unconverged(self, monkeypatch):
         rng = np.random.default_rng(17)
         x, y = make_problem(60, 8, rng)
-        fit = solve(x, y, PenaltyConfig(0.5, 0.01), max_sweeps=1)
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
+        fit = solve(x, y, PenaltyConfig(0.5, 0.01))
         assert not fit.converged
         assert fit.sweeps == 1
 
@@ -178,9 +183,11 @@ class TestBlockKernel:
             lam = np.nextafter(lam, np.inf)
         return lam
 
-    def assert_matches(self, gram, pen, max_sweeps=10_000, b0=None, columns=None):
+    def assert_matches(self, gram, pen, max_sweeps=elastic_net.MAX_SWEEPS, b0=None, columns=None):
         columns = range(gram.shape[0]) if columns is None else columns
-        fit = solve_gram(gram, columns, pen, max_sweeps=max_sweeps, b0=b0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elastic_net, "MAX_SWEEPS", max_sweeps)
+            fit = solve_gram(gram, columns, pen, b0=b0)
         coefs, sweeps, converged, scales = reference_nodes(gram, columns, pen, max_sweeps, b0)
         assert np.array_equal(fit.coefficients != 0.0, coefs != 0.0)
         assert np.array_equal(fit.response_sweeps, sweeps)

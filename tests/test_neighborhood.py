@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcornet.elastic_net import PenaltyConfig
+from parcornet import elastic_net
+from parcornet.elastic_net import PenaltyConfig, solve_gram
 from parcornet.errors import ConfigError, ShapeError
-from parcornet.neighborhood import (
-    assemble_edges,
-    select_edges,
-    select_neighborhoods,
-)
+from parcornet.neighborhood import select_edges
 
 
 def block_data(n, rng):
@@ -22,67 +19,93 @@ def block_data(n, rng):
     ])
 
 
+def centered_gram(x):
+    xc = x - x.mean(axis=0)
+    return xc.T @ xc / x.shape[0]
+
+
+def chosen(gram, pen):
+    """chosen[k, j]: node j's regression gives node k a nonzero coefficient."""
+    return solve_gram(gram, np.arange(gram.shape[0]), pen).coefficients != 0.0
+
+
 class TestAssembleEdges:
+    """The AND/OR join of the per-node supports into undirected edges."""
+
     def test_and_requires_both_directions(self):
-        sets = [frozenset({1}), frozenset(), frozenset({1})]
-        e_and = assemble_edges(sets, "and")
-        e_or = assemble_edges(sets, "or")
-        assert len(e_and) == 0
-        assert sorted(e_or.pairs) == [(0, 1), (1, 2)]
+        # unequal column scales: some node selects another that does not select it back
+        x = np.random.default_rng(28).standard_normal((30, 6)) * np.arange(0.5, 3.5, 0.5)
+        gram = centered_gram(x)
+        pen = PenaltyConfig(1.0, 0.2)
+        c = chosen(gram, pen)
+        one_way = [(j, k) for j in range(6) for k in range(j + 1, 6) if c[k, j] != c[j, k]]
+        assert one_way
+        e_and, e_or = select_edges(gram, pen, "and"), select_edges(gram, pen, "or")
+        for pair in one_way:
+            assert pair in e_or and pair not in e_and
 
     def test_mutual_edge_kept_by_both(self):
-        sets = [frozenset({1}), frozenset({0})]
-        assert sorted(assemble_edges(sets, "and").pairs) == [(0, 1)]
-        assert sorted(assemble_edges(sets, "or").pairs) == [(0, 1)]
+        gram = centered_gram(block_data(400, np.random.default_rng(22)))
+        pen = PenaltyConfig(1.0, 0.1)
+        assert chosen(gram, pen)[1, 0] and chosen(gram, pen)[0, 1]
+        assert (0, 1) in select_edges(gram, pen, "and")
+        assert (0, 1) in select_edges(gram, pen, "or")
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):
-            assemble_edges([frozenset(), frozenset()], "xor")
+            select_edges(np.eye(3), PenaltyConfig(0.5, 0.1), "xor")
 
     def test_rule_case_insensitive(self):
-        sets = [frozenset({1}), frozenset({0})]
-        assert len(assemble_edges(sets, "AND")) == 1
+        gram = centered_gram(np.random.default_rng(26).standard_normal((40, 4)))
+        pen = PenaltyConfig(0.5, 0.2)
+        assert select_edges(gram, pen, "AND") == select_edges(gram, pen, "and")
+        assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")
 
-    def test_neighbor_out_of_range(self):
-        with pytest.raises(ConfigError):
-            assemble_edges([frozenset({5}), frozenset()], "or")
-
+    @settings(deadline=None)
     @given(st.data())
     def test_and_subset_of_or_property(self, data):
-        p = data.draw(st.integers(1, 8))
-        sets = [data.draw(st.frozensets(st.integers(0, p - 1))) - {j} for j in range(p)]
-        e_and, e_or = assemble_edges(sets, "and"), assemble_edges(sets, "or")
+        p = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(p + 2, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((n, p)) + rng.uniform(0.0, 1.0) * rng.standard_normal((n, 1))
+        gram = centered_gram(x)
+        pen = PenaltyConfig(data.draw(st.floats(0.1, 1.0)), data.draw(st.floats(0.0, 0.5)))
+        c = chosen(gram, pen)
+        want_and, want_or = set(), set()
+        for j in range(p):
+            for k in range(j + 1, p):
+                if c[k, j] and c[j, k]:
+                    want_and.add((j, k))
+                if c[k, j] or c[j, k]:
+                    want_or.add((j, k))
+        e_and, e_or = select_edges(gram, pen, "and"), select_edges(gram, pen, "or")
+        assert e_and.pairs == want_and
+        assert e_or.pairs == want_or
         assert e_and.pairs <= e_or.pairs
-        for j, k in e_and:
-            assert k in sets[j] and j in sets[k]
-        for j, k in e_or:
-            assert k in sets[j] or j in sets[k]
+        assert e_and.p == e_or.p == p
+        assert all(j != k for j, k in e_or)
 
 
 class TestSelectNeighborhoods:
+    """Stage 1 end to end: the p regressions on a Gram, then the join."""
+
     def test_and_subset_of_or(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
-            x = rng.standard_normal((80, 6))
-            xc = x - x.mean(axis=0)
-            gram = xc.T @ xc / 80
-            nbhd = select_neighborhoods(gram, PenaltyConfig(0.8, 0.05))
-            assert assemble_edges(nbhd, "and").pairs <= assemble_edges(nbhd, "or").pairs
+            gram = centered_gram(rng.standard_normal((80, 6)))
+            pen = PenaltyConfig(0.8, 0.05)
+            assert select_edges(gram, pen, "and").pairs <= select_edges(gram, pen, "or").pairs
 
     def test_no_self_neighbors(self):
-        rng = np.random.default_rng(21)
-        x = rng.standard_normal((60, 5))
-        xc = x - x.mean(axis=0)
-        gram = xc.T @ xc / 60
-        nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.01))
-        for j, s in enumerate(nbhd.sets):
-            assert j not in s
+        # with no penalty every node selects every other: the complete graph, no loops
+        gram = centered_gram(np.random.default_rng(21).standard_normal((60, 5)))
+        edges = select_edges(gram, PenaltyConfig(0.5, 0.0), "and")
+        assert edges == select_edges(gram, PenaltyConfig(0.5, 0.0), "or")
+        assert sorted(edges.pairs) == [(j, k) for j in range(5) for k in range(j + 1, 5)]
 
     def test_block_structure_recovered(self):
-        rng = np.random.default_rng(22)
-        xc = block_data(400, rng)
-        xc -= xc.mean(axis=0)
-        edges = select_edges(xc.T @ xc / 400, PenaltyConfig(1.0, 0.1), "and")
+        gram = centered_gram(block_data(400, np.random.default_rng(22)))
+        edges = select_edges(gram, PenaltyConfig(1.0, 0.1), "and")
         assert (0, 1) in edges
         assert (2, 3) in edges
         for j in (0, 1):
@@ -91,34 +114,25 @@ class TestSelectNeighborhoods:
 
     def test_non_square_gram_rejected(self):
         with pytest.raises(ShapeError):
-            select_neighborhoods(np.ones((3, 4)), PenaltyConfig(0.5, 0.1))
+            select_edges(np.ones((3, 4)), PenaltyConfig(0.5, 0.1))
         with pytest.raises(ShapeError):
             select_edges(np.ones(3), PenaltyConfig(0.5, 0.1))
 
     def test_huge_penalty_gives_empty_sets(self):
-        rng = np.random.default_rng(24)
-        x = rng.standard_normal((50, 4))
-        xc = x - x.mean(axis=0)
-        gram = xc.T @ xc / 50
-        nbhd = select_neighborhoods(gram, PenaltyConfig(1.0, 50.0))
-        assert all(len(s) == 0 for s in nbhd.sets)
+        gram = centered_gram(np.random.default_rng(24).standard_normal((50, 4)))
+        pen = PenaltyConfig(1.0, 50.0)
+        assert not chosen(gram, pen).any()
+        assert len(select_edges(gram, pen, "or")) == 0
 
-    def test_sweep_cap_recorded_and_warned(self):
-        rng = np.random.default_rng(25)
-        x = rng.standard_normal((60, 5))
-        xc = x - x.mean(axis=0)
-        gram = xc.T @ xc / 60
+    def test_sweep_cap_recorded_and_warned(self, monkeypatch):
+        gram = centered_gram(np.random.default_rng(25).standard_normal((60, 5)))
+        pen = PenaltyConfig(0.5, 0.001)
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
+        fit = solve_gram(gram, np.arange(5), pen)
+        bad = np.flatnonzero(~fit.response_converged).tolist()
+        assert bad
         with pytest.warns(UserWarning) as record:
-            nbhd = select_neighborhoods(gram, PenaltyConfig(0.5, 0.001), max_sweeps=1)
-        assert len(nbhd.unconverged) > 0
+            select_edges(gram, pen)
         assert len(record) == 1
-        assert "did not converge" in str(record[0].message)
-        assert str(list(nbhd.unconverged)) in str(record[0].message)
-
-    def test_select_edges_rule_case_insensitive(self):
-        rng = np.random.default_rng(26)
-        x = rng.standard_normal((40, 4))
-        xc = x - x.mean(axis=0)
-        gram = xc.T @ xc / 40
-        pen = PenaltyConfig(0.5, 0.2)
-        assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")
+        assert "did not converge in 1 sweeps" in str(record[0].message)
+        assert f"nodes {bad}" in str(record[0].message)
