@@ -56,10 +56,14 @@ class TestAssembleEdges:
             select_edges(np.eye(3), PenaltyConfig(0.5, 0.1), "xor")
 
     def test_rule_case_insensitive(self):
-        gram = centered_gram(np.random.default_rng(26).standard_normal((40, 4)))
-        pen = PenaltyConfig(0.5, 0.2)
-        assert select_edges(gram, pen, "AND") == select_edges(gram, pen, "and")
-        assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")
+        # the draw of test_and_requires_both_directions, where the two joins differ
+        x = np.random.default_rng(28).standard_normal((30, 6)) * np.arange(0.5, 3.5, 0.5)
+        gram = centered_gram(x)
+        pen = PenaltyConfig(1.0, 0.2)
+        e_and, e_or = select_edges(gram, pen, "AND"), select_edges(gram, pen, "OR")
+        assert e_and != e_or
+        assert e_and == select_edges(gram, pen, "and")
+        assert e_or == select_edges(gram, pen, "or")
 
     @settings(deadline=None)
     @given(st.data())
@@ -123,6 +127,11 @@ class TestSelectNeighborhoods:
         pen = PenaltyConfig(1.0, 50.0)
         assert not chosen(gram, pen).any()
         assert len(select_edges(gram, pen, "or")) == 0
+
+    def test_select_edges_rule_case_insensitive(self):
+        gram = centered_gram(np.random.default_rng(26).standard_normal((40, 4)))
+        pen = PenaltyConfig(0.5, 0.2)
+        assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")
 
     def test_sweep_cap_recorded_and_warned(self, monkeypatch):
         gram = centered_gram(np.random.default_rng(25).standard_normal((60, 5)))
