@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     EstimationError,
     FitError,
-    NumericError,
     ParcornetError,
     SelectionError,
     ShapeError,
@@ -41,7 +40,7 @@ __all__ = [
     "ConfigError", "ConfusionCounts", "DataError", "Dataset", "DistributionSpec",
     "DivergenceError", "DomainError", "EMConfig", "EMState", "EdgeSet",
     "ElasticNetFit", "EstimationError", "FitError", "LambdaGrid",
-    "NetworkMeasures", "NumericError", "ParcornetError", "PartialCorrelationMatrix",
+    "NetworkMeasures", "ParcornetError", "PartialCorrelationMatrix",
     "PenaltyConfig", "PrecisionMatrix", "SelectionError", "SelectionReport",
     "ShapeError", "ShockResult", "TopologySpec", "bic", "build_grid", "confusion",
     "estimate", "f1_score", "false_discovery_rate", "frobenius_distance",

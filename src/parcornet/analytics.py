@@ -4,6 +4,8 @@ partial correlation network.
 The graph is the binarized network: nodes j,k are adjacent exactly when
 the partial correlation is nonzero. Weighted quantities (strength,
 eigenvector centrality, shocks) use the matrix entries themselves.
+Eigenvector centrality and the Perron root each come from one exact
+symmetric eigensolve of |P|, with no iteration cap to hit.
 """
 from __future__ import annotations
 
@@ -13,11 +15,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import DataError, DivergenceError, NumericError
+from .errors import DataError, DivergenceError
 from .matrices import PartialCorrelationMatrix
 
 EIG_TOL = 1e-12
-EIG_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,7 @@ def distance_matrix(network) -> np.ndarray:
 def eccentricities(network) -> np.ndarray:
     """Max finite distance from each node; isolated nodes get 0."""
     d = distance_matrix(network)
-    np.fill_diagonal(d, np.inf)
-    ecc = np.zeros(d.shape[0])
-    for j in range(d.shape[0]):
-        finite = d[j][np.isfinite(d[j])]
-        ecc[j] = finite.max() if finite.size else 0.0
-    return ecc
+    return np.where(np.isfinite(d), d, 0.0).max(axis=1)
 
 
 def mean_distance(network) -> float:
@@ -113,42 +109,27 @@ def clustering_coefficients(network) -> np.ndarray:
     """Triangles over wedges per node; degree < 2 gives 0."""
     a = adjacency(network).astype(float)
     deg = a.sum(axis=1)
-    triangles = np.diag(a @ a @ a) / 2.0
-    out = np.zeros(a.shape[0])
-    for j in range(a.shape[0]):
-        k = deg[j]
-        if k >= 2.0:
-            out[j] = triangles[j] / (k * (k - 1.0) / 2.0)
-    return out
+    tri = np.diag(a @ a @ a) / 2.0
+    return np.divide(tri, deg * (deg - 1.0) / 2.0, out=np.zeros_like(deg), where=deg >= 2.0)
 
 
 def eigenvector_centrality(network) -> np.ndarray:
-    """Principal eigenvector of |P|, scaled so the largest entry is 1.
+    """Perron vector of |P|, scaled so the largest entry is 1.
 
-    Power iteration on |P| + I from a uniform start; the identity shift
-    makes the top eigenvalue strictly dominant for any symmetric
-    nonnegative matrix, so the iteration cannot oscillate. With equal
-    disconnected components the limit splits mass by the uniform start
-    rather than picking one component. An all-zero matrix returns zeros.
-    No step below EIG_TOL within EIG_MAX_ITER iterations raises NumericError.
+    One symmetric eigensolve of |P|. The eigenvectors whose eigenvalue
+    lies within EIG_TOL * max(1, top) of the top one span the Perron
+    space; the uniform vector is projected onto it. A connected network
+    has a simple Perron root, so this is its exact Perron vector; equal
+    disconnected components share the mass rather than one being picked.
+    An all-zero matrix returns zeros.
     """
     w = np.abs(_pc_values(network))
-    p = w.shape[0]
-    if w.max() == 0.0:
-        return np.zeros(p)
-    shifted = w + np.eye(p)
-    v = np.full(p, 1.0 / np.sqrt(p))
-    for _ in range(EIG_MAX_ITER):
-        nxt = shifted @ v
-        nxt /= np.linalg.norm(nxt)
-        if np.abs(nxt - v).max() < EIG_TOL:
-            v = nxt
-            break
-        v = nxt
-    else:
-        raise NumericError(f"eigenvector centrality did not converge in {EIG_MAX_ITER} iterations")
-    top = np.abs(v).max()
-    return np.abs(v) / top if top > 0.0 else np.zeros(p)
+    if not w.any():
+        return np.zeros(w.shape[0])
+    vals, vecs = np.linalg.eigh(w)
+    top = vecs[:, vals >= vals[-1] - EIG_TOL * max(1.0, vals[-1])]
+    v = np.abs(top @ top.sum(axis=0))
+    return v / v.max()
 
 
 def node_centralities(network, absolute_strength: bool = False) -> NodeCentralities:

@@ -6,7 +6,7 @@ from a network JSON), shock (propagation from a network JSON), and
 pipeline (prices CSV to rolling networks).
 
 Exit codes: 0 success (possibly with flagged rows), 2 input or config
-error, 3 estimation or numeric error.
+error, 3 estimation failure or a diverging shock.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytics, pipeline
 from .elastic_net import PenaltyConfig
-from .em import EMConfig, MODES
+from .em import DELTA, EMConfig, MAX_ITER, MODES
 from .errors import (
     ConfigError,
     DataError,
@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     EstimationError,
     FitError,
-    NumericError,
     ParcornetError,
     SelectionError,
     ShapeError,
@@ -41,7 +40,7 @@ from .samplers import DistributionSpec, sample, spawned_rng
 from .selection import LambdaGrid, build_grid, select
 
 INPUT_ERRORS = (ConfigError, DataError, ShapeError, DomainError)
-RUN_ERRORS = (EstimationError, SelectionError, NumericError, DivergenceError, FitError)
+RUN_ERRORS = (EstimationError, SelectionError, DivergenceError, FitError)
 
 SIM_COLUMNS = (
     "topology", "distribution", "n", "run", "estimator", "alpha", "lambda", "bic", "edges",
@@ -62,8 +61,8 @@ MANIFEST_DEFAULTS = {
     "nu": 3.0,
     "rule": "and",
     "lambda": {"lo": 0.01, "hi": 1.5, "count": 20},
-    "delta": 1e-4,
-    "max_iter": 200,
+    "delta": DELTA,
+    "max_iter": MAX_ITER,
 }
 
 
@@ -483,13 +482,14 @@ def _add_estimator_flags(sp) -> None:
     sp.add_argument("--mode", choices=MODES, default="t")
     sp.add_argument("--nu", type=float, default=None,
                     help="tail parameter; required with --mode t")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--lambda-lo", type=float, default=0.01)
-    sp.add_argument("--lambda-hi", type=float, default=1.5)
-    sp.add_argument("--lambda-count", type=int, default=20)
-    sp.add_argument("--rule", choices=("and", "or"), default="and")
-    sp.add_argument("--delta", type=float, default=1e-4)
-    sp.add_argument("--max-iter", type=int, default=200)
+    m, grid = MANIFEST_DEFAULTS, MANIFEST_DEFAULTS["lambda"]
+    sp.add_argument("--alpha", type=float, default=m["alphas"][0])
+    sp.add_argument("--lambda-lo", type=float, default=grid["lo"])
+    sp.add_argument("--lambda-hi", type=float, default=grid["hi"])
+    sp.add_argument("--lambda-count", type=int, default=grid["count"])
+    sp.add_argument("--rule", choices=("and", "or"), default=m["rule"])
+    sp.add_argument("--delta", type=float, default=m["delta"])
+    sp.add_argument("--max-iter", type=int, default=m["max_iter"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -164,7 +164,7 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
-    n, p = data.n, data.p
+    n = data.n
     tau = np.ones(n)
     mean = data.values.mean(axis=0)
     scatter = weighted_scatter(data, tau, mean)
@@ -176,13 +176,10 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
 
     nu = config.nu
     psi = _initial_psi(scatter, nu / (nu - 2.0))
-    edges = EdgeSet.empty(p)
     w_prev = None
-    max_change = np.inf
     converged = False
-    it = 0
-    while it < config.max_iter:
-        it += 1
+    # EMConfig rejects max_iter < 1, so edges and max_change are always bound
+    for it in range(1, config.max_iter + 1):
         tau = expected_scales(data, mean, psi, nu)
         tau *= n / tau.sum()
         mean = weighted_mean(data, tau)

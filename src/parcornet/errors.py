@@ -33,10 +33,6 @@ class SelectionError(ParcornetError):
         self.records = records
 
 
-class NumericError(ParcornetError):
-    """An iterative numeric routine failed to converge."""
-
-
 class DivergenceError(ParcornetError):
     """A propagation process has no finite limit."""
 

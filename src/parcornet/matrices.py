@@ -133,10 +133,6 @@ class EdgeSet:
         jj, kk = np.nonzero(np.triu(a, k=1))
         return cls.from_pairs(a.shape[0], zip(jj.tolist(), kk.tolist()))
 
-    @classmethod
-    def empty(cls, p: int) -> "EdgeSet":
-        return cls(p, frozenset())
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -51,10 +51,6 @@ class PriceTable:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
     def to_csv_text(self) -> str:
         lines = ["date," + ",".join(self.names)]
         for d, row in zip(self.dates, self.values):

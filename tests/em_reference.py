@@ -29,7 +29,7 @@ def reference_estimate(data, config):
     mean = data.values.mean(axis=0)
     scatter = weighted_scatter(data, tau, mean)
     psi = _initial_psi(scatter, nu / (nu - 2.0))
-    edges = EdgeSet.empty(p)
+    edges = EdgeSet(p)
     w_prev = None
     max_change = np.inf
     converged = False

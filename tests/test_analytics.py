@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from parcornet import analytics
 from parcornet.analytics import (
     abs_radius_bound,
     adjacency,
@@ -17,7 +18,7 @@ from parcornet.analytics import (
     spectral_radius,
     strengths,
 )
-from parcornet.errors import DataError, DivergenceError, NumericError
+from parcornet.errors import DataError, DivergenceError
 from parcornet.matrices import PartialCorrelationMatrix
 
 
@@ -155,17 +156,34 @@ class TestEigenvectorCentrality:
     def test_zero_matrix(self):
         assert eigenvector_centrality(EMPTY4).tolist() == [0.0] * 4
 
-    def test_bipartite_converges(self, monkeypatch):
-        # plain power iteration oscillates on this path; the shift must not
-        monkeypatch.setattr(analytics, "EIG_MAX_ITER", 2000)
+    def test_bipartite_converges(self):
+        # |P| of a path has eigenvalues +-rho; only +rho is the Perron root
         c = eigenvector_centrality(PATH3)
         assert c[1] == pytest.approx(1.0)
         assert c[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
-    def test_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(analytics, "EIG_MAX_ITER", 1)
-        with pytest.raises(NumericError):
-            eigenvector_centrality(PATH3)
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-4, 1e-3])
+    def test_near_tie_picks_larger_component(self, gap):
+        # two disjoint edges with nearly equal Perron roots: only the
+        # heavier edge carries the Perron vector
+        g = weighted_net({(0, 1): 0.3, (2, 3): 0.3 + gap}, 4)
+        got = eigenvector_centrality(g)
+        assert np.abs(got - [0.0, 0.0, 1.0, 1.0]).max() < 1e-12
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_perron_pair_property(self, data):
+        p = data.draw(st.integers(2, 8))
+        entry = st.floats(-0.3, 0.3, allow_subnormal=False)
+        vals = np.zeros((p, p))
+        iu = np.triu_indices(p, k=1)
+        vals[iu] = data.draw(st.lists(entry, min_size=len(iu[0]), max_size=len(iu[0])))
+        vals += vals.T
+        assume(vals.any())
+        c = eigenvector_centrality(vals)
+        rho = abs_radius_bound(vals)
+        assert c.min() >= 0.0 and c.max() == 1.0
+        assert np.abs(np.abs(vals) @ c - rho * c).max() <= 1e-10 * max(1.0, rho)
 
 
 class TestMeasures:

@@ -197,6 +197,16 @@ class TestAnalyze:
         for key in ("edge_count", "mean_degree", "mean_distance", "mean_clustering", "mean_strength"):
             assert float(meas[key]) == 0.0
 
+    def test_near_tied_components_exit_0(self, tmp_path):
+        # Perron roots 0.3 and 0.3001 on two disjoint edges
+        net = write_json(tmp_path / "net.json", {
+            "p": 4, "nodes": ["a", "b", "c", "d"],
+            "edges": [{"i": 1, "j": 2, "weight": 0.3}, {"i": 3, "j": 4, "weight": 0.3001}],
+        })
+        assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 0
+        cent = read_csv_rows(tmp_path / "centralities.csv")
+        assert [r["eigenvector"] for r in cent] == ["0", "0", "1", "1"]
+
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "net.json"
         bad.write_text("{not json")
@@ -341,9 +351,9 @@ PINNED_MEASURES = (
 PINNED_CENTRALITIES = (
     "node,name,degree,strength,eigenvector\n"
     "1,a,2,0.55,1\n"
-    "2,b,2,0.125,0.76677681977\n"
-    "3,c,3,0.375,0.980770635113\n"
-    "4,d,1,0.2,0.403671281333\n"
+    "2,b,2,0.125,0.766776819771\n"
+    "3,c,3,0.375,0.980770635111\n"
+    "4,d,1,0.2,0.403671281329\n"
 )
 
 PINNED_STRENGTH = (

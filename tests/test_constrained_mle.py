@@ -57,7 +57,7 @@ class TestClosedFormOracles:
     def test_empty_pattern_is_diagonal_inverse(self):
         rng = np.random.default_rng(33)
         s = random_scatter(4, rng)
-        res = constrained_mle.fit(s, EdgeSet.empty(4))
+        res = constrained_mle.fit(s, EdgeSet(4))
         want = np.diag(1.0 / np.diag(s))
         assert np.abs(res.psi.values - want).max() < 1e-12
 
@@ -111,11 +111,11 @@ class TestErrors:
         s = np.eye(3)
         s[1, 1] = 0.0
         with pytest.raises(DomainError):
-            constrained_mle.fit(s, EdgeSet.empty(3))
+            constrained_mle.fit(s, EdgeSet(3))
 
     def test_p_mismatch(self):
         with pytest.raises(EstimationError):
-            constrained_mle.fit(np.eye(3), EdgeSet.empty(4))
+            constrained_mle.fit(np.eye(3), EdgeSet(4))
 
     def test_degenerate_scatter_with_full_pattern_fails(self):
         # rank-1 scatter cannot support a complete pattern
@@ -155,7 +155,7 @@ class TestNeighborKernel:
         rng = np.random.default_rng(60 + p)
         for _ in range(3):
             s = random_scatter(p, rng)
-            for edges in (EdgeSet.empty(p), EdgeSet.from_adjacency(~np.eye(p, dtype=bool)),
+            for edges in (EdgeSet(p), EdgeSet.from_adjacency(~np.eye(p, dtype=bool)),
                           random_edges(p, rng, q=0.1), random_edges(p, rng, q=0.4)):
                 want = self.assert_matches(s, edges)
                 # warm start from the converged covariance of a nearby scatter

@@ -159,7 +159,7 @@ class TestEdgeSet:
         assert EdgeSet.from_adjacency(e.to_adjacency()) == e
 
     def test_complete_and_empty(self):
-        assert len(EdgeSet.empty(5)) == 0
+        assert len(EdgeSet(5)) == 0
 
 
 class TestDataset:

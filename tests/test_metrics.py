@@ -29,7 +29,7 @@ class TestConfusion:
 
     def test_p_mismatch(self):
         with pytest.raises(ShapeError):
-            confusion(EdgeSet.empty(3), EdgeSet.empty(4))
+            confusion(EdgeSet(3), EdgeSet(4))
 
 
 class TestScores:

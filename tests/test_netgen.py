@@ -148,7 +148,7 @@ class TestPatternToPrecision:
         assert eigs == pytest.approx([0.2, 0.8], abs=1e-12)
 
     def test_empty_pattern_diagonal(self):
-        theta = pattern_to_precision(EdgeSet.empty(4), v=0.3, u=0.1)
+        theta = pattern_to_precision(EdgeSet(4), v=0.3, u=0.1)
         assert np.allclose(theta.values, 0.2 * np.eye(4))
 
     def test_eigenvalue_floor(self):
