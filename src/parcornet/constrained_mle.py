@@ -80,12 +80,14 @@ def fit(
     """Fit the zero-constrained precision matrix for the given scatter.
 
     w_init warm-starts the working covariance (its diagonal is reset to
-    the scatter's). Convergence needs both an average change in W below
-    W_TOL_SCALE times mean |S| and a pattern residual below KKT_RTOL
-    times max(max |S|, 1); exhausting MAX_SWEEPS without that raises
-    EstimationError, as do neighbor blocks that are singular or not
-    positive definite, non-finite column updates, nonpositive partial
-    variances and a recovered precision that is not positive definite.
+    the scatter's). It is copied as given, so it must be exactly
+    symmetric, as the covariance of a previous fit is. Convergence needs
+    both an average change in W below W_TOL_SCALE times mean |S| and a
+    pattern residual below KKT_RTOL times max(max |S|, 1); exhausting
+    MAX_SWEEPS without that raises EstimationError, as do neighbor
+    blocks that are singular or not positive definite, non-finite column
+    updates, nonpositive partial variances and a recovered precision
+    that is not positive definite.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
@@ -103,7 +105,7 @@ def fit(
     np.fill_diagonal(mask, True)
 
     if w_init is not None:
-        w = symmetrize(w_init, "w_init")
+        w = np.array(w_init, dtype=float)
         if w.shape != (p, p):
             raise EstimationError(f"w_init must have shape ({p},{p})")
         np.fill_diagonal(w, np.diag(s))

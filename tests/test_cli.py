@@ -360,28 +360,28 @@ PINNED_STRENGTH = (
     "window,start_date,end_date,mean_strength,error\n"
     "0,2018-01-03,2018-09-11,0,\n"
     "1,2018-03-07,2018-11-13,0,\n"
-    "2,2018-05-09,2019-01-15,-0.0767812824393,\n"
-    "3,2018-07-11,2019-03-19,-0.0778356929673,\n"
-    "4,2018-09-12,2019-05-21,-0.0649573627791,\n"
+    "2,2018-05-09,2019-01-15,-0.0767812713268,\n"
+    "3,2018-07-11,2019-03-19,-0.0778356800083,\n"
+    "4,2018-09-12,2019-05-21,-0.0649573584827,\n"
 )
 
 PINNED_GARCH_HEADER = (
     "series,c,phi,omega,a,b,loglik,ks_normal,ks_normal_reject,ks_t,ks_t_reject\n"
 )
 PINNED_GARCH_FITS = (
-    "s0,0.0021463882711,-0.0180931568504,0.000115913338332,3.85404365276e-27,"
-    "0.713526574178,1254.1636753,0.0213523883904,0,",
-    "s1,-0.00114459400763,0.0788016445667,7.12620222519e-05,0.0782804868093,"
-    "0.776102662326,1210.79631033,0.0270923111024,0,",
-    "s2,-0.0014973487148,0.0579870081342,3.52466246951e-05,0.0528863408364,"
-    "0.850143224278,1280.82203528,0.0251227862071,0,",
+    "s0,0.00215330836099,-0.0178259703293,1.6656464851e-05,0.00161966057852,"
+    "0.95717320568,1254.17022709,0.0206132771857,0,",
+    "s1,-0.00114459386634,0.07880172828,7.12619733716e-05,0.0782805043519,"
+    "0.776102721224,1210.79631033,0.0270922995168,0,",
+    "s2,-0.00149734857391,0.0579869967941,3.52465074475e-05,0.0528863361761,"
+    "0.850143536681,1280.82203528,0.0251227545663,0,",
 )
-PINNED_KS_T = ("0.0562229743773,0", "0.0545357102217,0", "0.0455871198966,0")
+PINNED_KS_T = ("0.0554119977905,0", "0.0545356800299,0", "0.0455871138684,0")
 
 PINNED_RESIDUALS_HEAD = (
     "date,s0,s1,s2\n"
-    "2018-01-03,0.61965468069,-0.818597378404,0.956727452395\n"
-    "2018-01-04,0.846054900061,1.22206422793,-0.841928346097\n"
+    "2018-01-03,0.618832999104,-0.81859739424,0.956727425482\n"
+    "2018-01-04,0.846189526303,1.22206431114,-0.841928350637\n"
 )
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, stats
 
+from garch_reference import reference_fit
 from parcornet.em import EMConfig
 from parcornet.elastic_net import PenaltyConfig
 from parcornet import pipeline, selection
@@ -9,6 +12,7 @@ from parcornet.errors import ConfigError, DataError, EstimationError, FitError
 from parcornet.pipeline import (
     PriceTable,
     _garch_sigma2,
+    _negloglik_score,
     fit_ar_garch,
     ks_statistic,
     log_returns,
@@ -17,6 +21,7 @@ from parcornet.pipeline import (
     window_count,
 )
 from parcornet.selection import build_grid
+from test_cli import make_price_csv
 
 
 def price_table(values, names=None):
@@ -113,7 +118,6 @@ class TestFit:
         truth = dict(c=0.0, phi=0.1, omega=0.05, a=0.1, b=0.85)
         r = simulate_ar_garch(5000, rng=3, **truth)
         fit = fit_ar_garch(r)
-        assert fit.converged
         for key, val in truth.items():
             assert abs(getattr(fit, key) - val) < 0.05, key
 
@@ -137,6 +141,121 @@ class TestFit:
     def test_constant_series(self):
         with pytest.raises(FitError, match="variance"):
             fit_ar_garch(np.ones(300))
+
+    def test_failure_names_every_start(self, monkeypatch):
+        def stalled(fun, x0, **kwargs):
+            return optimize.OptimizeResult(x=x0, fun=1.0, jac=np.full(5, 0.25),
+                                           status=1, success=False)
+
+        monkeypatch.setattr(pipeline.optimize, "minimize", stalled)
+        r = simulate_ar_garch(300, 0.0, 0.1, 0.05, 0.1, 0.85, rng=5)
+        with pytest.raises(FitError) as info:
+            fit_ar_garch(r)
+        msg = str(info.value)
+        for start in range(1, 6):
+            assert f"start {start}: optimizer status 1, max|score| 2.500e-01" in msg
+
+    @pytest.mark.parametrize("status, score_in_gtol, accepted", [
+        (2, 5.0, True),    # precision loss near the optimum counts as converged
+        (2, 20.0, False),
+        (1, 0.5, False),   # iteration cap
+    ])
+    def test_precision_loss_rule(self, monkeypatch, status, score_in_gtol, accepted):
+        r = simulate_ar_garch(300, 0.0, 0.1, 0.05, 0.1, 0.85, rng=5)
+        gtol = 1e-7 * r.size
+
+        def stopped(fun, x0, **kwargs):
+            # the start point itself has standardized residual variance near 1
+            return optimize.OptimizeResult(x=x0, fun=-1.0, jac=np.full(5, score_in_gtol * gtol),
+                                           status=status, success=False)
+
+        monkeypatch.setattr(pipeline.optimize, "minimize", stopped)
+        if accepted:
+            assert fit_ar_garch(r).loglik == 1.0
+        else:
+            with pytest.raises(FitError, match=f"start 5: optimizer status {status}"):
+                fit_ar_garch(r)
+
+    def test_equivariant_to_units(self):
+        # c is fitted in units of the series' standard deviation, so a change
+        # of units rescales c and omega, shifts the log-likelihood and leaves
+        # the rest unchanged up to rounding
+        r = simulate_ar_garch(1000, 0.01, 0.1, 0.05, 0.1, 0.85, rng=4)
+        base = fit_ar_garch(r)
+        for k in (1e-2, 1e2):
+            fit = fit_ar_garch(k * r)
+            assert fit.c / k == pytest.approx(base.c, rel=1e-9)
+            assert fit.omega / k**2 == pytest.approx(base.omega, rel=1e-9)
+            for key in ("phi", "a", "b"):
+                assert getattr(fit, key) == pytest.approx(getattr(base, key), abs=1e-9), key
+            shift = (r.size - 1) * np.log(k)
+            assert fit.loglik + shift == pytest.approx(base.loglik, rel=1e-9)
+            assert np.abs(fit.residuals - base.residuals).max() < 1e-9
+
+
+SCORE_SERIES = simulate_ar_garch(600, 0.0, 0.1, 0.05, 0.1, 0.85, rng=3)
+SCORE_RTOL = 1e-5  # central differences with step 1e-5 on an objective of size ~1e3
+
+
+def _score_start(r):
+    """fit_ar_garch's start point: lag-1 AR fit, omega at a tenth of the variance."""
+    scale = r.std()
+    phi0 = np.corrcoef(r[:-1], r[1:])[0, 1]
+    return scale, np.array([r.mean() * (1.0 - phi0) / scale, np.arctanh(phi0),
+                            np.log(0.1 * r.var() * (1.0 - phi0**2)),
+                            np.log(0.9 / 0.1), np.log(1.0 / 8.0)])
+
+
+class TestScore:
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))
+    def test_matches_central_differences(self, offset):
+        r = SCORE_SERIES
+        scale, start = _score_start(r)
+        theta = start + np.asarray(offset)
+        nll, grad = _negloglik_score(theta, r, scale)
+        fd = np.empty(5)
+        for k in range(5):
+            step = np.zeros(5)
+            step[k] = 1e-5 * max(1.0, abs(theta[k]))
+            up = _negloglik_score(theta + step, r, scale)[0]
+            down = _negloglik_score(theta - step, r, scale)[0]
+            fd[k] = (up - down) / (2.0 * step[k])
+        assert np.isfinite(nll)
+        assert np.abs(grad - fd).max() <= SCORE_RTOL * max(1.0, np.abs(grad).max())
+
+
+GARCH_TRUTH = (0.0, 0.1, 0.05, 0.1, 0.85)
+REFERENCE_CASES = {  # name: (length, (c, phi, omega, a, b), seed)
+    "sim-31": (1000, GARCH_TRUTH, 31),
+    "sim-32": (1000, GARCH_TRUTH, 32),
+    "sim-33": (1000, GARCH_TRUTH, 33),
+    "sim-small-scale": (800, (2e-4, 0.05, 2e-5, 0.05, 0.9), 34),
+}
+
+
+class TestAgainstReference:
+    """BFGS on the score against the Nelder-Mead search it replaced."""
+
+    @staticmethod
+    def assert_no_worse(r):
+        got, want = fit_ar_garch(r), reference_fit(r)
+        assert got.loglik >= want.loglik - 1e-9 * abs(want.loglik)
+        if want.a > 1e-6:  # interior optimum: the same point
+            for key in ("c", "phi", "omega", "a", "b"):
+                assert abs(getattr(got, key) - getattr(want, key)) <= 1e-5, key
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_seeded_series(self, case):
+        n, params, seed = REFERENCE_CASES[case]
+        self.assert_no_worse(simulate_ar_garch(n, *params, rng=seed))
+
+    def test_price_csv_series(self, tmp_path):
+        make_price_csv(tmp_path / "px.csv")
+        text = (tmp_path / "px.csv").read_text()
+        returns = log_returns(PriceTable.from_csv_text(text)).values
+        for j in range(returns.shape[1]):
+            self.assert_no_worse(returns[:, j])
 
 
 class TestKS:
