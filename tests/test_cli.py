@@ -385,6 +385,111 @@ PINNED_RESIDUALS_HEAD = (
 )
 
 
+# p=6 is the smallest p every topology kind accepts with its defaults
+PINNED_SIMULATE_MANIFEST = {
+    "seed": 11,
+    "p": 6,
+    "topologies": ["scale-free", "random", "band", "cluster", "hub", "small-world",
+                   "core-periphery"],
+    "distributions": [{"kind": "normal"}, {"kind": "t", "nu": 3.0},
+                      {"kind": "contaminated", "keep_prob": 0.8}],
+    "sample_sizes": [60],
+    "runs": 1,
+    "modes": ["gaussian", "t"],
+    "alphas": [0.5],
+    "lambda": {"lo": 0.05, "hi": 1.0, "count": 3},
+}
+
+PINNED_METRICS = (
+    "topology,distribution,n,run,estimator,alpha,lambda,bic,"
+    "edges,tp,fp,fn,f1,fdr,frobenius,em_converged,failed,error\n"
+    "scale-free,normal,60,0,gaussian,0.5,1,1257.27158182,"
+    "5,4,1,1,0.8,0.2,0.608120994445,1,0,\n"
+    "scale-free,normal,60,0,t,0.5,1,1294.38633726,"
+    "5,4,1,1,0.8,0.2,0.655710607992,1,0,\n"
+    "scale-free,t3,60,0,gaussian,0.5,0.22360679775,1029.19617091,"
+    "9,5,4,0,0.714285714286,0.444444444444,0.602633960277,1,0,\n"
+    "scale-free,t3,60,0,t,0.5,0.22360679775,958.025403065,"
+    "6,5,1,0,0.909090909091,0.166666666667,0.304272784796,1,0,\n"
+    "scale-free,contaminated0.8,60,0,gaussian,0.5,1,1213.96300467,"
+    "5,4,1,1,0.8,0.2,0.692320723786,1,0,\n"
+    "scale-free,contaminated0.8,60,0,t,0.5,1,1251.76373938,"
+    "5,4,1,1,0.8,0.2,0.685049892092,1,0,\n"
+    "random,normal,60,0,gaussian,0.5,0.22360679775,1219.59694708,"
+    "13,10,3,0,0.869565217391,0.230769230769,0.488316724997,1,0,\n"
+    "random,normal,60,0,t,0.5,0.22360679775,1241.0931129,"
+    "12,10,2,0,0.909090909091,0.166666666667,0.356048820677,1,0,\n"
+    "random,t3,60,0,gaussian,0.5,0.22360679775,1217.70713533,"
+    "13,10,3,0,0.869565217391,0.230769230769,0.808827947853,1,0,\n"
+    "random,t3,60,0,t,0.5,0.22360679775,1011.1480616,"
+    "7,6,1,4,0.705882352941,0.142857142857,1.05794780862,1,0,\n"
+    "random,contaminated0.8,60,0,gaussian,0.5,1,1245.76640253,"
+    "4,4,0,6,0.571428571429,0,1.23720266032,1,0,\n"
+    "random,contaminated0.8,60,0,t,0.5,1,1273.11410544,"
+    "3,3,0,7,0.461538461538,0,1.33751914419,1,0,\n"
+    "band,normal,60,0,gaussian,0.5,1,1292.95823187,"
+    "6,6,0,3,0.8,0,1.04607556922,1,0,\n"
+    "band,normal,60,0,t,0.5,0.22360679775,1333.79723556,"
+    "10,9,1,0,0.947368421053,0.1,0.442913791971,1,0,\n"
+    "band,t3,60,0,gaussian,0.5,0.22360679775,1141.86716431,"
+    "12,9,3,0,0.857142857143,0.25,0.873984393703,1,0,\n"
+    "band,t3,60,0,t,0.5,0.22360679775,1057.14679099,"
+    "8,7,1,2,0.823529411765,0.125,0.93362413603,1,0,\n"
+    "band,contaminated0.8,60,0,gaussian,0.5,1,1316.53058867,"
+    "10,7,3,2,0.736842105263,0.3,1.16282112893,1,0,\n"
+    "band,contaminated0.8,60,0,t,0.5,0.22360679775,1339.93259729,"
+    "13,9,4,0,0.818181818182,0.307692307692,0.828471986903,1,0,\n"
+    "cluster,normal,60,0,gaussian,0.5,1,1593.92354831,"
+    "3,0,3,0,0,1,0.471623981289,1,0,\n"
+    "cluster,normal,60,0,t,0.5,1,1631.92266986,"
+    "4,0,4,0,0,1,0.62951393463,1,0,\n"
+    "cluster,t3,60,0,gaussian,0.5,1,1514.96457115,"
+    "4,0,4,0,0,1,0.487230120319,1,0,\n"
+    "cluster,t3,60,0,t,0.5,1,1434.882458,"
+    "0,0,0,0,1,0,0,1,0,\n"
+    "cluster,contaminated0.8,60,0,gaussian,0.5,1,1650.21911649,"
+    "7,0,7,0,0,1,0.6835978493,1,0,\n"
+    "cluster,contaminated0.8,60,0,t,0.5,1,1665.35679752,"
+    "4,0,4,0,0,1,0.698017830897,1,0,\n"
+    "hub,normal,60,0,gaussian,0.5,1,1339.93282792,"
+    "1,1,0,0,1,0,0.105486902951,1,0,\n"
+    "hub,normal,60,0,t,0.5,1,1370.1004,"
+    "1,1,0,0,1,0,0.151765243292,1,0,\n"
+    "hub,t3,60,0,gaussian,0.5,1,1292.91870462,"
+    "4,1,3,0,0.4,0.75,0.951038917214,1,0,\n"
+    "hub,t3,60,0,t,0.5,0.22360679775,1163.81722174,"
+    "7,1,6,0,0.25,0.857142857143,0.780652626432,1,0,\n"
+    "hub,contaminated0.8,60,0,gaussian,0.5,1,1327.72343572,"
+    "1,1,0,0,1,0,0.267774786383,1,0,\n"
+    "hub,contaminated0.8,60,0,t,0.5,1,1362.51768219,"
+    "1,1,0,0,1,0,0.266606322733,1,0,\n"
+    "small-world,normal,60,0,gaussian,0.5,0.22360679775,1263.5609543,"
+    "14,12,2,0,0.923076923077,0.142857142857,0.493767331167,1,0,\n"
+    "small-world,normal,60,0,t,0.5,0.22360679775,1298.31581168,"
+    "14,12,2,0,0.923076923077,0.142857142857,0.542063245022,1,0,\n"
+    "small-world,t3,60,0,gaussian,0.5,0.05,1158.86412142,"
+    "14,11,3,1,0.846153846154,0.214285714286,1.07029719164,1,0,\n"
+    "small-world,t3,60,0,t,0.5,0.22360679775,1045.0901228,"
+    "9,8,1,4,0.761904761905,0.111111111111,1.26252603653,1,0,\n"
+    "small-world,contaminated0.8,60,0,gaussian,0.5,1,1311.05829709,"
+    "8,5,3,7,0.5,0.375,1.66582077537,1,0,\n"
+    "small-world,contaminated0.8,60,0,t,0.5,1,1336.96105418,"
+    "4,2,2,10,0.25,0.5,1.75903115587,1,0,\n"
+    "core-periphery,normal,60,0,gaussian,0.5,1,1321.88373287,"
+    "1,1,0,0,1,0,0.106929159679,1,0,\n"
+    "core-periphery,normal,60,0,t,0.5,1,1351.77236851,"
+    "1,1,0,0,1,0,0.0559031230126,1,0,\n"
+    "core-periphery,t3,60,0,gaussian,0.5,1,1130.10092967,"
+    "2,1,1,0,0.666666666667,0.5,0.580350799692,1,0,\n"
+    "core-periphery,t3,60,0,t,0.5,0.22360679775,1061.41996555,"
+    "4,1,3,0,0.4,0.75,0.669463839763,1,0,\n"
+    "core-periphery,contaminated0.8,60,0,gaussian,0.5,1,1342.05387016,"
+    "1,1,0,0,1,0,0.212734437472,1,0,\n"
+    "core-periphery,contaminated0.8,60,0,t,0.5,1,1366.44926007,"
+    "1,1,0,0,1,0,0.224391951744,1,0,\n"
+)
+
+
 class TestPinnedBytes:
     """Exact text of the CSV files the CLI writes, fixed on known inputs."""
 
@@ -406,6 +511,11 @@ class TestPinnedBytes:
         resid = (out / "residuals.csv").read_text()
         assert resid.startswith(PINNED_RESIDUALS_HEAD)
         assert resid.count("\n") == 505 and resid.endswith("\n")
+
+    def test_simulate_metrics(self, tmp_path):
+        man = write_json(tmp_path / "man.json", PINNED_SIMULATE_MANIFEST)
+        assert cli.main(["simulate", man, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out/metrics.csv").read_text() == PINNED_METRICS
 
     def test_pipeline_t_garch_file(self, tmp_path):
         prices = make_price_csv(tmp_path / "px.csv")

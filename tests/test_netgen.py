@@ -138,6 +138,27 @@ class TestStructures:
         assert core > peri
 
 
+PINNED_PAIRS = {
+    ("random", 3): [(0, 1), (0, 2), (0, 5), (0, 8), (0, 10), (1, 11), (2, 10), (3, 5),
+                    (3, 8), (4, 6), (5, 8), (6, 7), (7, 11), (8, 9), (10, 11)],
+    ("random", 8): [(0, 9), (0, 11), (1, 3), (1, 4), (2, 3), (2, 6), (2, 7), (3, 5), (3, 6),
+                    (3, 8), (4, 6), (4, 10), (6, 10), (7, 8), (7, 11), (8, 10), (10, 11)],
+    ("cluster", 3): [(0, 1), (0, 2), (3, 5), (8, 9)],
+    ("cluster", 8): [(10, 11)],
+    ("core-periphery", 3): [(0, 1), (0, 5), (0, 8), (0, 10), (1, 11)],
+    ("core-periphery", 8): [(0, 9), (2, 6)],
+}
+
+
+class TestPinnedPairs:
+    """Exact patterns of the Bernoulli generators at p=12, fixed per seed."""
+
+    @pytest.mark.parametrize("kind, seed", sorted(PINNED_PAIRS))
+    def test_sorted_pairs(self, kind, seed):
+        e = generate_pattern(TopologySpec(kind, 12, seed=seed))
+        assert sorted(e.pairs) == PINNED_PAIRS[kind, seed]
+
+
 class TestPatternToPrecision:
     def test_two_node_closed_form(self):
         e = EdgeSet.from_pairs(2, [(0, 1)])
