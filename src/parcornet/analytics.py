@@ -60,15 +60,16 @@ class ShockResult:
     abs_radius_bound: float
 
 
-def _pc_values(network) -> np.ndarray:
+def _as_pc(network) -> PartialCorrelationMatrix:
+    """The network itself, or a raw array validated once."""
     if isinstance(network, PartialCorrelationMatrix):
-        return network.values
-    return PartialCorrelationMatrix(np.asarray(network, dtype=float)).values
+        return network
+    return PartialCorrelationMatrix(np.asarray(network, dtype=float))
 
 
 def adjacency(network) -> np.ndarray:
     """Boolean adjacency: an edge wherever the entry is nonzero."""
-    vals = _pc_values(network)
+    vals = _as_pc(network).values
     adj = vals != 0.0
     np.fill_diagonal(adj, False)
     return adj
@@ -80,7 +81,7 @@ def degrees(network) -> np.ndarray:
 
 def strengths(network, absolute: bool = False) -> np.ndarray:
     """Row sums of the weights; signed by default, absolute on request."""
-    vals = _pc_values(network)
+    vals = _as_pc(network).values
     return np.abs(vals).sum(axis=1) if absolute else vals.sum(axis=1)
 
 
@@ -123,7 +124,7 @@ def eigenvector_centrality(network) -> np.ndarray:
     disconnected components share the mass rather than one being picked.
     An all-zero matrix returns zeros.
     """
-    w = np.abs(_pc_values(network))
+    w = np.abs(_as_pc(network).values)
     if not w.any():
         return np.zeros(w.shape[0])
     vals, vecs = np.linalg.eigh(w)
@@ -141,31 +142,30 @@ def node_centralities(network, absolute_strength: bool = False) -> NodeCentralit
 
 
 def measures(network, absolute_strength: bool = False) -> NetworkMeasures:
-    vals = _pc_values(network)
-    adj = adjacency(vals)
-    p = vals.shape[0]
+    pc = _as_pc(network)
+    adj = adjacency(pc)
     deg = adj.sum(axis=1)
     return NetworkMeasures(
-        p=p,
+        p=pc.p,
         edge_count=int(adj.sum()) // 2,
         mean_degree=float(deg.mean()),
-        mean_distance=mean_distance(vals),
-        mean_eccentricity=float(eccentricities(vals).mean()),
-        mean_clustering=float(clustering_coefficients(vals).mean()),
-        mean_strength=float(strengths(vals, absolute=absolute_strength).mean()),
+        mean_distance=mean_distance(pc),
+        mean_eccentricity=float(eccentricities(pc).mean()),
+        mean_clustering=float(clustering_coefficients(pc).mean()),
+        mean_strength=float(strengths(pc, absolute=absolute_strength).mean()),
     )
 
 
 def spectral_radius(network) -> float:
     """Largest absolute eigenvalue (symmetric input)."""
-    vals = _pc_values(network)
+    vals = _as_pc(network).values
     return float(np.abs(np.linalg.eigvalsh(vals)).max())
 
 
 def abs_radius_bound(network) -> float:
     """Spectral radius of |P|, its Perron root; an upper bound for the
     radius of P itself."""
-    return float(np.linalg.eigvalsh(np.abs(_pc_values(network)))[-1])
+    return float(np.linalg.eigvalsh(np.abs(_as_pc(network).values))[-1])
 
 
 def shock(network, node: int) -> ShockResult:
@@ -175,11 +175,11 @@ def shock(network, node: int) -> ShockResult:
     DivergenceError (carrying the radius) is raised. The limit solves
     (I - P) s = e_node.
     """
-    vals = _pc_values(network)
-    p = vals.shape[0]
+    pc = _as_pc(network)
+    vals, p = pc.values, pc.p
     if not (0 <= node < p):
         raise DataError(f"node {node} out of range for p={p}")
-    rho = spectral_radius(vals)
+    rho = spectral_radius(pc)
     if rho >= 1.0:
         raise DivergenceError(
             f"shock propagation diverges: spectral radius {rho:.6f} >= 1",
@@ -194,5 +194,5 @@ def shock(network, node: int) -> ShockResult:
         steady_state=steady,
         total=float(steady.sum()),
         spectral_radius=rho,
-        abs_radius_bound=abs_radius_bound(vals),
+        abs_radius_bound=abs_radius_bound(pc),
     )

@@ -11,6 +11,8 @@ error, 3 estimation failure or a diverging shock.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import statistics
@@ -134,57 +136,55 @@ def _truth_seed(seed: int, topo_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _simulate_task(task: dict) -> list:
-    topo = TopologySpec(seed=task["truth_seed"], **task["topology_kwargs"])
-    truth_edges, theta = generate_precision(topo)
+def _simulate_cell(manifest: dict, cell: tuple) -> list:
+    """metrics.csv rows of one (topology, distribution, n, run) cell of the
+    resolved manifest: one truth and one sample, fitted by every mode x
+    alpha estimator."""
+    ti, di, ni, run = cell
+    topo = manifest["topologies"][ti]
+    dist = manifest["distributions"][di]
+    n = manifest["sample_sizes"][ni]
+    truth_edges, theta = generate_precision(
+        TopologySpec(seed=_truth_seed(manifest["seed"], ti), **topo["kwargs"]))
     truth_pc = precision_to_partial_correlation(theta)
-    dist = DistributionSpec(**task["dist_kwargs"])
-    rng = spawned_rng(task["seed"], 2, task["ti"], task["di"], task["ni"], task["run"])
-    data = sample(theta, task["n"], dist, rng)
-    grid = build_grid(task["grid"]["lo"], task["grid"]["hi"], task["grid"]["count"])
+    rng = spawned_rng(manifest["seed"], 2, ti, di, ni, run)
+    data = sample(theta, n, DistributionSpec(**dist["kwargs"]), rng)
+    grid = build_grid(**manifest["lambda"])
     rows = []
-    for est in task["estimators"]:
-        base = {
-            "topology": task["topology_label"],
-            "distribution": task["dist_label"],
-            "n": task["n"],
-            "run": task["run"],
-            "estimator": est["mode"],
-            "alpha": est["alpha"],
-        }
+    for mode, alpha in itertools.product(manifest["modes"], manifest["alphas"]):
+        row = dict.fromkeys(SIM_COLUMNS)
+        row.update(topology=topo["label"], distribution=dist["label"], n=n, run=run,
+                   estimator=mode, alpha=float(alpha))
         config = EMConfig(
-            penalty=PenaltyConfig(est["alpha"], grid.lo),
-            mode=est["mode"],
-            nu=est["nu"],
-            rule=task["rule"],
-            delta=task["delta"],
-            max_iter=task["max_iter"],
+            penalty=PenaltyConfig(float(alpha), grid.lo),
+            mode=mode,
+            nu=float(manifest["nu"]),
+            rule=manifest["rule"],
+            delta=manifest["delta"],
+            max_iter=manifest["max_iter"],
         )
         try:
             report = select(data, grid, config)
         except (EstimationError, SelectionError) as exc:
-            rows.append({**base, "lambda": None, "bic": None, "edges": None,
-                         "tp": None, "fp": None, "fn": None, "f1": None,
-                         "fdr": None, "frobenius": None, "em_converged": None,
-                         "failed": 1, "error": _clean_msg(exc)})
-            continue
-        est_pc = precision_to_partial_correlation(report.state.psi)
-        counts = confusion(est_pc.edge_set(), truth_edges)
-        rows.append({
-            **base,
-            "lambda": report.chosen_lambda,
-            "bic": report.bic_value,
-            "edges": len(report.state.edges),
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
-            "f1": f1_score(counts),
-            "fdr": false_discovery_rate(counts),
-            "frobenius": frobenius_distance(est_pc, truth_pc),
-            "em_converged": int(report.state.converged),
-            "failed": 0,
-            "error": "",
-        })
+            row.update(failed=1, error=_clean_msg(exc))
+        else:
+            est_pc = precision_to_partial_correlation(report.state.psi)
+            counts = confusion(est_pc.edge_set(), truth_edges)
+            row.update({
+                "lambda": report.chosen_lambda,
+                "bic": report.bic_value,
+                "edges": len(report.state.edges),
+                "tp": counts.tp,
+                "fp": counts.fp,
+                "fn": counts.fn,
+                "f1": f1_score(counts),
+                "fdr": false_discovery_rate(counts),
+                "frobenius": frobenius_distance(est_pc, truth_pc),
+                "em_converged": int(report.state.converged),
+                "failed": 0,
+                "error": "",
+            })
+        rows.append(row)
     return rows
 
 
@@ -194,37 +194,16 @@ def cmd_simulate(args) -> int:
     manifest = _resolve_manifest(raw)
     if args.seed is not None:
         manifest["seed"] = args.seed
-    estimators = [
-        {"mode": mode, "alpha": float(a), "nu": float(manifest["nu"])}
-        for mode in manifest["modes"]
-        for a in manifest["alphas"]
-    ]
-    tasks = []
-    for ti, topo in enumerate(manifest["topologies"]):
-        tseed = _truth_seed(manifest["seed"], ti)
-        for di, dist in enumerate(manifest["distributions"]):
-            for ni, n in enumerate(manifest["sample_sizes"]):
-                for run in range(manifest["runs"]):
-                    tasks.append({
-                        "seed": manifest["seed"],
-                        "ti": ti, "di": di, "ni": ni, "run": run,
-                        "topology_label": topo["label"],
-                        "topology_kwargs": topo["kwargs"],
-                        "truth_seed": tseed,
-                        "dist_label": dist["label"],
-                        "dist_kwargs": dist["kwargs"],
-                        "n": n,
-                        "estimators": estimators,
-                        "rule": manifest["rule"],
-                        "delta": manifest["delta"],
-                        "max_iter": manifest["max_iter"],
-                        "grid": manifest["lambda"],
-                    })
+    cells = itertools.product(
+        *(range(len(manifest[key])) for key in ("topologies", "distributions", "sample_sizes")),
+        range(manifest["runs"]),
+    )
+    run_cell = functools.partial(_simulate_cell, manifest)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_simulate_task, tasks, chunksize=1))
+            results = list(pool.map(run_cell, cells, chunksize=1))
     else:
-        results = [_simulate_task(t) for t in tasks]
+        results = map(run_cell, cells)
     rows = [row for chunk in results for row in chunk]
 
     os.makedirs(args.out, exist_ok=True)
@@ -304,8 +283,11 @@ def network_from_json_dict(d: dict) -> tuple:
     if len(names) != p:
         raise DataError(f"network lists {len(names)} nodes for p={p}")
     vals = np.zeros((p, p))
-    for e in d.get("edges", []):
-        i, j, w = int(e["i"]) - 1, int(e["j"]) - 1, float(e["weight"])
+    for k, e in enumerate(d.get("edges", [])):
+        try:
+            i, j, w = int(e["i"]) - 1, int(e["j"]) - 1, float(e["weight"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"edge {k + 1} {e!r}: needs numeric i, j and weight") from None
         if not (0 <= i < p and 0 <= j < p) or i == j:
             raise DataError(f"edge ({e['i']},{e['j']}) invalid for p={p}")
         vals[i, j] = vals[j, i] = w
@@ -394,24 +376,24 @@ def cmd_pipeline(args) -> int:
         returns = pipeline.log_returns(prices)
     except ParcornetError as exc:
         raise type(exc)(f"returns: {exc}") from exc
-    if not np.all(np.isfinite(returns.values)):
+    if not np.all(np.isfinite(returns)):
         raise DataError("returns: missing values present; clean the price panel first")
 
     fits = []
-    for j, name in enumerate(returns.names):
+    for name, series in zip(prices.names, returns.T):
         try:
-            fits.append(pipeline.fit_ar_garch(returns.values[:, j]))
+            fits.append(pipeline.fit_ar_garch(series))
         except ParcornetError as exc:
             raise type(exc)(f"garch: series {name}: {exc}") from exc
     resid = np.column_stack([f.residuals for f in fits])
-    resid_dates = returns.dates[1:]
+    resid_dates = prices.dates[2:]  # one row to the returns, one to the AR(1) lag
 
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "residuals.csv"), ("date", *returns.names),
+    _write_csv(os.path.join(args.out, "residuals.csv"), ("date", *prices.names),
                ((d, *row) for d, row in zip(resid_dates, resid)))
 
     garch_rows = []
-    for name, f in zip(returns.names, fits):
+    for name, f in zip(prices.names, fits):
         ksn, rejn = pipeline.ks_statistic(f.residuals, "normal")
         if config.mode == "t":
             kst, rejt = pipeline.ks_statistic(f.residuals, "t", nu=config.nu)
@@ -446,7 +428,7 @@ def cmd_pipeline(args) -> int:
         if w.report is not None:
             pc = precision_to_partial_correlation(w.report.state.psi)
             net = network_to_json_dict(
-                pc, returns.names, w.report.chosen_lambda, w.report.bic_value,
+                pc, prices.names, w.report.chosen_lambda, w.report.bic_value,
                 extra={"measures": w.net_measures.to_json_dict()},
             )
             _write_json({**base, **net}, path)
@@ -466,7 +448,7 @@ def cmd_pipeline(args) -> int:
         "config": _config_echo(config, grid),
         "window": args.window,
         "step": args.step,
-        "series": list(returns.names),
+        "series": list(prices.names),
         "rows": resid.shape[0],
         "windows": len(windows),
         "failed_windows": sum(1 for w in windows if w.error),

@@ -87,13 +87,15 @@ def _pattern_scale_free(p: int, rng) -> set:
     return edges
 
 
-def _pattern_random(p: int, q: float, rng) -> set:
-    edges = set()
-    for j in range(p):
-        for k in range(j + 1, p):
-            if rng.random() < q:
-                edges.add((j, k))
-    return edges
+def _draw_pairs(jj: np.ndarray, kk: np.ndarray, q, rng):
+    """Keep candidate pair (jj[i], kk[i]) when the i-th uniform draw is
+    below q, a scalar or one probability per pair.
+
+    Every candidate draws, zero-probability ones included, in candidate
+    order: the same stream as one rng.random() call per pair.
+    """
+    keep = rng.random(jj.size) < q
+    return zip(jj[keep], kk[keep])
 
 
 def _pattern_band(p: int, bw: int) -> set:
@@ -104,14 +106,12 @@ def _split_groups(p: int, groups: int) -> list:
     return [blk for blk in np.array_split(np.arange(p), groups) if blk.size]
 
 
-def _pattern_cluster(p: int, groups: int, q: float, rng) -> set:
-    edges = set()
-    for blk in _split_groups(p, groups):
-        for a in range(blk.size):
-            for b in range(a + 1, blk.size):
-                if rng.random() < q:
-                    edges.add((int(blk[a]), int(blk[b])))
-    return edges
+def _pattern_cluster(p: int, groups: int, q: float, rng):
+    sizes = [blk.size for blk in _split_groups(p, groups)]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    jj, kk = np.triu_indices(p, k=1)
+    same = owner[jj] == owner[kk]
+    return _draw_pairs(jj[same], kk[same], q, rng)
 
 
 def _pattern_hub(p: int, groups: int) -> set:
@@ -141,21 +141,13 @@ def _pattern_small_world(p: int, k: int, q: float, rng) -> set:
     return edges
 
 
-def _pattern_core_periphery(spec: TopologySpec, rng) -> set:
-    p = spec.p
-    n_core = max(1, int(round(spec.core_fraction * p)))
-    edges = set()
-    for j in range(p):
-        for k in range(j + 1, p):
-            if j < n_core and k < n_core:
-                q = spec.core_core_prob
-            elif j < n_core or k < n_core:
-                q = spec.core_periphery_prob
-            else:
-                q = spec.periphery_prob
-            if rng.random() < q:
-                edges.add((j, k))
-    return edges
+def _pattern_core_periphery(spec: TopologySpec, rng):
+    n_core = max(1, int(round(spec.core_fraction * spec.p)))
+    jj, kk = np.triu_indices(spec.p, k=1)
+    # j < k, so k in the core puts both ends there
+    q = np.select([kk < n_core, jj < n_core],
+                  [spec.core_core_prob, spec.core_periphery_prob], spec.periphery_prob)
+    return _draw_pairs(jj, kk, q, rng)
 
 
 def generate_pattern(spec: TopologySpec) -> EdgeSet:
@@ -166,7 +158,7 @@ def generate_pattern(spec: TopologySpec) -> EdgeSet:
         pairs = _pattern_scale_free(p, rng)
     elif spec.kind == "random":
         q = spec.edge_prob if spec.edge_prob is not None else 3.0 / p
-        pairs = _pattern_random(p, q, rng)
+        pairs = _draw_pairs(*np.triu_indices(p, k=1), q, rng)
     elif spec.kind == "band":
         pairs = _pattern_band(p, spec.bandwidth)
     elif spec.kind == "cluster":

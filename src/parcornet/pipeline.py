@@ -67,34 +67,30 @@ class PriceTable:
         dates = []
         vals = []
         for r in rows[1:]:
+            if len(r) != len(rows[0]):
+                raise DataError(f"date {r[0]}: {len(r) - 1} price cells for {len(names)} columns")
             dates.append(r[0])
-            vals.append([float(c) if c.strip() else np.nan for c in r[1:]])
+            vals.append([_price_cell(c, r[0], name) for name, c in zip(names, r[1:])])
         return cls(tuple(dates), names, np.asarray(vals, dtype=float))
 
 
-@dataclass(frozen=True)
-class ReturnTable:
-    """Dated return panel; one row fewer than the prices it came from."""
-
-    dates: tuple
-    names: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(str(d) for d in self.dates))
-        object.__setattr__(self, "names", tuple(str(s) for s in self.names))
-        object.__setattr__(self, "values", vals)
+def _price_cell(cell: str, date: str, name: str) -> float:
+    """One CSV price cell; a blank cell is a missing price (NaN)."""
+    if not cell.strip():
+        return np.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(f"date {date}: column {name!r}: price {cell!r} is not a number") from None
 
 
-def log_returns(prices: PriceTable) -> ReturnTable:
-    """ln(p_t / p_{t-1}) per cell; a NaN price makes both touching returns NaN."""
+def log_returns(prices: PriceTable) -> np.ndarray:
+    """(n-1) x p array of ln(p_t / p_{t-1}); a NaN price makes both
+    touching returns NaN."""
     if prices.n < 2:
         raise DataError("need at least two price rows for returns")
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.log(prices.values[1:] / prices.values[:-1])
-    return ReturnTable(prices.dates[1:], prices.names, r)
+        return np.log(prices.values[1:] / prices.values[:-1])
 
 
 @dataclass

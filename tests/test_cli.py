@@ -217,6 +217,14 @@ class TestAnalyze:
                          {"p": 2, "edges": [{"i": 1, "j": 5, "weight": 0.2}]})
         assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("edge", [{"i": 1, "weight": 0.2}, {"i": 1, "j": 2, "weight": "x"}])
+    def test_malformed_edge_named_exit_2(self, tmp_path, capsys, edge):
+        net = write_json(tmp_path / "net.json", {"p": 2, "edges": [edge]})
+        assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"edge 1 {edge!r}: needs numeric i, j and weight" in err
+        assert "bad input" not in err
+
 
 class TestShock:
     def test_two_node_closed_form(self, tmp_path):
@@ -316,6 +324,18 @@ class TestPipeline:
         assert cli.main(["pipeline", str(tmp_path / "px.csv"), *PIPE_FLAGS,
                          "--out", str(tmp_path / "out")]) == 2
         assert "returns:" in capsys.readouterr().err
+
+    def test_non_numeric_price_names_date_and_column(self, tmp_path, capsys):
+        make_price_csv(tmp_path / "px.csv")
+        lines = (tmp_path / "px.csv").read_text().splitlines()
+        parts = lines[10].split(",")
+        parts[2] = "x"
+        lines[10] = ",".join(parts)
+        (tmp_path / "px.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["pipeline", str(tmp_path / "px.csv"), *PIPE_FLAGS,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "returns:" in err and f"date {parts[0]}" in err and "column 's1'" in err
 
     def test_short_series_names_stage_and_series(self, tmp_path, capsys):
         prices = make_price_csv(tmp_path / "px.csv", n_prices=120)

@@ -8,6 +8,7 @@ from parcornet.matrices import EdgeSet
 from parcornet.netgen import (
     KINDS,
     TopologySpec,
+    _draw_pairs,
     generate_pattern,
     generate_precision,
     pattern_to_precision,
@@ -136,6 +137,20 @@ class TestStructures:
         core = adj[:4, :4].sum() / (4 * 3)
         peri = adj[4:, 4:].sum() / (36 * 35)
         assert core > peri
+
+
+class TestDrawPairs:
+    @pytest.mark.parametrize("q", [0.3, "mixed"])
+    def test_matches_per_pair_loop(self, q):
+        jj, kk = np.triu_indices(15, k=1)
+        if q == "mixed":  # zero- and one-probability pairs draw too
+            q = np.random.default_rng(0).choice([0.0, 0.25, 0.7, 1.0], size=jj.size)
+        qs = np.broadcast_to(q, jj.shape)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            want = [(j, k) for j, k, qi in zip(jj, kk, qs) if rng.random() < qi]
+            got = list(_draw_pairs(jj, kk, q, np.random.default_rng(seed)))
+            assert got == want
 
 
 PINNED_PAIRS = {
