@@ -91,19 +91,24 @@ def distance_matrix(network) -> np.ndarray:
     return shortest_path(csr_matrix(adj), method="D", directed=False, unweighted=True)
 
 
+def _eccentricities(d: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(d), d, 0.0).max(axis=1)
+
+
+def _mean_distance(d: np.ndarray) -> float:
+    vals = d[np.triu_indices_from(d, k=1)]
+    finite = vals[np.isfinite(vals)]
+    return float(finite.mean()) if finite.size else 0.0
+
+
 def eccentricities(network) -> np.ndarray:
     """Max finite distance from each node; isolated nodes get 0."""
-    d = distance_matrix(network)
-    return np.where(np.isfinite(d), d, 0.0).max(axis=1)
+    return _eccentricities(distance_matrix(network))
 
 
 def mean_distance(network) -> float:
     """Mean over finite-distance unordered pairs; 0 when there are none."""
-    d = distance_matrix(network)
-    iu = np.triu_indices_from(d, k=1)
-    vals = d[iu]
-    finite = vals[np.isfinite(vals)]
-    return float(finite.mean()) if finite.size else 0.0
+    return _mean_distance(distance_matrix(network))
 
 
 def clustering_coefficients(network) -> np.ndarray:
@@ -142,15 +147,17 @@ def node_centralities(network, absolute_strength: bool = False) -> NodeCentralit
 
 
 def measures(network, absolute_strength: bool = False) -> NetworkMeasures:
+    """The network-wide summary; the shortest paths are computed once."""
     pc = _as_pc(network)
     adj = adjacency(pc)
     deg = adj.sum(axis=1)
+    d = distance_matrix(pc)
     return NetworkMeasures(
         p=pc.p,
         edge_count=int(adj.sum()) // 2,
         mean_degree=float(deg.mean()),
-        mean_distance=mean_distance(pc),
-        mean_eccentricity=float(eccentricities(pc).mean()),
+        mean_distance=_mean_distance(d),
+        mean_eccentricity=float(_eccentricities(d).mean()),
         mean_clustering=float(clustering_coefficients(pc).mean()),
         mean_strength=float(strengths(pc, absolute=absolute_strength).mean()),
     )

@@ -278,7 +278,14 @@ def network_to_json_dict(pc: PartialCorrelationMatrix, names, lam: float, bic: f
 
 
 def network_from_json_dict(d: dict) -> tuple:
-    p = int(d["p"])
+    if not isinstance(d, dict):
+        raise DataError(f"network JSON must be an object with fields p, nodes and edges, "
+                        f"got {type(d).__name__}")
+    if "p" not in d:
+        raise DataError("network JSON has no field 'p'")
+    p = d["p"]
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
+        raise DataError(f"network JSON field 'p' must be a positive integer, got {p!r}")
     names = [str(s) for s in d.get("nodes", [f"x{j + 1}" for j in range(p)])]
     if len(names) != p:
         raise DataError(f"network lists {len(names)} nodes for p={p}")

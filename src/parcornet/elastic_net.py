@@ -1,4 +1,4 @@
-"""Elastic-net regression by cyclic coordinate descent.
+"""Elastic-net regression by an exact primal-dual active-set solve.
 
 Minimizes
 
@@ -7,12 +7,24 @@ Minimizes
 with the intercept a left unpenalized. Columns are NOT standardized
 internally; the penalty acts on the coefficients as given. The solver
 works on centered second moments (Gram form). solve_gram regresses
-several columns of one Gram on all its other columns at once: the
+several columns of one Gram G on all its other columns at once: the
 coefficients form a matrix with one column per response and a zero in
-each response's own row, and each coordinate update is one row-times-
-block product over the responses still running. solve is its
-one-response case, on the Gram of [X, y]. The sweep cap and the two
-tolerances are the module constants below, read at call time.
+each response's own row. solve is its one-response case, on the Gram of
+[X, y].
+
+With H = G + lam(1-alpha) I, a response g whose support A and signs s
+are known has the solution H_AA b_A = g_A - lam*alpha*s_A and 0 off A.
+Each round of the primal-dual active-set (PDAS) update of Hintermuller,
+Ito & Kunisch (2003) reads every running response's dual residual
+z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha with
+the signs of that expression, and solves all the support systems as one
+batch. A response stops when its (support, signs) repeats: that fixed
+point is the KKT condition, so the solution is exact rather than
+accurate to a tolerance. PDAS can cycle. A response that revisits an
+earlier state, meets a singular block or uses MAX_ROUNDS rounds goes on
+by feature-sign steps (Lee et al. 2007), each of which lowers its
+objective, and is returned unconverged if those too use MAX_ROUNDS.
+KAPPA and MAX_ROUNDS are module constants, read at call time.
 """
 from __future__ import annotations
 
@@ -22,14 +34,21 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, ShapeError
 
-# Tolerances are relative to the problem scale (max of 1, |cross|_inf and
-# the largest Gram diagonal). 1e-10 rather than the looser 1e-7 a sweep
-# test alone would need: the returned coefficients must agree with the
-# normal-equations solution to 1e-8 and a 1e-7 stationarity residual
-# cannot certify that.
-COEF_TOL = 1e-10
-KKT_TOL = 1e-10
-MAX_SWEEPS = 10_000
+# Weight of the primal iterate in the PDAS support test, as a fraction of
+# each coordinate's curvature H_jj, so it has no units. At 1, PDAS cycles
+# on about 45% of the Grams of heavy-tailed (t3) draws; at 0.1 it cycled
+# on none of 96 such Grams at p = 60 and p = 150, in at most 8 rounds.
+KAPPA = 0.1
+# Cap on each response's PDAS rounds, and again on its feature-sign steps.
+# Feature-sign steps add one coordinate at a time, so the cap must exceed
+# the largest support.
+MAX_ROUNDS = 1000
+# A support block is singular when its smallest eigenvalue is below this
+# fraction of its largest. A Gram summed over n rows carries rounding far
+# above machine epsilon, so a rank-deficient one (n <= p) shows
+# eigenvalues near 1e-13 rather than 0; the square root of epsilon
+# separates those from the conditioning of genuine data (1e4 at n = p + 2).
+SINGULAR_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -51,29 +70,30 @@ class ElasticNetFit:
     coefficients: np.ndarray
     intercept: float
     objective: float
-    sweeps: int
+    rounds: int
     converged: bool
     kkt_residual: float
 
 
 @dataclass
 class GramFit:
-    """Coordinate descent on several responses of one Gram.
+    """The active-set solve of several responses of one Gram.
 
     Column i of coefficients regresses Gram column columns[i] on all the
     others; its own row is 0. The response_* arrays hold each response's
-    sweep count, convergence flag and subgradient residual.
+    round count (PDAS rounds plus feature-sign steps), convergence flag
+    and subgradient residual.
     """
 
     coefficients: np.ndarray
-    response_sweeps: np.ndarray
+    response_rounds: np.ndarray
     response_converged: np.ndarray
     response_kkt: np.ndarray
 
     @property
     def sweeps(self) -> int:
-        """Sweeps summed over the responses."""
-        return int(self.response_sweeps.sum())
+        """Rounds summed over the responses (the name the bench counters read)."""
+        return int(self.response_rounds.sum())
 
     @property
     def converged(self) -> bool:
@@ -103,81 +123,169 @@ def _kkt_residuals(b, gram, cols, penalty):
     return res.max(axis=0, initial=0.0)
 
 
-def solve_gram(
-    gram: np.ndarray,
-    columns,
-    penalty: PenaltyConfig,
-    b0: np.ndarray | None = None,
-) -> GramFit:
+def _solve_supports(hx, g, thr, state, b, live):
+    """Solve the support systems of responses live as one batch, into b.
+
+    state holds each response's signs on its support and 0 off it. hx is
+    H with an identity block appended, which pads every block to the
+    largest support. Returns a mask over live of the responses whose block
+    is singular (all of them if LU fails); their columns of b are left as
+    they were.
+    """
+    p = g.shape[0]
+    act = state[:, live] != 0
+    size = act.sum(axis=0)
+    m = int(size.max())
+    pad = np.arange(m) >= size[:, None]
+    rows = np.argsort(~act, axis=0, kind="stable")[:m].T  # each support first, ascending
+    ext = np.where(pad, p + np.arange(m), rows)
+    blocks = hx[ext[:, :, None], ext[:, None, :]]
+    rhs = np.where(pad, 0.0, g[rows, live[:, None]] - thr * state[rows, live[:, None]])
+    try:
+        x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular block: hand the whole batch over
+        x = np.full(rhs.shape, np.nan)
+    singular = _singular(x, hx[:p, :p], rhs)
+    keep = ~singular
+    b[:, live[keep]] = 0.0
+    filled = ~pad & keep[:, None]
+    b[rows[filled], live[np.nonzero(filled)[0]]] = x[filled]
+    return singular
+
+
+def _singular(x, h, rhs):
+    """True where the solve x of a block of h against rhs shows a singular
+    block: LU failed (x is nan), or x is as large as only an eigenvalue
+    below SINGULAR_RTOL times the scale of h could make it."""
+    reach = np.abs(x).max(axis=-1) * np.abs(h).max() * SINGULAR_RTOL
+    return ~(reach <= np.abs(rhs).max(axis=-1))
+
+
+def _feature_sign(h, g, thr, b, own, budget):
+    """Feature-sign steps (Lee et al. 2007) for one response, from b.
+
+    Once b minimizes the objective on its own support and signs, a step
+    adds the worst KKT violator with the sign of its dual residual. Each
+    step heads for the minimizer on the support and signs, or down the
+    null space of a singular block, and stops at the point of lowest
+    objective among the sign changes on the way and the end; the
+    objective falls at every step, so the walk ends. It starts from b or
+    from 0, whichever has the lower objective. Returns (b, steps,
+    converged).
+    """
+    b = b.copy() if 0.5 * b @ h @ b - g @ b + thr * np.abs(b).sum() < 0.0 else np.zeros_like(b)
+    settled = False  # b minimizes the objective on its support and signs
+    steps = 0
+    while True:
+        grad = h @ b - g
+        settled = settled or not b.any()
+        if settled:
+            z = -grad
+            z[own] = 0.0
+            z[b != 0.0] = 0.0
+            j = int(np.argmax(np.abs(z)))
+            if abs(z[j]) <= thr:
+                return b, steps, True
+        if steps == budget:
+            return b, steps, False
+        steps += 1
+        idx = np.flatnonzero(b)
+        signs = np.sign(b[idx])
+        if settled:
+            idx, signs = np.append(idx, j), np.append(signs, np.sign(z[j]))
+        start = b[idx]
+        block = h[np.ix_(idx, idx)]
+        rhs = g[idx] - thr * signs
+        try:
+            target = np.linalg.solve(block, rhs)
+        except np.linalg.LinAlgError:
+            target = np.full(idx.size, np.nan)
+        d, ends = target - start, True
+        if _singular(target, h, rhs):
+            w, v = np.linalg.eigh(block)
+            proj = v.T @ rhs
+            flat = w <= SINGULAR_RTOL * w.max(initial=0.0)
+            d = v[:, ~flat] @ (proj[~flat] / w[~flat]) - start
+            # when the right-hand side leaves the block's range, the
+            # objective falls without bound down the null space until a
+            # sign changes
+            ray = v[:, flat] @ proj[flat]
+            if (np.linalg.norm(proj[flat]) > SINGULAR_RTOL * np.linalg.norm(proj)
+                    and np.any(start * ray < 0.0)):
+                d, ends = ray, False
+        if settled and d[-1] * signs[-1] <= 0.0:
+            return b, steps, False  # the violator would not move: its violation is rounding
+        flips = np.full(idx.size, np.inf)
+        cross = start * d < 0.0
+        flips[cross] = -start[cross] / d[cross]
+        taus = np.unique(flips[flips < (1.0 if ends else np.inf)])
+        if ends:
+            taus = np.append(taus, 1.0)
+        # the objective at each candidate, relative to b, exact along the segment
+        path = start + taus[:, None] * d
+        value = (taus * (grad[idx] @ d) + 0.5 * taus**2 * (d @ block @ d)
+                 + thr * (np.abs(path).sum(axis=1) - np.abs(start).sum()))
+        k = int(np.argmin(value))
+        b[idx] = path[k]
+        b[idx[flips == taus[k]]] = 0.0  # exactly zero where its sign changes
+        settled = ends and taus.size == 1
+
+
+def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig) -> GramFit:
     """Regress each listed column of a centered Gram on all its other columns.
 
     gram is X_c^T X_c / n. Column i of the result holds the coefficients
-    of response columns[i], with its own row held at 0; b0 of the same
-    shape warm-starts it. Exact zeros come from the soft-threshold update,
-    and a coordinate with no curvature (zero variance, no ridge term)
-    stays at 0. Each response stops on its own scale, max(1, |cross|_inf,
-    largest diagonal of the other columns): it is frozen after the first
-    sweep whose coefficient change is below COEF_TOL AND whose subgradient
-    residual is below KKT_TOL, both times that scale. A response still
-    running after MAX_SWEEPS is returned unconverged.
+    of response columns[i], with its own row held at 0. All responses
+    start from 0 and run the batched PDAS rounds; a coordinate with no
+    curvature (zero variance, no ridge term) has a zero dual residual and
+    never enters a support. Responses that cycle, meet a singular block
+    or reach MAX_ROUNDS continue by feature-sign steps, at most
+    MAX_ROUNDS of them, and are returned unconverged if those run out.
     """
     gram = np.asarray(gram, dtype=float)
     p = gram.shape[0]
     cols = np.asarray(columns, dtype=np.intp).reshape(-1)
     r = cols.size
-    own = (cols, np.arange(r))
-    b = np.zeros((p, r)) if b0 is None else np.array(b0, dtype=float)
-    if b.shape != (p, r):
-        raise ShapeError(f"b0 must have shape ({p},{r}), got {b.shape}")
-    b[own] = 0.0
     thr = penalty.lam * penalty.alpha
-    diag = np.diag(gram)
-    denom = (diag + penalty.lam * (1.0 - penalty.alpha)).tolist()
-    off = gram - np.diag(diag)  # off[j] @ b leaves coordinate j out
-    # each response's scale: max(1, |cross|_inf, largest diagonal of the others)
-    peaks = np.maximum(np.abs(gram[:, cols]), diag[:, None])
-    peaks[own] = 0.0
-    scale = np.maximum(peaks.max(axis=0, initial=0.0), 1.0)
-    tol_eff = COEF_TOL * scale
-    kkt_eff = KKT_TOL * scale
-    sweeps = np.zeros(r, dtype=np.int64)
+    hx = np.eye(2 * p)
+    hx[:p, :p] = gram + penalty.lam * (1.0 - penalty.alpha) * np.eye(p)
+    h = hx[:p, :p]
+    g = gram[:, cols]
+    weight = KAPPA * np.diag(h)[:, None]
+    b = np.zeros((p, r))
+    state = np.zeros((p, r), dtype=np.int8)  # signs on the support, 0 off it
+    seen = [{state[:, i].tobytes()} for i in range(r)]
+    rounds = np.zeros(r, dtype=np.int64)
     converged = np.zeros(r, dtype=bool)
-    live = np.arange(r)  # responses still running
-    sweep = 0
-    while live.size and sweep < MAX_SWEEPS:
-        # work on a compact copy of the running responses until one converges
-        w = b[:, live]
-        cross = gram[:, cols[live]]
-        slot = [None] * p  # slot[j]: the running response whose own column is j
-        for i, c in enumerate(cols[live].tolist()):
-            slot[c] = i
-        done = np.zeros(live.size, dtype=bool)
-        while not done.any() and sweep < MAX_SWEEPS:
-            sweep += 1
-            start = w.copy()
-            for j in range(p):
-                # partial residual correlation with column j, every response at once
-                g = cross[j] - off[j] @ w
-                if denom[j] > 0.0:
-                    g -= np.minimum(np.maximum(g, -thr), thr)  # soft-threshold
-                    np.divide(g, denom[j], out=w[j])
-                else:
-                    w[j] = 0.0  # degenerate column: no variance and no curvature
-                if slot[j] is not None:
-                    w[j, slot[j]] = 0.0
-            # each coordinate is updated once a sweep: its step is its change over the sweep
-            delta = np.abs(w - start).max(axis=0)
-            small = np.flatnonzero(delta < tol_eff[live])
-            if small.size:
-                kkt = _kkt_residuals(w[:, small], gram, cols[live[small]], penalty)
-                done[small] = kkt <= kkt_eff[live[small]]
-        b[:, live] = w
-        sweeps[live] = sweep
-        converged[live[done]] = True
-        live = live[~done]
+    handed = []  # responses left to the feature-sign steps
+    live = np.arange(r)
+    while live.size:
+        rounds[live] += 1
+        v = weight * b[:, live] + g[:, live] - h @ b[:, live]
+        new = np.where(np.abs(v) > thr, np.sign(v), 0.0).astype(np.int8)
+        new[cols[live], np.arange(live.size)] = 0
+        same = (new == state[:, live]).all(axis=0)
+        converged[live[same]] = True
+        going = ~same
+        for k in np.flatnonzero(going):
+            i, key = live[k], new[:, k].tobytes()
+            if key in seen[i] or rounds[i] >= MAX_ROUNDS:
+                going[k] = False
+                handed.append(i)
+            else:
+                seen[i].add(key)
+        live = live[going]
+        state[:, live] = new[:, going]
+        if live.size:
+            singular = _solve_supports(hx, g, thr, state, b, live)
+            handed.extend(live[singular].tolist())
+            live = live[~singular]
+    for i in handed:
+        b[:, i], steps, converged[i] = _feature_sign(h, g[:, i], thr, b[:, i], cols[i], MAX_ROUNDS)
+        rounds[i] += steps
     if not np.all(np.isfinite(b)):
         raise DomainError("elastic net coefficients are non-finite")
-    return GramFit(b, sweeps, converged, _kkt_residuals(b, gram, cols, penalty))
+    return GramFit(b, rounds, converged, _kkt_residuals(b, gram, cols, penalty))
 
 
 def solve(
@@ -214,7 +322,8 @@ def solve(
         raise DomainError("elastic net objective is non-finite")
     # unpenalized intercept recovered from the centering identity
     intercept = y_mean - float(x_mean @ b)
-    return ElasticNetFit(b, intercept, obj, fit.sweeps, fit.converged, float(fit.response_kkt[0]))
+    return ElasticNetFit(b, intercept, obj, int(fit.response_rounds[0]), fit.converged,
+                         float(fit.response_kkt[0]))
 
 
 def lambda_max(design: np.ndarray, response: np.ndarray, alpha: float) -> float:

@@ -202,11 +202,21 @@ class Dataset:
         else:
             names = None
             body = rows
-        try:
-            vals = np.asarray([[float(v) for v in r] for r in body], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"non-numeric cell in data CSV: {exc}") from exc
-        return cls(vals, names=names)
+        width = len(header)
+
+        def cell(i, k, v):
+            try:
+                return float(v)
+            except ValueError:
+                col = repr(names[k]) if names else str(k + 1)
+                raise DataError(f"data row {i}, column {col}: {v!r} is not a number") from None
+
+        vals = []
+        for i, r in enumerate(body, start=1):
+            if len(r) != width:
+                raise DataError(f"data row {i}: {len(r)} cells for {width} columns")
+            vals.append([cell(i, k, v) for k, v in enumerate(r)])
+        return cls(np.asarray(vals, dtype=float).reshape(len(vals), width), names=names)
 
 
 def precision_to_partial_correlation(theta) -> PartialCorrelationMatrix:

@@ -3,11 +3,17 @@
 reference_solve is one response's cyclic coordinate descent written as a
 plain loop over coordinates; reference_nodes runs it once per listed Gram
 column, slicing the Gram as a per-node neighborhood regression would. The
-block kernel must reproduce its supports and sweep counts exactly.
+active-set solve must reproduce its supports exactly and its coefficients
+to within the reference's own stopping tolerance.
 """
 import numpy as np
 
-from parcornet.elastic_net import COEF_TOL, KKT_TOL, MAX_SWEEPS
+# Stopping rule, relative to the problem scale (max of 1, |cross|_inf and
+# the largest Gram diagonal): a sweep whose coefficient change is below
+# COEF_TOL and whose subgradient residual is below KKT_TOL ends the descent.
+COEF_TOL = 1e-10
+KKT_TOL = 1e-10
+MAX_SWEEPS = 10_000
 
 
 def _soft(z, thr):
@@ -30,11 +36,10 @@ def _kkt_residual(b, gram, cross, penalty):
     return float(res)
 
 
-def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS,
-                    kkt_tol=KKT_TOL, b0=None):
+def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS, kkt_tol=KKT_TOL):
     """(coefficients, sweeps, converged) of one response, by scalar CD."""
     m = gram.shape[0]
-    b = np.zeros(m) if b0 is None else np.array(b0, dtype=float, copy=True)
+    b = np.zeros(m)
     thr = penalty.lam * penalty.alpha
     denom = np.diag(gram) + penalty.lam * (1.0 - penalty.alpha)
     scale = max(1.0, float(np.abs(cross).max(initial=0.0)), float(np.diag(gram).max(initial=0.0)))
@@ -56,7 +61,7 @@ def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS,
     return b, sweeps, converged
 
 
-def reference_nodes(gram, columns, penalty, max_sweeps=MAX_SWEEPS, b0=None):
+def reference_nodes(gram, columns, penalty, max_sweeps=MAX_SWEEPS):
     """Per-node loop over Gram columns: (coefficients, sweeps, converged, scales).
 
     coefficients has one column per listed response, 0 in its own row, laid
@@ -70,8 +75,7 @@ def reference_nodes(gram, columns, penalty, max_sweeps=MAX_SWEEPS, b0=None):
         others = np.delete(np.arange(p), k)
         sub = gram[np.ix_(others, others)]
         cross = gram[others, k]
-        start = None if b0 is None else b0[others, i]
-        b, s, ok = reference_solve(sub, cross, penalty, max_sweeps=max_sweeps, b0=start)
+        b, s, ok = reference_solve(sub, cross, penalty, max_sweeps=max_sweeps)
         coefs[others, i] = b
         sweeps.append(s)
         converged.append(ok)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from parcornet import analytics
 from parcornet.analytics import (
     abs_radius_bound,
     adjacency,
@@ -206,6 +207,16 @@ class TestMeasures:
         g = weighted_net({(0, 1): 0.4, (1, 2): -0.4}, 3)
         assert measures(g).mean_strength == pytest.approx(0.0)
         assert measures(g, absolute_strength=True).mean_strength == pytest.approx(1.6 / 3.0)
+
+    def test_shortest_paths_computed_once(self, monkeypatch):
+        calls = []
+        real = analytics.shortest_path
+        monkeypatch.setattr(analytics, "shortest_path",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        m = measures(PATH3)
+        assert len(calls) == 1
+        assert (m.mean_distance, m.mean_eccentricity) == (mean_distance(PATH3),
+                                                          float(eccentricities(PATH3).mean()))
 
     def test_node_centralities_bundle(self):
         c = node_centralities(PATH3)

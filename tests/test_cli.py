@@ -140,6 +140,15 @@ class TestEstimate:
         assert cli.main(["estimate", path, "--mode", "gaussian", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == []
 
+    def test_non_numeric_cell_names_row_and_column_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1.0,oops\n2.0,3.0\n")
+        assert cli.main(["estimate", str(path), "--mode", "gaussian",
+                         "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "data row 1, column 'y': 'oops' is not a number" in err
+        assert "bad input" not in err
+
     @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
     def test_constant_column_exit_2(self, tmp_path, capsys, mode):
         x = np.random.default_rng(5).standard_normal((100, 3))
@@ -223,6 +232,19 @@ class TestAnalyze:
         assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"edge 1 {edge!r}: needs numeric i, j and weight" in err
+        assert "bad input" not in err
+
+    @pytest.mark.parametrize("doc, named", [
+        ([{"p": 2}], "must be an object"),
+        ({"edges": []}, "no field 'p'"),
+        ({"p": "3", "edges": []}, "field 'p' must be a positive integer, got '3'"),
+        ({"p": 2.5, "edges": []}, "field 'p' must be a positive integer, got 2.5"),
+    ])
+    def test_malformed_network_names_field_exit_2(self, tmp_path, capsys, doc, named):
+        net = write_json(tmp_path / "net.json", doc)
+        assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
         assert "bad input" not in err
 
 

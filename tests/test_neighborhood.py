@@ -133,15 +133,15 @@ class TestSelectNeighborhoods:
         pen = PenaltyConfig(0.5, 0.2)
         assert select_edges(gram, pen, "OR") == select_edges(gram, pen, "or")
 
-    def test_sweep_cap_recorded_and_warned(self, monkeypatch):
+    def test_round_cap_recorded_and_warned(self, monkeypatch):
         gram = centered_gram(np.random.default_rng(25).standard_normal((60, 5)))
         pen = PenaltyConfig(0.5, 0.001)
-        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(elastic_net, "MAX_ROUNDS", 1)
         fit = solve_gram(gram, np.arange(5), pen)
         bad = np.flatnonzero(~fit.response_converged).tolist()
         assert bad
         with pytest.warns(UserWarning) as record:
             select_edges(gram, pen)
         assert len(record) == 1
-        assert "did not converge in 1 sweeps" in str(record[0].message)
+        assert "did not converge in 2 rounds" in str(record[0].message)
         assert f"nodes {bad}" in str(record[0].message)
