@@ -46,9 +46,10 @@ MAX_ROUNDS = 1000
 # A support block is singular when its smallest eigenvalue is below this
 # fraction of its largest. A Gram summed over n rows carries rounding far
 # above machine epsilon, so a rank-deficient one (n <= p) shows
-# eigenvalues near 1e-13 rather than 0; the square root of epsilon
-# separates those from the conditioning of genuine data (1e4 at n = p + 2).
-SINGULAR_RTOL = float(np.sqrt(np.finfo(float).eps))
+# eigenvalues near 1e-13 rather than 0; the square root of double
+# precision's epsilon, 2**-26, separates those from the conditioning of
+# genuine data (1e4 at n = p + 2).
+SINGULAR_RTOL = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,8 @@ def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig) -> GramFit:
     MAX_ROUNDS of them, and are returned unconverged if those run out.
     """
     gram = np.asarray(gram, dtype=float)
+    if not np.all(np.isfinite(gram)):
+        raise DomainError("elastic net Gram is non-finite")
     p = gram.shape[0]
     cols = np.asarray(columns, dtype=np.intp).reshape(-1)
     r = cols.size

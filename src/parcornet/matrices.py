@@ -216,7 +216,7 @@ class Dataset:
             if len(r) != width:
                 raise DataError(f"data row {i}: {len(r)} cells for {width} columns")
             vals.append([cell(i, k, v) for k, v in enumerate(r)])
-        return cls(np.asarray(vals, dtype=float).reshape(len(vals), width), names=names)
+        return cls(np.asarray(vals, dtype=float), names=names)
 
 
 def precision_to_partial_correlation(theta) -> PartialCorrelationMatrix:

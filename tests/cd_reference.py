@@ -36,7 +36,7 @@ def _kkt_residual(b, gram, cross, penalty):
     return float(res)
 
 
-def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS, kkt_tol=KKT_TOL):
+def reference_solve(gram, cross, penalty):
     """(coefficients, sweeps, converged) of one response, by scalar CD."""
     m = gram.shape[0]
     b = np.zeros(m)
@@ -45,7 +45,7 @@ def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS, k
     scale = max(1.0, float(np.abs(cross).max(initial=0.0)), float(np.diag(gram).max(initial=0.0)))
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         delta = 0.0
         for j in range(m):
@@ -55,13 +55,13 @@ def reference_solve(gram, cross, penalty, tol=COEF_TOL, max_sweeps=MAX_SWEEPS, k
             if bj != bj_old:
                 b[j] = bj
                 delta = max(delta, abs(bj - bj_old))
-        if delta < tol * scale and _kkt_residual(b, gram, cross, penalty) <= kkt_tol * scale:
+        if delta < COEF_TOL * scale and _kkt_residual(b, gram, cross, penalty) <= KKT_TOL * scale:
             converged = True
             break
     return b, sweeps, converged
 
 
-def reference_nodes(gram, columns, penalty, max_sweeps=MAX_SWEEPS):
+def reference_nodes(gram, columns, penalty):
     """Per-node loop over Gram columns: (coefficients, sweeps, converged, scales).
 
     coefficients has one column per listed response, 0 in its own row, laid
@@ -75,7 +75,7 @@ def reference_nodes(gram, columns, penalty, max_sweeps=MAX_SWEEPS):
         others = np.delete(np.arange(p), k)
         sub = gram[np.ix_(others, others)]
         cross = gram[others, k]
-        b, s, ok = reference_solve(sub, cross, penalty, max_sweeps=max_sweeps)
+        b, s, ok = reference_solve(sub, cross, penalty)
         coefs[others, i] = b
         sweeps.append(s)
         converged.append(ok)

@@ -140,13 +140,18 @@ class TestEstimate:
         assert cli.main(["estimate", path, "--mode", "gaussian", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["edges"] == []
 
-    def test_non_numeric_cell_names_row_and_column_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, named", [
+        ("x,y\n1.0,oops\n2.0,3.0\n", "data row 1, column 'y': 'oops' is not a number"),
+        ("1.0,2.0\n3.0,x\n", "data row 2, column 2: 'x' is not a number"),
+        ("x,y\n1.0,2.0\n3.0\n", "data row 2: 1 cells for 2 columns"),
+    ])
+    def test_bad_data_cell_names_row_and_column_exit_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1.0,oops\n2.0,3.0\n")
+        path.write_text(text)
         assert cli.main(["estimate", str(path), "--mode", "gaussian",
                          "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
-        assert "data row 1, column 'y': 'oops' is not a number" in err
+        assert named in err
         assert "bad input" not in err
 
     @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])

@@ -324,6 +324,13 @@ class TestValidation:
         with pytest.raises(DataError):
             solve(x, np.ones(5), PenaltyConfig(0.5, 0.1))
 
+    def test_nonfinite_gram_rejected(self):
+        # a NaN would fail every support test and pass for an empty support
+        gram = np.eye(3)
+        gram[0, 1] = gram[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            solve_gram(gram, [0, 1, 2], PenaltyConfig(0.5, 0.1))
+
     def test_lambda_max_requires_positive_alpha(self):
         with pytest.raises(DomainError):
             lambda_max(np.ones((4, 2)), np.ones(4), 0.0)
