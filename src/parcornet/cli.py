@@ -11,6 +11,7 @@ error, 3 estimation failure or a diverging shock.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -88,28 +89,42 @@ def _write_csv(path: str, header, rows) -> None:
 
 # ---------------------------------------------------------------- simulate
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_fields(entry: dict, spec, where: str) -> None:
+    """ConfigError naming where and the first key of entry that spec has no field for."""
+    allowed = {f.name for f in dataclasses.fields(spec)} - {"seed"}
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def _resolve_manifest(raw: dict) -> dict:
     unknown = set(raw) - set(MANIFEST_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
     m = dict(MANIFEST_DEFAULTS)
     m.update(raw)
-    if not isinstance(m["runs"], int) or m["runs"] < 1:
+    if not _is_int(m["runs"]) or m["runs"] < 1:
         raise ConfigError(f"runs must be a positive integer, got {m['runs']!r}")
     topologies = []
-    for entry in m["topologies"]:
+    for i, entry in enumerate(m["topologies"]):
         t = {"kind": entry} if isinstance(entry, str) else dict(entry)
         t.setdefault("p", m["p"])
         t.setdefault("v", m["v"])
         t.setdefault("u", m["u"])
         label = t.pop("label", t["kind"])
+        _check_fields(t, TopologySpec, f"topologies[{i}] ({label!r})")
         TopologySpec(seed=0, **t)  # validates kind and parameters
         topologies.append({"label": label, "kwargs": t})
     if len({t["label"] for t in topologies}) != len(topologies):
         raise ConfigError("topology labels must be unique")
     dists = []
-    for entry in m["distributions"]:
+    for i, entry in enumerate(m["distributions"]):
         d = {"kind": entry} if isinstance(entry, str) else dict(entry)
+        _check_fields(d, DistributionSpec, f"distributions[{i}] ({d.get('kind')!r})")
         spec = DistributionSpec(**d)
         dists.append({"label": spec.label(), "kwargs": d})
     if len({d["label"] for d in dists}) != len(dists):
@@ -125,9 +140,9 @@ def _resolve_manifest(raw: dict) -> dict:
     m["lambda"] = grid
     m["topologies"] = topologies
     m["distributions"] = dists
-    m["sample_sizes"] = [int(n) for n in m["sample_sizes"]]
-    if any(n < 2 for n in m["sample_sizes"]):
-        raise ConfigError("sample sizes must be >= 2")
+    for i, n in enumerate(m["sample_sizes"]):
+        if not _is_int(n) or n < 2:
+            raise ConfigError(f"sample_sizes[{i}] must be an integer >= 2, got {n!r}")
     return m
 
 

@@ -24,6 +24,8 @@ accurate to a tolerance. PDAS can cycle. A response that revisits an
 earlier state, meets a singular block or uses MAX_ROUNDS rounds goes on
 by feature-sign steps (Lee et al. 2007), each of which lowers its
 objective, and is returned unconverged if those too use MAX_ROUNDS.
+A solve may start from given supports and signs instead of from 0 (a
+warm start); where the solution is unique it ends at the same point.
 KAPPA and MAX_ROUNDS are module constants, read at call time.
 """
 from __future__ import annotations
@@ -160,9 +162,10 @@ def _solve_supports(hx, g, thr, state, b, live):
 def _singular(x, h, rhs):
     """True where the solve x of a block of h against rhs shows a singular
     block: LU failed (x is nan), or x is as large as only an eigenvalue
-    below SINGULAR_RTOL times the scale of h could make it."""
-    reach = np.abs(x).max(axis=-1) * np.abs(h).max() * SINGULAR_RTOL
-    return ~(reach <= np.abs(rhs).max(axis=-1))
+    below SINGULAR_RTOL times the scale of h could make it. An empty
+    block is not singular."""
+    reach = np.abs(x).max(axis=-1, initial=0.0) * np.abs(h).max() * SINGULAR_RTOL
+    return ~(reach <= np.abs(rhs).max(axis=-1, initial=0.0))
 
 
 def _feature_sign(h, g, thr, b, own, budget):
@@ -235,12 +238,20 @@ def _feature_sign(h, g, thr, b, own, budget):
         settled = ends and taus.size == 1
 
 
-def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig) -> GramFit:
+def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig, start=None) -> GramFit:
     """Regress each listed column of a centered Gram on all its other columns.
 
     gram is X_c^T X_c / n. Column i of the result holds the coefficients
-    of response columns[i], with its own row held at 0. All responses
-    start from 0 and run the batched PDAS rounds; a coordinate with no
+    of response columns[i], with its own row held at 0. Without start,
+    every response starts from 0. start, a p x len(columns) sign matrix,
+    warm-starts the solve: column i's nonzeros are response i's starting
+    support, with their signs, and its entry in the response's own row is
+    ignored. The warm supports are solved once as a batch before the
+    first round, and that solve is not counted as a round; a response
+    whose warm block is singular starts from 0 instead. The solution is
+    unique when lam(1-alpha) > 0 or every support block is positive
+    definite, so a start changes the rounds, not the result. Every
+    response then runs the batched PDAS rounds; a coordinate with no
     curvature (zero variance, no ridge term) has a zero dual residual and
     never enters a support. Responses that cycle, meet a singular block
     or reach MAX_ROUNDS continue by feature-sign steps, at most
@@ -260,6 +271,16 @@ def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig) -> GramFit:
     weight = KAPPA * np.diag(h)[:, None]
     b = np.zeros((p, r))
     state = np.zeros((p, r), dtype=np.int8)  # signs on the support, 0 off it
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (p, r):
+            raise ShapeError(f"start must have shape ({p}, {r}), got {start.shape}")
+        state[:] = np.sign(start)
+        state[cols, np.arange(r)] = 0
+        warm = np.flatnonzero(state.any(axis=0))
+        if warm.size:
+            # a singular warm block leaves its column of b at 0: start it cold
+            state[:, warm[_solve_supports(hx, g, thr, state, b, warm)]] = 0
     seen = [{state[:, i].tobytes()} for i in range(r)]
     rounds = np.zeros(r, dtype=np.int64)
     converged = np.zeros(r, dtype=bool)

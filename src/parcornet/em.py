@@ -16,6 +16,22 @@ the diagonal, where psi is nonzero, so trace(psi S) = p, that is
 sum_i tau_i d_i = p * (the scatter's denominator). At a fixed point
 tau_i (nu + d_i) = nu + p also holds, and under either denominator the
 two give sum_i tau_i = n, so the rescaling is the identity there.
+
+A lambda grid is fitted in one pass (estimate_grid; estimate is its
+one-lambda case). Every lambda starts from the same state, and a
+lambda's next iteration depends only on its scatter, its edge set and
+its previous fit, so lambdas whose edge sets have agreed at every
+iteration so far are one group: each group's E-step and scatter are
+computed once per iteration, and so is the constrained fit of each
+distinct edge set within it. Stage 1 still runs once per lambda, but
+warm-started: from the supports and signs the lambda ended on at its
+previous iteration, or at its first (and in gaussian mode) from those of
+the grid neighbour just solved on the same scatter. The elastic-net
+solution is unique whenever lam(1-alpha) > 0 or its support blocks are
+positive definite, so the edge sets, and with them every state, are the
+same as from independent fits with cold starts; only the active-set
+rounds drop (pathwise warm starts as in glmnet, Friedman, Hastie &
+Tibshirani 2010).
 """
 from __future__ import annotations
 
@@ -60,8 +76,11 @@ class EMConfig:
         return replace(self, penalty=PenaltyConfig(self.penalty.alpha, lam))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EMState:
+    """A fitted state. Lambdas that end together share one EMState, so it
+    is frozen and its arrays, psi's included, are read-only copies."""
+
     mean: np.ndarray
     psi: PrecisionMatrix
     tau: np.ndarray
@@ -69,6 +88,12 @@ class EMState:
     iterations: int
     max_change: float
     converged: bool
+
+    def __post_init__(self):
+        for name in ("mean", "tau"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def p(self) -> int:
@@ -137,30 +162,60 @@ def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
     raise EstimationError("could not build an initial scatter inverse")
 
 
-def _fit_step(scatter: np.ndarray, config: EMConfig, w_init):
-    """Neighborhood selection on the scatter, then the constrained fit to it."""
-    edges = select_edges(scatter, config.penalty, config.rule)
+def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
+    """The constrained fit to the scatter on edges, warm-started from w_init."""
     try:
-        res = constrained_mle.fit(scatter, edges, w_init=w_init)
+        return constrained_mle.fit(scatter, edges, w_init=w_init)
     except EstimationError:
         if w_init is None:
             raise
         # warm start can stall after a pattern change: retry cold
-        res = constrained_mle.fit(scatter, edges, w_init=None)
-    return edges, res
+        return constrained_mle.fit(scatter, edges, w_init=None)
 
 
-def estimate(data: Dataset, config: EMConfig) -> EMState:
-    """Run the estimator in the configured mode.
+def _m_step(scatter, members, penalties, rule, signs, w_init):
+    """Neighborhood selection on one scatter for each lambda in members,
+    then one constrained fit per distinct edge set.
 
-    Raises DataError first, in either mode, for a constant column or an
-    exactly collinear column pair (check_columns).
-    Gaussian mode: one pass with unit scales on the plain 1/n scatter.
-    t mode: EM iterations until max |psi change| < delta or max_iter;
-    the cap returns a state flagged converged=False rather than raising.
-    Each iteration rescales the E-step scales to sum to n, so the scatter
-    is sum_i tau_i (x_i - mean)(x_i - mean)^T / sum_i tau_i; the returned
-    tau is the rescaled one that built the final scatter.
+    Yields (lambdas, edges, fit) per edge set, where fit is the
+    ConstrainedMLEResult or the EstimationError it raised. Lambdas run
+    from the largest down. A lambda's regressions start from signs[i],
+    the signs they ended on at its previous step, or when it has none
+    from those of the lambda just solved on this scatter; signs[i] is
+    updated in place.
+    """
+    by_edges = {}
+    last = None
+    for i in sorted(members, key=lambda k: penalties[k].lam, reverse=True):
+        if signs[i] is None:
+            signs[i] = np.zeros(scatter.shape, dtype=np.int8) if last is None else last.copy()
+        edges = select_edges(scatter, penalties[i], rule, signs[i])
+        last = signs[i]
+        by_edges.setdefault(edges, []).append(i)
+    for edges, shared in by_edges.items():
+        try:
+            fit = _constrained_fit(scatter, edges, w_init)
+        except EstimationError as exc:
+            fit = exc
+        yield sorted(shared), edges, fit
+
+
+def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
+    """Run the estimator at every lambda in lams, all in one pass.
+
+    Returns one entry per lambda, in order: its EMState, or the
+    EstimationError that ended its fit. Each entry equals what estimate
+    returns or raises at that lambda alone. Raises DataError first, in
+    either mode, for a constant column or an exactly collinear column
+    pair (check_columns).
+
+    The lambdas run their EM iterations in lockstep. Lambdas whose edge
+    sets have agreed at every iteration so far share one scatter, one
+    E-step and one constrained fit per iteration, and those that end
+    together share one EMState object. Stage 1 warm-starts from the
+    supports each lambda ended on at its previous iteration, or at its
+    first from those of the grid neighbour just solved on the same
+    scatter.
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
@@ -169,29 +224,63 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
     mean = data.values.mean(axis=0)
     scatter = weighted_scatter(data, tau, mean)
     check_columns(data, scatter)
+    penalties = [PenaltyConfig(config.penalty.alpha, lam) for lam in lams]
+    signs = [None] * len(penalties)
+    out = [None] * len(penalties)
 
     if config.mode == "gaussian":
-        edges, res = _fit_step(scatter, config, None)
-        return EMState(mean, res.psi, tau, edges, 1, 0.0, True)
+        for shared, edges, fit in _m_step(scatter, range(len(penalties)), penalties,
+                                          config.rule, signs, None):
+            if not isinstance(fit, EstimationError):
+                fit = EMState(mean, fit.psi, tau, edges, 1, 0.0, True)
+            for i in shared:
+                out[i] = fit
+        return out
 
     nu = config.nu
-    psi = _initial_psi(scatter, nu / (nu - 2.0))
-    w_prev = None
-    converged = False
-    # EMConfig rejects max_iter < 1, so edges and max_change are always bound
+    # (lambdas, mean, psi, covariance of the last fit) per group sharing a history
+    groups = [(range(len(penalties)), mean, _initial_psi(scatter, nu / (nu - 2.0)), None)]
+    # EMConfig rejects max_iter < 1, so every lambda gets an entry
     for it in range(1, config.max_iter + 1):
-        tau = expected_scales(data, mean, psi, nu)
-        tau *= n / tau.sum()
-        mean = weighted_mean(data, tau)
-        scatter = weighted_scatter(data, tau, mean)
-        try:
-            edges, res = _fit_step(scatter, config, w_prev)
-        except EstimationError as exc:
-            raise EstimationError(f"iteration {it}: {exc}") from exc
-        max_change = float(np.abs(res.psi.values - psi.values).max())
-        psi = res.psi
-        w_prev = res.covariance
-        if max_change < config.delta:
-            converged = True
+        going = []
+        for members, mean, psi, w_prev in groups:
+            tau = expected_scales(data, mean, psi, nu)
+            tau *= n / tau.sum()
+            mean = weighted_mean(data, tau)
+            scatter = weighted_scatter(data, tau, mean)
+            for shared, edges, fit in _m_step(scatter, members, penalties, config.rule, signs,
+                                              w_prev):
+                if isinstance(fit, EstimationError):
+                    result = EstimationError(f"iteration {it}: {fit}")
+                    result.__cause__ = fit
+                else:
+                    max_change = float(np.abs(fit.psi.values - psi.values).max())
+                    converged = max_change < config.delta
+                    if not converged and it < config.max_iter:
+                        going.append((shared, mean, fit.psi, fit.covariance))
+                        continue
+                    result = EMState(mean, fit.psi, tau, edges, it, max_change, converged)
+                for i in shared:
+                    out[i] = result
+        groups = going
+        if not groups:
             break
-    return EMState(mean, psi, tau, edges, it, max_change, converged)
+    return out
+
+
+def estimate(data: Dataset, config: EMConfig) -> EMState:
+    """Run the estimator in the configured mode at config's lambda.
+
+    This is estimate_grid on a one-lambda grid; an EstimationError for
+    the lambda is raised.
+    Gaussian mode: one pass with unit scales on the plain 1/n scatter.
+    t mode: EM iterations until max |psi change| < delta or max_iter;
+    the cap returns a state flagged converged=False rather than raising.
+    Each iteration rescales the E-step scales to sum to n, so the scatter
+    is sum_i tau_i (x_i - mean)(x_i - mean)^T / sum_i tau_i; the returned
+    tau is the rescaled one that built the final scatter.
+    """
+    (result,) = estimate_grid(data, [config.penalty.lam], config)
+    if isinstance(result, EstimationError):
+        raise result
+    return result

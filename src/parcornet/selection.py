@@ -6,7 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .em import EMConfig, EMState, estimate, mahalanobis
+# estimate is not called here; it stays a name of this module because
+# perfbench/tracing.py patches selection.estimate
+from .em import EMConfig, EMState, estimate, estimate_grid, mahalanobis  # noqa: F401
 from .errors import ConfigError, EstimationError, SelectionError
 from .matrices import Dataset, PrecisionMatrix
 
@@ -134,22 +136,24 @@ class SelectionReport:
 def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport:
     """Fit at every grid value, score by BIC, keep the best.
 
-    Failed fits are recorded and excluded from the comparison. Ties go to
-    the larger lambda (sparser model). Raises SelectionError when every
-    grid value fails. A column no mode can fit is not a failed fit: the
-    first estimate call raises DataError (em.check_columns) and select
-    lets it propagate.
+    The whole grid is fitted in one pass (em.estimate_grid): lambdas with
+    the same fitted state share it, and its BIC is computed once. Failed
+    fits are recorded and excluded from the comparison. Ties go to the
+    larger lambda (sparser model). Raises SelectionError when every grid
+    value fails. A column no mode can fit is not a failed fit:
+    estimate_grid raises DataError (em.check_columns) and select lets it
+    propagate.
     """
     records = []
     best = None  # (bic, index, lam, state)
-    for idx, lam in enumerate(grid.values):
-        cfg = config.with_lam(lam)
-        try:
-            state = estimate(data, cfg)
-        except EstimationError as exc:
-            records.append(LambdaRecord(lam, np.nan, 0, False, True, str(exc)))
+    scores = {}  # id(state) -> its BIC
+    for idx, (lam, state) in enumerate(zip(grid.values, estimate_grid(data, grid.values, config))):
+        if isinstance(state, EstimationError):
+            records.append(LambdaRecord(lam, np.nan, 0, False, True, str(state)))
             continue
-        score = bic(state, data, cfg)
+        if id(state) not in scores:
+            scores[id(state)] = bic(state, data, config)
+        score = scores[id(state)]
         records.append(LambdaRecord(lam, score, len(state.edges), state.converged, False,
                                     iterations=state.iterations))
         if best is None or score <= best[0]:  # <= so later (larger) lam wins ties

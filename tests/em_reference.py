@@ -11,7 +11,7 @@ import numpy as np
 
 from parcornet.em import (
     EMState,
-    _fit_step,
+    _constrained_fit,
     _initial_psi,
     expected_scales,
     weighted_mean,
@@ -19,10 +19,16 @@ from parcornet.em import (
 )
 from parcornet.errors import EstimationError
 from parcornet.matrices import EdgeSet
+from parcornet.neighborhood import select_edges
 
 
-def reference_estimate(data, config):
-    """em.estimate's t mode with the n denominator of plain EM."""
+def reference_estimate(data, config, rescale=False):
+    """em.estimate's t mode with the n denominator of plain EM.
+
+    With rescale, the scales are rescaled to sum to n as em.estimate
+    does, which makes this em.estimate's t mode at one lambda with every
+    stage-1 solve started from 0.
+    """
     n, p = data.n, data.p
     nu = config.nu
     tau = np.ones(n)
@@ -37,10 +43,13 @@ def reference_estimate(data, config):
     while it < config.max_iter:
         it += 1
         tau = expected_scales(data, mean, psi, nu)
+        if rescale:
+            tau *= n / tau.sum()
         mean = weighted_mean(data, tau)
         scatter = weighted_scatter(data, tau, mean)
         try:
-            edges, res = _fit_step(scatter, config, w_prev)
+            edges = select_edges(scatter, config.penalty, config.rule)
+            res = _constrained_fit(scatter, edges, w_prev)
         except EstimationError as exc:
             raise EstimationError(f"iteration {it}: {exc}") from exc
         max_change = float(np.abs(res.psi.values - psi.values).max())

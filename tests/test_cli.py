@@ -92,6 +92,23 @@ class TestSimulate:
     def test_missing_manifest(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("change, named", [
+        ({"topologies": ["random", {"kind": "scale-free", "hubs": 3}]},
+         "topologies[1] ('scale-free'): unknown field 'hubs'"),
+        ({"topologies": [{"kind": "band", "seed": 3}]}, "topologies[0] ('band'): unknown field 'seed'"),
+        ({"distributions": [{"kind": "t", "df": 4}]}, "distributions[0] ('t'): unknown field 'df'"),
+        ({"sample_sizes": [200, "abc"]}, "sample_sizes[1] must be an integer >= 2, got 'abc'"),
+        ({"sample_sizes": [2.7]}, "sample_sizes[0] must be an integer >= 2, got 2.7"),
+        ({"runs": True}, "runs must be a positive integer, got True"),
+    ])
+    def test_malformed_manifest_names_entry_and_field_exit_2(self, tmp_path, capsys, change,
+                                                             named):
+        man = write_json(tmp_path / "man.json", {**SMOKE_MANIFEST, **change})
+        assert cli.main(["simulate", man, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "bad input" not in err
+
 
 class TestEstimate:
     @staticmethod

@@ -195,7 +195,23 @@ class TestBlockKernel:
         assert np.all(np.abs(fit.coefficients - coefs) <= coef_atol * scales)
         assert np.all(fit.response_kkt <= 1e-12 * scales)
         assert fit.sweeps == fit.response_rounds.sum()
+        self.assert_warm_starts_agree(gram, pen, columns, fit)
         return fit
+
+    @staticmethod
+    def assert_warm_starts_agree(gram, pen, columns, cold):
+        # warm starts from the solutions at the neighbouring lambdas, and
+        # from random signs, end on the cold start's supports and signs
+        columns = list(columns)
+        rng = np.random.default_rng(len(columns))
+        starts = [rng.integers(-1, 2, size=cold.coefficients.shape).astype(np.int8)]
+        for factor in (0.5, 2.0):
+            near = PenaltyConfig(pen.alpha, factor * pen.lam)
+            starts.append(np.sign(solve_gram(gram, columns, near).coefficients).astype(np.int8))
+        for start in starts:
+            warm = solve_gram(gram, columns, pen, start)
+            assert warm.converged
+            assert np.array_equal(np.sign(warm.coefficients), np.sign(cold.coefficients))
 
     @pytest.mark.parametrize("p", [2, 3, 10, 60])
     def test_matches_per_node_reference(self, p):
@@ -265,6 +281,69 @@ class TestBlockKernel:
             fit = solve_gram(gram, range(8), PenaltyConfig(1.0, lam))
             assert fit.converged and np.all(fit.response_kkt <= 1e-12)
         self.assert_matches(gram, PenaltyConfig(0.5, 0.2))
+
+
+class TestWarmStart:
+    """The active-set cases only a warm start reaches."""
+
+    @staticmethod
+    def gram(n, p, seed):
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        x += 0.5 * np.random.default_rng(seed + 1).standard_normal((n, 1))
+        xc = x - x.mean(axis=0)
+        return xc.T @ xc / n
+
+    def test_exact_start_converges_in_one_round(self):
+        # the warm solve before the first round is not a round
+        gram = self.gram(80, 8, 1)
+        pen = PenaltyConfig(0.5, 0.05)
+        cold = solve_gram(gram, range(8), pen)
+        warm = solve_gram(gram, range(8), pen, np.sign(cold.coefficients).astype(np.int8))
+        assert np.all(warm.response_rounds == 1)
+        assert np.array_equal(warm.coefficients != 0.0, cold.coefficients != 0.0)
+
+    def test_support_that_empties(self):
+        # above lam_max every warm support empties in the first round, at
+        # once for the whole batch
+        gram = self.gram(80, 8, 2)
+        pen = PenaltyConfig(0.5, 10.0)
+        warm = solve_gram(gram, range(8), pen, np.ones((8, 8), dtype=np.int8))
+        assert warm.converged
+        assert np.all(warm.coefficients == 0.0)
+        assert np.all(warm.response_rounds == 2)
+
+    def test_singular_warm_block_starts_cold(self):
+        # n < p, and the start is the support the first cold round picks,
+        # which exceeds the rank: every warm block is singular, so every
+        # response starts from 0 and repeats the cold solve exactly (kept
+        # at that start with b = 0, it would stop there at once)
+        gram = self.gram(8, 12, 3)
+        pen = PenaltyConfig(1.0, 0.02)
+        start = np.where(np.abs(gram) > pen.lam, np.sign(gram), 0).astype(np.int8)
+        np.fill_diagonal(start, 0)
+        assert np.all((start != 0).sum(axis=0) > 8)
+        cold = solve_gram(gram, range(12), pen)
+        warm = solve_gram(gram, range(12), pen, start)
+        assert np.array_equal(warm.coefficients, cold.coefficients)
+        assert np.array_equal(warm.response_rounds, cold.response_rounds)
+
+    def test_start_shape_checked(self):
+        gram = self.gram(40, 5, 4)
+        with pytest.raises(ShapeError, match=r"start must have shape \(5, 2\)"):
+            solve_gram(gram, [0, 3], PenaltyConfig(0.5, 0.1), np.zeros((5, 5), dtype=np.int8))
+
+    def test_own_row_of_start_ignored(self):
+        gram = self.gram(80, 6, 5)
+        pen = PenaltyConfig(0.5, 0.02)
+        start = np.sign(solve_gram(gram, [1, 4], PenaltyConfig(0.5, 0.2)).coefficients)
+        start = start.astype(np.int8)
+        marked = start.copy()
+        marked[[1, 4], [0, 1]] = [1, -1]
+        a = solve_gram(gram, [1, 4], pen, start)
+        b = solve_gram(gram, [1, 4], pen, marked)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.response_rounds, b.response_rounds)
+        assert np.all(b.coefficients[[1, 4], [0, 1]] == 0.0)
 
 
 class TestLambdaMax:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,16 @@ from parcornet import constrained_mle
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import (
     EMConfig,
-    _fit_step,
+    EMState,
+    _constrained_fit,
     estimate,
+    estimate_grid,
     expected_scales,
     weighted_mean,
     weighted_scatter,
 )
 from parcornet.errors import ConfigError, EstimationError
-from parcornet.matrices import Dataset, PrecisionMatrix
+from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix
 from parcornet.neighborhood import select_edges
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
@@ -140,10 +144,11 @@ class TestColdRetry:
     def stage_inputs():
         x = np.random.default_rng(58).standard_normal((120, 5))
         xc = x - x.mean(axis=0)
-        return xc.T @ xc / 120, EMConfig(pen(0.15), mode="gaussian")
+        scatter = xc.T @ xc / 120
+        return scatter, select_edges(scatter, pen(0.15), "and")
 
     def test_failed_warm_start_is_redone_cold(self, monkeypatch):
-        scatter, cfg = self.stage_inputs()
+        scatter, edges = self.stage_inputs()
         real_fit = constrained_mle.fit
         warm_calls = []
 
@@ -154,12 +159,12 @@ class TestColdRetry:
             return real_fit(scatter, edges, w_init=w_init)
 
         monkeypatch.setattr(constrained_mle, "fit", warm_fails)
-        edges, res = _fit_step(scatter, cfg, np.eye(5))
+        res = _constrained_fit(scatter, edges, np.eye(5))
         assert warm_calls == [True, False]
         assert np.array_equal(res.psi.values, real_fit(scatter, edges).psi.values)
 
     def test_cold_failure_propagates(self, monkeypatch):
-        scatter, cfg = self.stage_inputs()
+        scatter, edges = self.stage_inputs()
         cold_calls = []
 
         def always_fails(scatter, edges, w_init=None):
@@ -168,8 +173,31 @@ class TestColdRetry:
 
         monkeypatch.setattr(constrained_mle, "fit", always_fails)
         with pytest.raises(EstimationError, match="cold fit failed"):
-            _fit_step(scatter, cfg, None)
+            _constrained_fit(scatter, edges, None)
         assert cold_calls == [None]
+
+
+class TestSharedStates:
+    def test_lambdas_with_one_history_share_a_read_only_state(self):
+        data = criterion_04_draw()
+        cfg = EMConfig(pen(0.02), mode="t", nu=3.0)
+        # far above lambda_max both lambdas give the empty graph throughout
+        states = estimate_grid(data, [50.0, 80.0], cfg)
+        assert states[0] is states[1]
+        state = states[0]
+        for values in (state.mean, state.tau, state.psi.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] += 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.iterations = 1
+        moved = dataclasses.replace(state, iterations=0)
+        assert moved.iterations == 0 and states[1].iterations == state.iterations
+
+    def test_mean_and_tau_are_copies(self):
+        mean, tau = np.zeros(3), np.ones(4)
+        state = EMState(mean, PrecisionMatrix(np.eye(3)), tau, EdgeSet(3), 1, 0.0, True)
+        mean[0] = tau[0] = 5.0
+        assert state.mean[0] == 0.0 and state.tau[0] == 1.0
 
 
 class TestTMode:

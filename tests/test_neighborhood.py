@@ -116,6 +116,18 @@ class TestSelectNeighborhoods:
             for k in (2, 3):
                 assert (j, k) not in edges
 
+    def test_signs_warm_start_and_return_the_end_signs(self):
+        gram = centered_gram(np.random.default_rng(29).standard_normal((80, 6)) @
+                             np.triu(np.ones((6, 6))))
+        signs = np.zeros((6, 6), dtype=np.int8)
+        for lam in (0.5, 0.1, 0.02):  # each lambda starts from the one before
+            pen = PenaltyConfig(0.5, lam)
+            edges = select_edges(gram, pen, "or", signs)
+            assert edges == select_edges(gram, pen, "or")
+            cold = solve_gram(gram, np.arange(6), pen).coefficients
+            assert signs.dtype == np.int8
+            assert np.array_equal(signs, np.sign(cold))
+
     def test_non_square_gram_rejected(self):
         with pytest.raises(ShapeError):
             select_edges(np.ones((3, 4)), PenaltyConfig(0.5, 0.1))

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import parcornet.em as em_mod
+from em_reference import reference_estimate
+from parcornet import constrained_mle
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import EMConfig, estimate
 from parcornet.errors import ConfigError, DataError, EstimationError, SelectionError
 from parcornet.matrices import Dataset, PrecisionMatrix
 from parcornet.netgen import TopologySpec, generate_precision
+from parcornet.pipeline import simulate_ar_garch
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
 from parcornet.selection import (
     LambdaGrid,
+    LambdaRecord,
     bic,
     build_grid,
     count_parameters,
@@ -116,20 +119,21 @@ class TestSelect:
         assert report.chosen_lambda == 80.0
 
     def test_failed_lambdas_excluded(self, monkeypatch):
-        calls = {"n": 0}
-        real = em_mod.estimate
-
-        def flaky(data, config):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise EstimationError("forced failure")
-            return real(data, config)
-
-        monkeypatch.setattr("parcornet.selection.estimate", flaky)
         rng = np.random.default_rng(64)
         data = Dataset(rng.standard_normal((80, 3)))
         grid = build_grid(0.1, 1.0, 3)
         cfg = EMConfig(PenaltyConfig(0.5, 0.1), mode="gaussian")
+        # fail the constrained fit of the smallest lambda's edge set only
+        dense = estimate(data, cfg).edges
+        assert estimate(data, cfg.with_lam(grid.hi)).edges != dense
+        real = constrained_mle.fit
+
+        def flaky(scatter, edges, w_init=None):
+            if edges == dense:
+                raise EstimationError("forced failure")
+            return real(scatter, edges, w_init=w_init)
+
+        monkeypatch.setattr(constrained_mle, "fit", flaky)
         report = select(data, grid, cfg)
         assert report.records[0].failed
         assert "forced failure" in report.records[0].error
@@ -137,10 +141,10 @@ class TestSelect:
         assert report.chosen_index >= 1
 
     def test_all_failed_raises_with_records(self, monkeypatch):
-        def broken(data, config):
+        def broken(scatter, edges, w_init=None):
             raise EstimationError("nope")
 
-        monkeypatch.setattr("parcornet.selection.estimate", broken)
+        monkeypatch.setattr(constrained_mle, "fit", broken)
         rng = np.random.default_rng(65)
         data = Dataset(rng.standard_normal((40, 3)))
         grid = build_grid(0.1, 1.0, 4)
@@ -159,23 +163,64 @@ class TestSelect:
         assert d["chosen_lambda"] == report.chosen_lambda
         assert len(d["records"]) == 4
 
-    def test_records_em_iterations(self, monkeypatch):
-        states = []
-        real = em_mod.estimate
-
-        def recording(data, config):
-            states.append(real(data, config))
-            return states[-1]
-
-        monkeypatch.setattr("parcornet.selection.estimate", recording)
+    def test_records_em_iterations(self):
         edges, theta = generate_precision(TopologySpec("band", 4, seed=5))
         data = sample(theta, 200, DistributionSpec("t", nu=3.0), spawned_rng(3, 0))
         grid = build_grid(0.05, 1.0, 4)
-        report = select(data, grid, EMConfig(PenaltyConfig(0.5, grid.lo), mode="t", nu=3.0))
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="t", nu=3.0)
+        report = select(data, grid, cfg)
+        states = [estimate(data, cfg.with_lam(lam)) for lam in grid.values]
         assert [r.iterations for r in report.records] == [s.iterations for s in states]
         assert all(s.iterations > 1 for s in states)
         table = report.to_json_dict()["records"]
         assert [r["em_iterations"] for r in table] == [s.iterations for s in states]
+
+
+class TestGridEquivalence:
+    """select fits the whole grid in one pass, sharing states between
+    lambdas and warm-starting stage 1; each lambda must still equal an
+    independent estimate call at that lambda, bit for bit."""
+
+    @staticmethod
+    def criterion_04_draw():
+        _, theta = generate_precision(TopologySpec("scale-free", 20, seed=7))
+        return sample(theta, 500, DistributionSpec("t", nu=3.0), spawned_rng(4000, 0))
+
+    @staticmethod
+    def garch_window():
+        # 504 rows of criterion-10 AR(1)-GARCH(1,1) series mixed by a graph
+        _, theta = generate_precision(TopologySpec("scale-free", 10, seed=7))
+        z = np.column_stack([simulate_ar_garch(504, 0.0, 0.1, 0.05, 0.1, 0.85, rng=20 + j)
+                             for j in range(10)])
+        return Dataset(z @ np.linalg.cholesky(np.linalg.inv(theta.values)).T)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "t"])
+    @pytest.mark.parametrize("draw", ["criterion_04_draw", "garch_window"])
+    def test_select_equals_independent_fits(self, draw, mode):
+        data = getattr(self, draw)()
+        grid = build_grid(0.02, 2.0, 16)
+        # at 5 iterations the t-mode EM is capped at some lambdas, not all
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0, max_iter=5)
+        report = select(data, grid, cfg)
+        states = [estimate(data, cfg.with_lam(lam)) for lam in grid.values]
+        for lam, rec, state in zip(grid.values, report.records, states):
+            assert rec == LambdaRecord(lam, bic(state, data, cfg), len(state.edges),
+                                       state.converged, False, iterations=state.iterations)
+        if mode == "t":
+            assert {r.em_converged for r in report.records} == {True, False}
+            # and equal to the EM with every stage-1 solve started from 0
+            for state, lam in zip(states, grid.values):
+                cold = reference_estimate(data, cfg.with_lam(lam), rescale=True)
+                assert np.array_equal(state.psi.values, cold.psi.values)
+                assert (state.edges, state.iterations) == (cold.edges, cold.iterations)
+        want, got = states[report.chosen_index], report.state
+        assert np.array_equal(got.psi.values, want.psi.values)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.tau, want.tau)
+        assert got.edges == want.edges
+        assert (got.iterations, got.max_change, got.converged) == (
+            want.iterations, want.max_change, want.converged)
+        assert report.bic_value == bic(want, data, cfg)
 
 
 class TestDegenerateColumns:
