@@ -93,12 +93,36 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _manifest_entry(entry, where: str) -> dict:
+    """A topology or distribution entry as a dict of its fields (a bare
+    string is its kind); ConfigError naming where for anything else, or for
+    an entry without a kind."""
+    if isinstance(entry, str):
+        return {"kind": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a kind name or an object, got {entry!r}")
+    if "kind" not in entry:
+        raise ConfigError(f"{where}: missing field 'kind'")
+    return dict(entry)
+
+
 def _check_fields(entry: dict, spec, where: str) -> None:
-    """ConfigError naming where and the first key of entry that spec has no field for."""
-    allowed = {f.name for f in dataclasses.fields(spec)} - {"seed"}
-    unknown = sorted(set(entry) - allowed)
+    """ConfigError naming where and the first key of entry that spec has no
+    field for, or the first numeric field whose value is not a number (an
+    integer for an int field; None only where spec's default is None)."""
+    fields = {f.name: f for f in dataclasses.fields(spec) if f.name != "seed"}
+    unknown = sorted(set(entry) - set(fields))
     if unknown:
         raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    for name in sorted(set(entry) - {"kind"}):
+        value, field = entry[name], fields[name]
+        if value is None and field.default is None:
+            continue
+        if field.type in ("int", int):
+            if not _is_int(value):
+                raise ConfigError(f"{where}: field {name!r} must be an integer, got {value!r}")
+        elif not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}")
 
 
 def _resolve_manifest(raw: dict) -> dict:
@@ -111,7 +135,7 @@ def _resolve_manifest(raw: dict) -> dict:
         raise ConfigError(f"runs must be a positive integer, got {m['runs']!r}")
     topologies = []
     for i, entry in enumerate(m["topologies"]):
-        t = {"kind": entry} if isinstance(entry, str) else dict(entry)
+        t = _manifest_entry(entry, f"topologies[{i}]")
         t.setdefault("p", m["p"])
         t.setdefault("v", m["v"])
         t.setdefault("u", m["u"])
@@ -123,7 +147,7 @@ def _resolve_manifest(raw: dict) -> dict:
         raise ConfigError("topology labels must be unique")
     dists = []
     for i, entry in enumerate(m["distributions"]):
-        d = {"kind": entry} if isinstance(entry, str) else dict(entry)
+        d = _manifest_entry(entry, f"distributions[{i}]")
         _check_fields(d, DistributionSpec, f"distributions[{i}] ({d.get('kind')!r})")
         spec = DistributionSpec(**d)
         dists.append({"label": spec.label(), "kwargs": d})

@@ -9,7 +9,10 @@ internally; the penalty acts on the coefficients as given. The solver
 works on centered second moments (Gram form). solve_gram regresses
 several columns of one Gram G on all its other columns at once: the
 coefficients form a matrix with one column per response and a zero in
-each response's own row. solve is its one-response case, on the Gram of
+each response's own row. It also takes a stack of Grams with one
+penalty each and solves all their responses at once, every decision
+about a response reading only its own Gram and penalty, so each Gram
+gets what it gets alone. solve is the one-response case, on the Gram of
 [X, y].
 
 With H = G + lam(1-alpha) I, a response g whose support A and signs s
@@ -17,16 +20,19 @@ are known has the solution H_AA b_A = g_A - lam*alpha*s_A and 0 off A.
 Each round of the primal-dual active-set (PDAS) update of Hintermuller,
 Ito & Kunisch (2003) reads every running response's dual residual
 z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha with
-the signs of that expression, and solves all the support systems as one
-batch. A response stops when its (support, signs) repeats: that fixed
-point is the KKT condition, so the solution is exact rather than
-accurate to a tolerance. PDAS can cycle. A response that revisits an
-earlier state, meets a singular block or uses MAX_ROUNDS rounds goes on
-by feature-sign steps (Lee et al. 2007), each of which lowers its
-objective, and is returned unconverged if those too use MAX_ROUNDS.
+the signs of that expression, and solves all the support systems in
+one batch, or in a few by block size (BATCH_BLOCK). The dual residuals
+of a stack are one batched matmul over its Grams. A response stops when
+its (support, signs) repeats: that fixed point is the KKT condition, so
+the solution is exact rather than accurate to a tolerance. PDAS can
+cycle. A response that revisits an earlier state, meets a singular
+block or uses MAX_ROUNDS rounds goes on by feature-sign steps (Lee et
+al. 2007), each of which lowers its objective, and is returned
+unconverged if those too use MAX_ROUNDS.
 A solve may start from given supports and signs instead of from 0 (a
 warm start); where the solution is unique it ends at the same point.
-KAPPA and MAX_ROUNDS are module constants, read at call time.
+KAPPA, MAX_ROUNDS and BATCH_BLOCK are module constants, read at call
+time.
 """
 from __future__ import annotations
 
@@ -55,6 +61,11 @@ MAX_ROUNDS = 1000
 # precision's epsilon, 2**-26, separates those from the conditioning of
 # genuine data (1e4 at n = p + 2).
 SINGULAR_RTOL = 2.0**-26
+# Support systems smaller than this are solved in one batch; larger ones in
+# batches whose sizes lie within a factor of 2, so that the padding of a
+# batch to its largest support (a hub node's, or the smallest lambda's in
+# a stack) does not multiply the cost of every small system in it.
+BATCH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,13 @@ class ElasticNetFit:
 
 @dataclass
 class GramFit:
-    """The active-set solve of several responses of one Gram.
+    """The active-set solve of several responses of one Gram, or of a stack.
 
     Column i of coefficients regresses Gram column columns[i] on all the
     others; its own row is 0. The response_* arrays hold each response's
     round count (PDAS rounds plus feature-sign steps), convergence flag
-    and subgradient residual.
+    and subgradient residual. For a stack of Grams every array has a
+    leading axis with one entry per Gram.
     """
 
     coefficients: np.ndarray
@@ -120,52 +132,91 @@ def _gram_objective(b, gram, cross, y_var, penalty):
     return quad + penalty_value(b, penalty)
 
 
-def _kkt_residuals(b, gram, cols, penalty):
-    """Largest subgradient violation in each column of b (responses cols)."""
-    grad = gram @ b - gram[:, cols] + penalty.lam * (1.0 - penalty.alpha) * b
-    thr = penalty.lam * penalty.alpha
-    res = np.where(b != 0.0, np.abs(grad + thr * np.sign(b)), np.maximum(np.abs(grad) - thr, 0.0))
-    res[cols, np.arange(cols.size)] = 0.0  # a response is not one of its own coordinates
-    return res.max(axis=0, initial=0.0)
+def _kkt_residuals(b, grams, cols, thr, ridge):
+    """Largest subgradient violation of each response (stack k, column i)."""
+    grad = np.matmul(grams, b) - grams[:, :, cols] + ridge[:, None, None] * b
+    t = thr[:, None, None]
+    res = np.where(b != 0.0, np.abs(grad + t * np.sign(b)), np.maximum(np.abs(grad) - t, 0.0))
+    res[:, cols, np.arange(cols.size)] = 0.0  # a response is not one of its own coordinates
+    return res.max(axis=1, initial=0.0)
 
 
-def _solve_supports(hx, g, thr, state, b, live):
-    """Solve the support systems of responses live as one batch, into b.
+def _solve_supports(hx, g, thr, scale, state, b, lk, li):
+    """Solve the support systems of responses (lk, li) into b.
 
-    state holds each response's signs on its support and 0 off it. hx is
-    H with an identity block appended, which pads every block to the
-    largest support. Returns a mask over live of the responses whose block
-    is singular (all of them if LU fails); their columns of b are left as
-    they were.
+    Response (k, i) is column i of Gram k. state holds each response's
+    signs on its support and 0 off it. hx stacks the s matrices H on top
+    of an identity block, s p + p rows by 2 p columns, which pads blocks
+    to a common size. Supports smaller than BATCH_BLOCK are solved as one
+    batch, and larger ones in batches whose sizes lie within a factor of
+    2, each padded to its largest support. Returns a mask over the
+    responses of those whose block is singular; their coefficients are
+    left as they were.
     """
-    p = g.shape[0]
-    act = state[:, live] != 0
-    size = act.sum(axis=0)
-    m = int(size.max())
-    pad = np.arange(m) >= size[:, None]
-    rows = np.argsort(~act, axis=0, kind="stable")[:m].T  # each support first, ascending
-    ext = np.where(pad, p + np.arange(m), rows)
-    blocks = hx[ext[:, :, None], ext[:, None, :]]
-    rhs = np.where(pad, 0.0, g[rows, live[:, None]] - thr * state[rows, live[:, None]])
-    try:
-        x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # an exactly singular block: hand the whole batch over
-        x = np.full(rhs.shape, np.nan)
-    singular = _singular(x, hx[:p, :p], rhs)
-    keep = ~singular
-    b[:, live[keep]] = 0.0
-    filled = ~pad & keep[:, None]
-    b[rows[filled], live[np.nonzero(filled)[0]]] = x[filled]
+    act = state[lk, :, li] != 0
+    size = act.sum(axis=1)
+    if size.max() < BATCH_BLOCK:
+        return _solve_batch(hx, g, thr, scale, state, b, lk, li, act, size)
+    band = np.frexp(np.maximum(size, BATCH_BLOCK - 1))[1]
+    singular = np.zeros(lk.size, dtype=bool)
+    for v in np.unique(band):
+        j = np.flatnonzero(band == v)
+        singular[j] = _solve_batch(hx, g, thr, scale, state, b, lk[j], li[j], act[j], size[j])
     return singular
 
 
-def _singular(x, h, rhs):
-    """True where the solve x of a block of h against rhs shows a singular
-    block: LU failed (x is nan), or x is as large as only an eigenvalue
-    below SINGULAR_RTOL times the scale of h could make it. An empty
-    block is not singular."""
-    reach = np.abs(x).max(axis=-1, initial=0.0) * np.abs(h).max() * SINGULAR_RTOL
+def _solve_batch(hx, g, thr, scale, state, b, lk, li, act, size):
+    """_solve_supports for one batch, padded to its largest support."""
+    s, p = b.shape[:2]
+    m = int(size.max())
+    pad = np.arange(m) >= size[:, None]
+    rows = np.argsort(~act, axis=1, kind="stable")[:, :m]  # each support first, ascending
+    at_row = np.where(pad, s * p + np.arange(m), lk[:, None] * p + rows)
+    at_col = np.where(pad, p + np.arange(m), rows)
+    blocks = hx[at_row[:, :, None], at_col[:, None, :]]
+    kc, ic = lk[:, None], li[:, None]
+    rhs = np.where(pad, 0.0, g[kc, rows, ic] - thr[kc] * state[kc, rows, ic])
+    try:
+        x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular block: find it, one block at a time
+        x = np.full(rhs.shape, np.nan)
+        for j in range(x.shape[0]):
+            try:
+                x[j] = np.linalg.solve(blocks[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+    singular = _singular(x, scale[lk], rhs)
+    keep = ~singular
+    b[lk[keep], :, li[keep]] = 0.0
+    filled = ~pad & keep[:, None]
+    at = np.nonzero(filled)[0]
+    b[lk[at], rows[filled], li[at]] = x[filled]
+    return singular
+
+
+def _singular(x, scale, rhs):
+    """True where the solve x of a block of an H with max |H| = scale
+    against rhs shows a singular block: LU failed (x is nan), or x is as
+    large as only an eigenvalue below SINGULAR_RTOL times scale could make
+    it. An empty block is not singular."""
+    reach = np.abs(x).max(axis=-1, initial=0.0) * scale * SINGULAR_RTOL
     return ~(reach <= np.abs(rhs).max(axis=-1, initial=0.0))
+
+
+def _products(h, x, lk):
+    """Row j of the result is h[lk[j]] @ x[j], for lk in ascending order:
+    one batched matmul over the Grams that lk names, each against its
+    own rows of x, padded with zeros to the most rows any of them has."""
+    if lk[0] == lk[-1]:
+        return (h[lk[0]] @ x.T).T
+    head = np.ones(lk.size, dtype=bool)
+    np.not_equal(lk[1:], lk[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    at = np.cumsum(head) - 1  # each row's Gram, among those named
+    slot = np.arange(lk.size) - first[at]
+    cols = np.zeros((first.size, x.shape[1], int(slot.max()) + 1))
+    cols[at, :, slot] = x
+    return np.matmul(h[lk[first]], cols)[at, :, slot]
 
 
 def _feature_sign(h, g, thr, b, own, budget):
@@ -181,6 +232,7 @@ def _feature_sign(h, g, thr, b, own, budget):
     converged).
     """
     b = b.copy() if 0.5 * b @ h @ b - g @ b + thr * np.abs(b).sum() < 0.0 else np.zeros_like(b)
+    scale = np.abs(h).max()
     settled = False  # b minimizes the objective on its support and signs
     steps = 0
     while True:
@@ -208,7 +260,7 @@ def _feature_sign(h, g, thr, b, own, budget):
         except np.linalg.LinAlgError:
             target = np.full(idx.size, np.nan)
         d, ends = target - start, True
-        if _singular(target, h, rhs):
+        if _singular(target, scale, rhs):
             w, v = np.linalg.eigh(block)
             proj = v.T @ rhs
             flat = w <= SINGULAR_RTOL * w.max(initial=0.0)
@@ -238,12 +290,16 @@ def _feature_sign(h, g, thr, b, own, budget):
         settled = ends and taus.size == 1
 
 
-def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig, start=None) -> GramFit:
+def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
     """Regress each listed column of a centered Gram on all its other columns.
 
-    gram is X_c^T X_c / n. Column i of the result holds the coefficients
-    of response columns[i], with its own row held at 0. Without start,
-    every response starts from 0. start, a p x len(columns) sign matrix,
+    gram is X_c^T X_c / n and penalty a PenaltyConfig, or gram is a stack
+    of s such Grams (s x p x p) and penalty a sequence of s PenaltyConfigs,
+    one per Gram: each Gram's regressions are then solved under its own
+    penalty, and every array of the result gains a leading stack axis.
+    Column i of the result holds the coefficients of response columns[i],
+    with its own row held at 0. Without start, every response starts from
+    0. start, a p x len(columns) sign matrix (s of them for a stack),
     warm-starts the solve: column i's nonzeros are response i's starting
     support, with their signs, and its entry in the response's own row is
     ignored. The warm supports are solved once as a batch before the
@@ -256,63 +312,89 @@ def solve_gram(gram: np.ndarray, columns, penalty: PenaltyConfig, start=None) ->
     never enters a support. Responses that cycle, meet a singular block
     or reach MAX_ROUNDS continue by feature-sign steps, at most
     MAX_ROUNDS of them, and are returned unconverged if those run out.
+    Every decision about a response reads only its own Gram and penalty,
+    so a response's support and signs do not depend on what it is
+    stacked with.
     """
     gram = np.asarray(gram, dtype=float)
-    if not np.all(np.isfinite(gram)):
+    stacked = gram.ndim == 3
+    grams = gram if stacked else gram[None]
+    penalties = list(penalty) if stacked else [penalty]
+    if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
+        raise ShapeError(f"gram must be a square 2-d array or a stack of them, got shape {gram.shape}")
+    s, p = grams.shape[:2]
+    if len(penalties) != s:
+        raise ShapeError(f"a stack of {s} Grams needs {s} penalties, got {len(penalties)}")
+    if not np.all(np.isfinite(grams)):
         raise DomainError("elastic net Gram is non-finite")
-    p = gram.shape[0]
     cols = np.asarray(columns, dtype=np.intp).reshape(-1)
     r = cols.size
-    thr = penalty.lam * penalty.alpha
-    hx = np.eye(2 * p)
-    hx[:p, :p] = gram + penalty.lam * (1.0 - penalty.alpha) * np.eye(p)
-    h = hx[:p, :p]
-    g = gram[:, cols]
-    weight = KAPPA * np.diag(h)[:, None]
-    b = np.zeros((p, r))
-    state = np.zeros((p, r), dtype=np.int8)  # signs on the support, 0 off it
+    ar = np.arange(r)
+    thr = np.array([pen.lam * pen.alpha for pen in penalties])
+    ridge = np.array([pen.lam * (1.0 - pen.alpha) for pen in penalties])
+    h = grams + ridge[:, None, None] * np.eye(p)
+    hx = np.zeros(((s + 1) * p, 2 * p))
+    hx[:s * p, :p] = h.reshape(s * p, p)
+    hx[s * p:, p:] = np.eye(p)
+    scale = np.abs(h).max(axis=(1, 2))
+    g = grams[:, :, cols]
+    weight = KAPPA * np.diagonal(h, axis1=1, axis2=2)
+    b = np.zeros((s, p, r))
+    state = np.zeros((s, p, r), dtype=np.int8)  # signs on the support, 0 off it
     if start is not None:
         start = np.asarray(start)
-        if start.shape != (p, r):
-            raise ShapeError(f"start must have shape ({p}, {r}), got {start.shape}")
-        state[:] = np.sign(start)
-        state[cols, np.arange(r)] = 0
-        warm = np.flatnonzero(state.any(axis=0))
-        if warm.size:
-            # a singular warm block leaves its column of b at 0: start it cold
-            state[:, warm[_solve_supports(hx, g, thr, state, b, warm)]] = 0
-    seen = [{state[:, i].tobytes()} for i in range(r)]
-    rounds = np.zeros(r, dtype=np.int64)
-    converged = np.zeros(r, dtype=bool)
+        want = b.shape if stacked else (p, r)
+        if start.shape != want:
+            raise ShapeError(f"start must have shape {want}, got {start.shape}")
+        state[:] = np.sign(start).reshape(b.shape)
+        state[:, cols, ar] = 0
+        wk, wi = np.nonzero(state.any(axis=1))
+        if wk.size:
+            # a singular warm block leaves its coefficients at 0: start it cold
+            singular = _solve_supports(hx, g, thr, scale, state, b, wk, wi)
+            state[wk[singular], :, wi[singular]] = 0
+    # response q = k r + i is column i of Gram k
+    seen = [{key.tobytes()} for key in state.transpose(0, 2, 1).reshape(s * r, p)]
+    rounds = np.zeros(s * r, dtype=np.int64)
+    converged = np.zeros(s * r, dtype=bool)
     handed = []  # responses left to the feature-sign steps
-    live = np.arange(r)
+    live = np.arange(s * r)
     while live.size:
         rounds[live] += 1
-        v = weight * b[:, live] + g[:, live] - h @ b[:, live]
-        new = np.where(np.abs(v) > thr, np.sign(v), 0.0).astype(np.int8)
-        new[cols[live], np.arange(live.size)] = 0
-        same = (new == state[:, live]).all(axis=0)
+        lk, li = np.divmod(live, r)
+        bl = b[lk, :, li]
+        v = weight[lk] * bl + g[lk, :, li] - _products(h, bl, lk)
+        new = np.where(np.abs(v) > thr[lk, None], np.sign(v), 0.0).astype(np.int8)
+        new[np.arange(live.size), cols[li]] = 0
+        same = (new == state[lk, :, li]).all(axis=1)
         converged[live[same]] = True
         going = ~same
-        for k in np.flatnonzero(going):
-            i, key = live[k], new[:, k].tobytes()
-            if key in seen[i] or rounds[i] >= MAX_ROUNDS:
-                going[k] = False
-                handed.append(i)
+        for j in np.flatnonzero(going).tolist():
+            q, key = int(live[j]), new[j].tobytes()
+            if key in seen[q] or rounds[q] >= MAX_ROUNDS:
+                going[j] = False
+                handed.append(q)
             else:
-                seen[i].add(key)
+                seen[q].add(key)
         live = live[going]
-        state[:, live] = new[:, going]
         if live.size:
-            singular = _solve_supports(hx, g, thr, state, b, live)
+            lk, li = np.divmod(live, r)
+            state[lk, :, li] = new[going]
+            singular = _solve_supports(hx, g, thr, scale, state, b, lk, li)
             handed.extend(live[singular].tolist())
             live = live[~singular]
-    for i in handed:
-        b[:, i], steps, converged[i] = _feature_sign(h, g[:, i], thr, b[:, i], cols[i], MAX_ROUNDS)
-        rounds[i] += steps
+    for q in handed:
+        k, i = divmod(q, r)
+        b[k, :, i], steps, converged[q] = _feature_sign(h[k], g[k, :, i], thr[k], b[k, :, i],
+                                                        cols[i], MAX_ROUNDS)
+        rounds[q] += steps
+    rounds, converged = rounds.reshape(s, r), converged.reshape(s, r)
     if not np.all(np.isfinite(b)):
         raise DomainError("elastic net coefficients are non-finite")
-    return GramFit(b, rounds, converged, _kkt_residuals(b, gram, cols, penalty))
+    kkt = _kkt_residuals(b, grams, cols, thr, ridge)
+    if stacked:
+        return GramFit(b, rounds, converged, kkt)
+    return GramFit(b[0], rounds[0], converged[0], kkt[0])
 
 
 def solve(

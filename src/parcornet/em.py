@@ -23,15 +23,20 @@ lambda's next iteration depends only on its scatter, its edge set and
 its previous fit, so lambdas whose edge sets have agreed at every
 iteration so far are one group: each group's E-step and scatter are
 computed once per iteration, and so is the constrained fit of each
-distinct edge set within it. Stage 1 still runs once per lambda, but
-warm-started: from the supports and signs the lambda ended on at its
-previous iteration, or at its first (and in gaussian mode) from those of
-the grid neighbour just solved on the same scatter. The elastic-net
-solution is unique whenever lam(1-alpha) > 0 or its support blocks are
-positive definite, so the edge sets, and with them every state, are the
-same as from independent fits with cold starts; only the active-set
-rounds drop (pathwise warm starts as in glmnet, Friedman, Hastie &
-Tibshirani 2010).
+distinct edge set within it. An iteration computes every group's
+scatter first, then runs stage 1 for all lambdas of all groups as one
+stacked solve (select_edges on a stack of scatters, one penalty each),
+each lambda warm-started from the supports and signs it ended on at its
+previous iteration. At the first iteration, and in gaussian mode, no
+lambda has such signs yet, and the lambdas run one at a time, from the
+largest down, each starting from those of the grid neighbour just solved
+on the same scatter (pathwise warm starts as in glmnet, Friedman,
+Hastie & Tibshirani 2010). The elastic-net solution is unique whenever
+lam(1-alpha) > 0 or its support blocks are positive definite, and each
+regression of a stacked solve is decided on its own scatter and penalty
+alone, so the edge sets, and with them every state, are the same as
+from independent fits with cold starts; only the number of solver calls
+and active-set rounds drops.
 """
 from __future__ import annotations
 
@@ -173,31 +178,51 @@ def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
         return constrained_mle.fit(scatter, edges, w_init=None)
 
 
-def _m_step(scatter, members, penalties, rule, signs, w_init):
-    """Neighborhood selection on one scatter for each lambda in members,
-    then one constrained fit per distinct edge set.
+def _select(scattered, penalties, rule, signs):
+    """Stage 1 for every lambda of every (lambdas, scatter) pair in
+    scattered, each run on its pair's scatter. Returns {lambda: EdgeSet}.
+
+    A lambda with signs[i], the signs its regressions ended on at its
+    previous iteration, starts from them, and all such lambdas run as one
+    stacked solve. A lambda without them (the first iteration, and
+    gaussian mode) runs alone, the lambdas of a scatter from the largest
+    down, each starting from the signs of the lambda just solved on its
+    scatter. signs[i] is set or updated in place.
+    """
+    edges = {}
+    stack = []
+    for members, scatter in scattered:
+        last = None
+        for i in members:
+            if signs[i] is not None:
+                stack.append((i, scatter))
+                continue
+            signs[i] = np.zeros(scatter.shape, dtype=np.int8) if last is None else last.copy()
+            edges[i] = select_edges(scatter, penalties[i], rule, signs[i])
+            last = signs[i]
+    if stack:
+        lams = [i for i, _ in stack]
+        found = select_edges(np.stack([scatter for _, scatter in stack]),
+                             [penalties[i] for i in lams], rule, [signs[i] for i in lams])
+        edges.update(zip(lams, found))
+    return edges
+
+
+def _fits(scatter, members, edges, w_init):
+    """One constrained fit to scatter per distinct edge set of members.
 
     Yields (lambdas, edges, fit) per edge set, where fit is the
-    ConstrainedMLEResult or the EstimationError it raised. Lambdas run
-    from the largest down. A lambda's regressions start from signs[i],
-    the signs they ended on at its previous step, or when it has none
-    from those of the lambda just solved on this scatter; signs[i] is
-    updated in place.
+    ConstrainedMLEResult or the EstimationError it raised.
     """
     by_edges = {}
-    last = None
-    for i in sorted(members, key=lambda k: penalties[k].lam, reverse=True):
-        if signs[i] is None:
-            signs[i] = np.zeros(scatter.shape, dtype=np.int8) if last is None else last.copy()
-        edges = select_edges(scatter, penalties[i], rule, signs[i])
-        last = signs[i]
-        by_edges.setdefault(edges, []).append(i)
-    for edges, shared in by_edges.items():
+    for i in members:
+        by_edges.setdefault(edges[i], []).append(i)
+    for found, shared in by_edges.items():
         try:
-            fit = _constrained_fit(scatter, edges, w_init)
+            fit = _constrained_fit(scatter, found, w_init)
         except EstimationError as exc:
             fit = exc
-        yield sorted(shared), edges, fit
+        yield shared, found, fit
 
 
 def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
@@ -212,10 +237,11 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     The lambdas run their EM iterations in lockstep. Lambdas whose edge
     sets have agreed at every iteration so far share one scatter, one
     E-step and one constrained fit per iteration, and those that end
-    together share one EMState object. Stage 1 warm-starts from the
-    supports each lambda ended on at its previous iteration, or at its
-    first from those of the grid neighbour just solved on the same
-    scatter.
+    together share one EMState object. Each iteration computes every
+    group's scatter first, then runs stage 1 for all lambdas (_select):
+    at the first iteration one lambda at a time, from the grid neighbour
+    just solved on the same scatter, and after it as one stacked solve,
+    each lambda warm-started from its own previous supports.
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
@@ -227,29 +253,34 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     penalties = [PenaltyConfig(config.penalty.alpha, lam) for lam in lams]
     signs = [None] * len(penalties)
     out = [None] * len(penalties)
+    # every lambda, from the largest down
+    members = sorted(range(len(penalties)), key=lambda k: penalties[k].lam, reverse=True)
 
     if config.mode == "gaussian":
-        for shared, edges, fit in _m_step(scatter, range(len(penalties)), penalties,
-                                          config.rule, signs, None):
+        edges = _select([(members, scatter)], penalties, config.rule, signs)
+        for shared, found, fit in _fits(scatter, members, edges, None):
             if not isinstance(fit, EstimationError):
-                fit = EMState(mean, fit.psi, tau, edges, 1, 0.0, True)
+                fit = EMState(mean, fit.psi, tau, found, 1, 0.0, True)
             for i in shared:
                 out[i] = fit
         return out
 
     nu = config.nu
     # (lambdas, mean, psi, covariance of the last fit) per group sharing a history
-    groups = [(range(len(penalties)), mean, _initial_psi(scatter, nu / (nu - 2.0)), None)]
+    groups = [(members, mean, _initial_psi(scatter, nu / (nu - 2.0)), None)]
     # EMConfig rejects max_iter < 1, so every lambda gets an entry
     for it in range(1, config.max_iter + 1):
-        going = []
+        steps = []
         for members, mean, psi, w_prev in groups:
             tau = expected_scales(data, mean, psi, nu)
             tau *= n / tau.sum()
             mean = weighted_mean(data, tau)
-            scatter = weighted_scatter(data, tau, mean)
-            for shared, edges, fit in _m_step(scatter, members, penalties, config.rule, signs,
-                                              w_prev):
+            steps.append((members, psi, w_prev, tau, mean, weighted_scatter(data, tau, mean)))
+        edges = _select([(members, scatter) for members, *_, scatter in steps], penalties,
+                        config.rule, signs)
+        going = []
+        for members, psi, w_prev, tau, mean, scatter in steps:
+            for shared, found, fit in _fits(scatter, members, edges, w_prev):
                 if isinstance(fit, EstimationError):
                     result = EstimationError(f"iteration {it}: {fit}")
                     result.__cause__ = fit
@@ -259,7 +290,7 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
                     if not converged and it < config.max_iter:
                         going.append((shared, mean, fit.psi, fit.covariance))
                         continue
-                    result = EMState(mean, fit.psi, tau, edges, it, max_change, converged)
+                    result = EMState(mean, fit.psi, tau, found, it, max_change, converged)
                 for i in shared:
                     out[i] = result
         groups = going

@@ -99,29 +99,45 @@ class PartialCorrelationMatrix:
 
     def edge_set(self) -> "EdgeSet":
         """Edges are exactly the nonzero off-diagonal entries."""
-        jj, kk = np.nonzero(np.triu(self.values, k=1))
-        return EdgeSet.from_pairs(self.p, zip(jj.tolist(), kk.tolist()))
+        return EdgeSet(self.p, np.column_stack(np.nonzero(np.triu(self.values, k=1))))
 
 
 @dataclass(frozen=True)
 class EdgeSet:
-    """Unordered node pairs over nodes 0..p-1, no self loops."""
+    """Unordered node pairs over nodes 0..p-1, no self loops.
+
+    pairs may be given as any iterable of node pairs or as an (m, 2)
+    integer array; it is stored as a frozenset of canonical (j, k) tuples
+    with j < k. The same pairs are also kept as index arrays, from which
+    to_adjacency is built.
+    """
 
     p: int
     pairs: frozenset = field(default_factory=frozenset)
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ShapeError("EdgeSet needs p >= 1")
-        canon = set()
-        for j, k in self.pairs:
-            j, k = int(j), int(k)
-            if j == k:
-                raise DomainError(f"self loop ({j},{k}) not allowed")
-            if not (0 <= j < self.p and 0 <= k < self.p):
-                raise DomainError(f"edge ({j},{k}) out of range for p={self.p}")
-            canon.add((min(j, k), max(j, k)))
-        object.__setattr__(self, "pairs", frozenset(canon))
+        ends = np.array(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs),
+                        dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ShapeError(f"edges must be node pairs, got an array of shape {ends.shape}")
+        loop = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if loop.size:
+            j, k = ends[loop[0]].tolist()
+            raise DomainError(f"self loop ({j},{k}) not allowed")
+        out = np.flatnonzero(((ends < 0) | (ends >= self.p)).any(axis=1))
+        if out.size:
+            j, k = ends[out[0]].tolist()
+            raise DomainError(f"edge ({j},{k}) out of range for p={self.p}")
+        j, k = ends.T
+        ends = np.stack([np.minimum(j, k), np.maximum(j, k)])
+        ends.setflags(write=False)
+        object.__setattr__(self, "pairs", frozenset(zip(*ends.tolist())))
+        object.__setattr__(self, "_ends", ends)
 
     @classmethod
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":
@@ -130,8 +146,7 @@ class EdgeSet:
     @classmethod
     def from_adjacency(cls, adj) -> "EdgeSet":
         a = symmetrize(np.asarray(adj, dtype=float), "adjacency")
-        jj, kk = np.nonzero(np.triu(a, k=1))
-        return cls.from_pairs(a.shape[0], zip(jj.tolist(), kk.tolist()))
+        return cls(a.shape[0], np.column_stack(np.nonzero(np.triu(a, k=1))))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -145,8 +160,8 @@ class EdgeSet:
 
     def to_adjacency(self) -> np.ndarray:
         adj = np.zeros((self.p, self.p), dtype=bool)
-        for j, k in self.pairs:
-            adj[j, k] = adj[k, j] = True
+        j, k = self._ends
+        adj[j, k] = adj[k, j] = True
         return adj
 
 

@@ -100,6 +100,10 @@ class TestSimulate:
         ({"sample_sizes": [200, "abc"]}, "sample_sizes[1] must be an integer >= 2, got 'abc'"),
         ({"sample_sizes": [2.7]}, "sample_sizes[0] must be an integer >= 2, got 2.7"),
         ({"runs": True}, "runs must be a positive integer, got True"),
+        ({"topologies": [{"p": 10}]}, "topologies[0]: missing field 'kind'"),
+        ({"topologies": ["band", {"kind": "random", "p": "ten"}]},
+         "topologies[1] ('random'): field 'p' must be an integer, got 'ten'"),
+        ({"distributions": ["normal", 5]}, "distributions[1] must be a kind name or an object, got 5"),
     ])
     def test_malformed_manifest_names_entry_and_field_exit_2(self, tmp_path, capsys, change,
                                                              named):

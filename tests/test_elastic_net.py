@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cd_reference import reference_nodes
 from parcornet import elastic_net
@@ -344,6 +346,61 @@ class TestWarmStart:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.response_rounds, b.response_rounds)
         assert np.all(b.coefficients[[1, 4], [0, 1]] == 0.0)
+
+
+class TestStack:
+    """A stack of Grams, one penalty each, solved at once: each Gram's
+    responses end as they do when that Gram is solved alone."""
+
+    @staticmethod
+    def draw_gram(rng, n, p):
+        x = rng.standard_normal((n, p)) + 0.5 * rng.standard_normal((n, 1))
+        xc = x - x.mean(axis=0)
+        return xc.T @ xc / n
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_stacked_solve_matches_each_gram_alone(self, data):
+        s = data.draw(st.integers(1, 6), label="s")
+        p = data.draw(st.integers(2, 8), label="p")
+        n = data.draw(st.sampled_from([p + 2, p, max(p - 2, 2)]), label="n")
+        alpha = data.draw(st.sampled_from([1.0, 0.5]), label="alpha")
+        warm = data.draw(st.booleans(), label="warm")
+        huge = data.draw(st.integers(-1, s - 1), label="huge")  # -1: no scaled Gram
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grams = np.stack([self.draw_gram(rng, n, p) for _ in range(s)])
+        if huge >= 0:
+            grams[huge] *= 1e6
+        pens = [PenaltyConfig(alpha, rng.uniform(0.01, 1.0) * TestBlockKernel.lam_max(gram, alpha))
+                for gram in grams]
+        start = rng.integers(-1, 2, size=(s, p, p)).astype(np.int8) if warm else None
+        stacked = solve_gram(grams, range(p), pens, start)
+        assert stacked.coefficients.shape == (s, p, p)
+        for k in range(s):
+            alone = solve_gram(grams[k], range(p), pens[k], None if start is None else start[k])
+            assert np.array_equal(np.sign(stacked.coefficients[k]), np.sign(alone.coefficients))
+            assert np.array_equal(stacked.response_rounds[k], alone.response_rounds)
+            assert np.array_equal(stacked.response_converged[k], alone.response_converged)
+        assert stacked.sweeps == stacked.response_rounds.sum()
+
+    def test_scaled_gram_beside_others_changes_nothing(self):
+        # the singular-block test reads each response's own Gram's scale
+        rng = np.random.default_rng(91)
+        grams = np.stack([self.draw_gram(rng, 8, 8), self.draw_gram(rng, 10, 8)])
+        pens = [PenaltyConfig(1.0, 0.05 * TestBlockKernel.lam_max(g, 1.0)) for g in grams]
+        alone = solve_gram(grams, range(8), pens)
+        grams[1] *= 1e6
+        pens[1] = PenaltyConfig(1.0, 1e6 * pens[1].lam)
+        beside = solve_gram(grams, range(8), pens)
+        assert np.array_equal(np.sign(beside.coefficients[0]), np.sign(alone.coefficients[0]))
+        assert np.array_equal(beside.response_rounds[0], alone.response_rounds[0])
+
+    def test_one_penalty_per_gram(self):
+        grams = np.stack([np.eye(3)] * 2)
+        with pytest.raises(ShapeError, match="2 Grams needs 2 penalties"):
+            solve_gram(grams, range(3), [PenaltyConfig(0.5, 0.1)])
+        with pytest.raises(ShapeError, match=r"start must have shape \(2, 3, 3\)"):
+            solve_gram(grams, range(3), [PenaltyConfig(0.5, 0.1)] * 2, np.zeros((3, 3)))
 
 
 class TestLambdaMax:

@@ -161,6 +161,32 @@ class TestEdgeSet:
     def test_complete_and_empty(self):
         assert len(EdgeSet(5)) == 0
 
+    def test_index_array_pairs(self):
+        # an (m, 2) index array is stored as the same canonical tuples
+        e = EdgeSet(5, np.array([[3, 1], [0, 4], [1, 3]]))
+        assert e == EdgeSet.from_pairs(5, [(1, 3), (0, 4)])
+        assert all(type(j) is int and type(k) is int for j, k in e.pairs)
+        with pytest.raises(DomainError, match=r"self loop \(2,2\)"):
+            EdgeSet(4, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(DomainError, match=r"edge \(0,-1\) out of range"):
+            EdgeSet(4, np.array([[0, -1]]))
+        with pytest.raises(ShapeError):
+            EdgeSet(4, np.array([[0, 1, 2]]))
+
+    def test_random_adjacency_round_trip(self):
+        rng = np.random.default_rng(3)
+        adj = np.triu(rng.random((30, 30)) < 0.4, k=1)
+        adj |= adj.T
+        e = EdgeSet.from_adjacency(adj)
+        assert e.pairs == {(j, k) for j in range(30) for k in range(j + 1, 30) if adj[j, k]}
+        assert np.array_equal(e.to_adjacency(), adj)
+
+    def test_asymmetric_adjacency_rejected(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 1] = True
+        with pytest.raises(ShapeError, match="not symmetric"):
+            EdgeSet.from_adjacency(adj)
+
 
 class TestDataset:
     def test_rejects_nonfinite(self):

@@ -157,3 +157,39 @@ class TestSelectNeighborhoods:
         assert len(record) == 1
         assert "did not converge in 2 rounds" in str(record[0].message)
         assert f"nodes {bad}" in str(record[0].message)
+
+
+class TestStackedSelect:
+    """select_edges on a stack of scatters, one penalty each."""
+
+    @staticmethod
+    def stack(seed, s=3, p=6):
+        rng = np.random.default_rng(seed)
+        return np.stack([centered_gram(rng.standard_normal((80, p)) @ np.triu(np.ones((p, p))))
+                         for _ in range(s)])
+
+    def test_one_edge_set_per_scatter_and_signs_overwritten(self):
+        grams = self.stack(31)
+        pens = [PenaltyConfig(0.5, lam) for lam in (0.3, 0.05, 0.3)]
+        signs = [np.zeros((6, 6), dtype=np.int8) for _ in pens]
+        found = select_edges(grams, pens, "or", signs)
+        assert len(found) == 3
+        for gram, pen, edges, sign in zip(grams, pens, found, signs):
+            assert edges == select_edges(gram, pen, "or")
+            assert np.array_equal(sign, np.sign(solve_gram(gram, np.arange(6), pen).coefficients))
+
+    def test_round_cap_warns_once_per_lambda(self, monkeypatch):
+        gram = centered_gram(np.random.default_rng(25).standard_normal((60, 5)))
+        lams = (0.001, 50.0, 0.002)  # at 50 every support is empty after one round
+        pens = [PenaltyConfig(0.5, lam) for lam in lams]
+        monkeypatch.setattr(elastic_net, "MAX_ROUNDS", 1)
+        bad = [np.flatnonzero(~solve_gram(gram, np.arange(5), pen).response_converged).tolist()
+               for pen in pens]
+        assert bad[0] and not bad[1] and bad[2]
+        with pytest.warns(UserWarning) as record:
+            select_edges(np.stack([gram] * 3), pens)
+        messages = [str(r.message) for r in record]
+        assert len(messages) == 2
+        for message, lam, nodes in zip(messages, (lams[0], lams[2]), (bad[0], bad[2])):
+            assert message.startswith(f"lambda {lam:g}: ")
+            assert f"did not converge in 2 rounds: nodes {nodes}" in message
