@@ -106,10 +106,10 @@ class PartialCorrelationMatrix:
 class EdgeSet:
     """Unordered node pairs over nodes 0..p-1, no self loops.
 
-    pairs may be given as any iterable of node pairs or as an (m, 2)
+    pairs may be given as any collection of node pairs or as an (m, 2)
     integer array; it is stored as a frozenset of canonical (j, k) tuples
-    with j < k. The same pairs are also kept as index arrays, from which
-    to_adjacency is built.
+    of ints with j < k. The same pairs are also kept as two index arrays,
+    from which to_adjacency is built.
     """
 
     p: int
@@ -141,7 +141,7 @@ class EdgeSet:
 
     @classmethod
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":
-        return cls(p, frozenset((int(j), int(k)) for j, k in pairs))
+        return cls(p, list(pairs))
 
     @classmethod
     def from_adjacency(cls, adj) -> "EdgeSet":
