@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DataError, DivergenceError
 from .matrices import PartialCorrelationMatrix
@@ -86,9 +84,25 @@ def strengths(network, absolute: bool = False) -> np.ndarray:
 
 
 def distance_matrix(network) -> np.ndarray:
-    """Unweighted shortest-path distances; inf marks unreachable pairs."""
-    adj = adjacency(network)
-    return shortest_path(csr_matrix(adj), method="D", directed=False, unweighted=True)
+    """Unweighted shortest-path distances; inf marks unreachable pairs.
+
+    A breadth-first search from every node at once: row i of the frontier
+    holds the nodes first reached from i at the current hop count, and one
+    product with the adjacency steps every row to its next hop.
+    """
+    adj = adjacency(network).astype(float)
+    p = adj.shape[0]
+    d = np.full((p, p), np.inf)
+    np.fill_diagonal(d, 0.0)
+    reached = np.eye(p, dtype=bool)
+    frontier = reached
+    hops = 0
+    while frontier.any():
+        hops += 1
+        frontier = (frontier @ adj > 0.0) & ~reached
+        reached |= frontier
+        d[frontier] = hops
+    return d
 
 
 def _eccentricities(d: np.ndarray) -> np.ndarray:

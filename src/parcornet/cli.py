@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import analytics, pipeline
+from . import analytics
 from .elastic_net import PenaltyConfig
 from .em import DELTA, EMConfig, MAX_ITER, MODES
 from .errors import (
@@ -44,6 +44,9 @@ from .selection import LambdaGrid, build_grid, select
 
 INPUT_ERRORS = (ConfigError, DataError, ShapeError, DomainError)
 RUN_ERRORS = (EstimationError, SelectionError, DivergenceError, FitError)
+
+TRADING_DAYS_PER_YEAR = 252  # pipeline --window default
+TRADING_DAYS_PER_MONTH = 21  # pipeline --step default
 
 SIM_COLUMNS = (
     "topology", "distribution", "n", "run", "estimator", "alpha", "lambda", "bic", "edges",
@@ -415,6 +418,11 @@ def cmd_shock(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 def cmd_pipeline(args) -> int:
+    # Imported here, not at module level: pipeline loads scipy.optimize and
+    # scipy.signal, which no other command needs and which would more than
+    # double every command's start-up time.
+    from . import pipeline
+
     config, grid = _estimator_config(args)
     try:
         with open(args.prices) as fh:
@@ -555,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pipeline", help="prices CSV to rolling-window networks")
     sp.add_argument("prices")
     _add_estimator_flags(sp)
-    sp.add_argument("--window", type=int, default=pipeline.TRADING_DAYS_PER_YEAR)
-    sp.add_argument("--step", type=int, default=pipeline.TRADING_DAYS_PER_MONTH)
+    sp.add_argument("--window", type=int, default=TRADING_DAYS_PER_YEAR)
+    sp.add_argument("--step", type=int, default=TRADING_DAYS_PER_MONTH)
     sp.add_argument("--absolute-strength", action="store_true")
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_pipeline)

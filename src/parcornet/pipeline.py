@@ -7,7 +7,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal, stats
+from scipy import optimize, signal, special
 
 from . import analytics, selection
 from .em import EMConfig
@@ -17,8 +17,6 @@ from .selection import LambdaGrid, SelectionReport
 
 MIN_SERIES_LEN = 250
 KS_CRITICAL_COEF = 1.358  # 5 percent level, large-sample
-TRADING_DAYS_PER_YEAR = 252
-TRADING_DAYS_PER_MONTH = 21
 
 
 @dataclass(frozen=True)
@@ -297,12 +295,12 @@ def ks_statistic(sample, reference: str = "normal", nu: float | None = None):
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
     if reference == "normal":
-        cdf = stats.norm.cdf(x)
+        cdf = special.ndtr(x)
     elif reference == "t":
         if nu is None or not nu > 2.0:
             raise ConfigError("t reference needs nu > 2 for unit-variance scaling")
         scale = np.sqrt((nu - 2.0) / nu)
-        cdf = stats.t.cdf(x / scale, df=nu)
+        cdf = special.stdtr(nu, x / scale)
     else:
         raise ConfigError(f"reference must be 'normal' or 't', got {reference!r}")
     i = np.arange(1, n + 1)

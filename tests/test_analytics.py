@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from parcornet import analytics
 from parcornet.analytics import (
@@ -65,6 +67,30 @@ class TestGraphBasics:
     def test_path_distances(self):
         d = distance_matrix(PATH3)
         assert d[0, 2] == 2.0
+
+
+class TestDistanceOracle:
+    """distance_matrix equals scipy's unweighted shortest paths exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 150), density=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.7]),
+           groups=st.integers(1, 4), isolated=st.sampled_from([0.0, 0.1, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(p=150, density=0.0, groups=1, isolated=0.0, seed=0)
+    @example(p=2, density=0.7, groups=1, isolated=0.0, seed=1)
+    @example(p=150, density=0.7, groups=4, isolated=0.5, seed=2)
+    def test_matches_csgraph(self, p, density, groups, isolated, seed):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.random((p, p)) < density, k=1)
+        group = rng.integers(groups, size=p)
+        a &= group[:, None] == group[None, :]  # no edge between components
+        lone = rng.random(p) < isolated
+        a[lone, :] = a[:, lone] = False
+        a |= a.T
+        w = np.triu(rng.choice([-1.0, 1.0], (p, p)) * rng.uniform(0.05, 0.5, (p, p)), k=1)
+        g = PartialCorrelationMatrix(np.where(a, w + w.T, 0.0))
+        want = shortest_path(csr_matrix(a), method="D", directed=False, unweighted=True)
+        assert np.array_equal(distance_matrix(g), want)
 
 
 class TestEccentricity:
@@ -210,8 +236,8 @@ class TestMeasures:
 
     def test_shortest_paths_computed_once(self, monkeypatch):
         calls = []
-        real = analytics.shortest_path
-        monkeypatch.setattr(analytics, "shortest_path",
+        real = analytics.distance_matrix
+        monkeypatch.setattr(analytics, "distance_matrix",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         m = measures(PATH3)
         assert len(calls) == 1
