@@ -230,10 +230,18 @@ def _simulate_cell(manifest: dict, cell: tuple) -> list:
     return rows
 
 
+def _load_json(path: str, error: type) -> object:
+    """The JSON document in the file at path; a syntax error raises error
+    naming the file, line and column."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
 def cmd_simulate(args) -> int:
-    with open(args.manifest) as fh:
-        raw = json.load(fh)
-    manifest = _resolve_manifest(raw)
+    manifest = _resolve_manifest(_load_json(args.manifest, ConfigError))
     if args.seed is not None:
         manifest["seed"] = args.seed
     cells = itertools.product(
@@ -373,8 +381,7 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    with open(args.network) as fh:
-        pc, names = network_from_json_dict(json.load(fh))
+    pc, names = network_from_json_dict(_load_json(args.network, DataError))
     meas = analytics.measures(pc, absolute_strength=args.absolute_strength)
     cent = analytics.node_centralities(pc, absolute_strength=args.absolute_strength)
     os.makedirs(args.out, exist_ok=True)
@@ -392,8 +399,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- shock
 
 def cmd_shock(args) -> int:
-    with open(args.network) as fh:
-        pc, names = network_from_json_dict(json.load(fh))
+    pc, names = network_from_json_dict(_load_json(args.network, DataError))
     try:
         node = int(args.node) - 1
     except ValueError:
@@ -583,7 +589,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         print(f"error: bad input: {exc!r}", file=sys.stderr)
         return 2
     except RUN_ERRORS as exc:

@@ -10,11 +10,13 @@ concentration-graph MLE): each column's non-edge entries are left free
 while its edge entries are matched to S. A column update solves the
 node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
 column to W[:, nb] beta, so it reads only the neighbor columns of W. The
-neighbor index arrays and the pattern mask are built once per fit. At the
-optimum W = Psi^{-1} satisfies w_jk = s_jk on E and the diagonal, and Psi
-is recovered column-wise from the same neighbor solves, with exact zeros
-off the pattern. The sweep cap and the two stopping tolerances are the
-module constants below, read at call time.
+neighbor index arrays are built once per fit. Every column update sets W
+to S on the edge pattern and the diagonal up to rounding, so the sweeps
+stop on one rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is
+recovered column-wise from the same neighbor solves, with exact zeros off
+the pattern, and its optimality gap max |inv(Psi) - S| on the pattern and
+the diagonal is measured once, at the end. The sweep cap and the change
+tolerance are the module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .errors import DomainError, EstimationError
 from .matrices import EdgeSet, PrecisionMatrix, symmetrize
 
 W_TOL_SCALE = 1e-8
-KKT_RTOL = 1e-6
 MAX_SWEEPS = 500
 
 
@@ -37,12 +38,7 @@ class ConstrainedMLEResult:
     psi: PrecisionMatrix
     covariance: np.ndarray
     sweeps: int
-    kkt_residual: float
-
-
-def _kkt_residual(w: np.ndarray, s: np.ndarray, mask: np.ndarray) -> float:
-    """max |w_jk - s_jk| over the mask of the edge pattern plus the diagonal."""
-    return float(np.abs(w - s)[mask].max())
+    kkt_residual: float  # max |inv(psi) - S| over the pattern and the diagonal
 
 
 def _neighbor_solve(w, block, rhs, j, sweep):
@@ -81,13 +77,15 @@ def fit(
 
     w_init warm-starts the working covariance (its diagonal is reset to
     the scatter's). It is copied as given, so it must be exactly
-    symmetric, as the covariance of a previous fit is. Convergence needs
-    both an average change in W below W_TOL_SCALE times mean |S| and a
-    pattern residual below KKT_RTOL times max(max |S|, 1); exhausting
-    MAX_SWEEPS without that raises EstimationError, as do neighbor
-    blocks that are singular or not positive definite, non-finite column
-    updates, nonpositive partial variances and a recovered precision
-    that is not positive definite.
+    symmetric, as the covariance of a previous fit is. The sweeps stop
+    when the mean absolute change of the off-diagonal of W falls below
+    W_TOL_SCALE times mean |S|; exhausting MAX_SWEEPS first raises
+    EstimationError with the last change, as do neighbor blocks that are
+    singular or not positive definite, non-finite column updates,
+    nonpositive partial variances and a recovered precision that is not
+    positive definite. The result's kkt_residual is the optimality gap
+    max |inv(Psi) - S| over the edge pattern plus the diagonal, in the
+    units of S.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
@@ -102,7 +100,6 @@ def fit(
     for j in range(p):
         nb = np.flatnonzero(mask[j])
         nodes.append((j, nb, nb[:, None] * p + nb, s[nb, j]))
-    np.fill_diagonal(mask, True)
 
     if w_init is not None:
         w = np.array(w_init, dtype=float)
@@ -112,12 +109,10 @@ def fit(
     else:
         w = s.copy()
 
-    scale = max(float(np.abs(s).max()), 1.0)
     w_tol = W_TOL_SCALE * float(np.abs(s).mean())
     n_off = max(p * (p - 1), 1)
-    sweeps = 0
-    while sweeps < MAX_SWEEPS:
-        sweeps += 1
+    mean_change = math.inf
+    for sweeps in range(1, MAX_SWEEPS + 1):
         change = 0.0
         for j, nb, block, rhs in nodes:
             if nb.size:
@@ -133,14 +128,13 @@ def fit(
             change += step
             w[:, j] = col
             w[j] = col
-        if change / n_off < w_tol:
-            if _kkt_residual(w, s, mask) <= KKT_RTOL * scale:
-                break
-            # pattern residual still too large: keep sweeping
+        mean_change = change / n_off
+        if mean_change < w_tol:
+            break
     else:
         raise EstimationError(
             f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
-            f"(pattern residual {_kkt_residual(w, s, mask):.3e})"
+            f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
         )
 
     psi_vals = _recover_precision(w, s, nodes, sweeps)
@@ -148,4 +142,6 @@ def fit(
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    return ConstrainedMLEResult(psi, w, sweeps, _kkt_residual(w, s, mask))
+    np.fill_diagonal(mask, True)
+    gap = float(np.abs(np.linalg.inv(psi.values) - s)[mask].max())
+    return ConstrainedMLEResult(psi, w, sweeps, gap)

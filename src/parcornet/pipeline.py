@@ -194,9 +194,11 @@ def fit_ar_garch(series) -> GarchFit:
     series, and as a sum over its m values it sets the stopping rule:
     max |score| <= 1e-7 m, or a precision-loss stop of the line search
     within 10 times that. Deterministic restarts perturb the start
-    point; a fit is accepted when the optimizer converges and the
-    standardized residual variance lands in [0.8, 1.2]. No acceptable
-    fit raises FitError naming the outcome of every start.
+    point, and the first start whose optimizer converges is the fit. The
+    residual variance is not checked: the Gaussian QMLE is consistent
+    under heavy-tailed shocks, whose standardized residuals can have a
+    sample variance well away from 1. No converged start raises FitError
+    naming the outcome of every start.
     """
     r = np.asarray(series, dtype=float).ravel()
     if r.size < MIN_SERIES_LEN:
@@ -246,13 +248,7 @@ def fit_ar_garch(series) -> GarchFit:
         c, phi, omega, a, b = _unpack(res.x, scale)
         eps = r[1:] - c - phi * r[:-1]
         sig2 = _garch_sigma2(eps, omega, a, b)
-        z = eps / np.sqrt(sig2)
-        zvar = float(z.var())
-        if not (0.8 <= zvar <= 1.2):
-            outcomes.append(f"start {start}: standardized residual variance "
-                            f"{zvar:.3f} outside [0.8, 1.2]")
-            continue
-        return GarchFit(c, phi, omega, a, b, -float(res.fun), z, sig2)
+        return GarchFit(c, phi, omega, a, b, -float(res.fun), eps / np.sqrt(sig2), sig2)
     raise FitError("AR-GARCH fit failed at every start: " + "; ".join(outcomes))
 
 

@@ -9,9 +9,13 @@ precision up to summation order.
 """
 import numpy as np
 
-from parcornet.constrained_mle import KKT_RTOL, MAX_SWEEPS, W_TOL_SCALE, ConstrainedMLEResult
+from parcornet.constrained_mle import MAX_SWEEPS, W_TOL_SCALE, ConstrainedMLEResult
 from parcornet.errors import DomainError, EstimationError
 from parcornet.matrices import PrecisionMatrix, symmetrize
+
+# The replaced sweep also required the residual on the pattern below this
+# times max(max|S|, 1) before it stopped.
+KKT_RTOL = 1e-6
 
 
 def kkt_residual(w, s, edges):

@@ -113,6 +113,14 @@ class TestSimulate:
         assert named in err
         assert "bad input" not in err
 
+    def test_manifest_syntax_error_names_line_and_column_exit_2(self, tmp_path, capsys):
+        man = tmp_path / "man.json"
+        man.write_text('{\n  "seed": 5,\n  "runs": 1,\n}\n')
+        assert cli.main(["simulate", str(man), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {man}: line 4 column 1: Expecting property name" in err
+        assert "bad input" not in err
+
 
 class TestEstimate:
     @staticmethod
@@ -246,6 +254,16 @@ class TestAnalyze:
         bad = tmp_path / "net.json"
         bad.write_text("{not json")
         assert cli.main(["analyze", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", [["analyze"], ["shock", "--node", "1"]])
+    def test_network_syntax_error_names_line_and_column_exit_2(self, tmp_path, capsys, command):
+        net = tmp_path / "net.json"
+        net.write_text('{"p": 2,\n "edges": [{"i": 1, "j": 2 "weight": 0.2}]}\n')
+        argv = [command[0], str(net), *command[1:], "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {net}: line 2 column 28: Expecting ',' delimiter" in err
+        assert "bad input" not in err
 
     def test_edge_out_of_range_exit_2(self, tmp_path):
         net = write_json(tmp_path / "net.json",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmle_reference import reference_fit
 from parcornet import constrained_mle
@@ -105,6 +107,35 @@ class TestSolverBehavior:
         res = constrained_mle.fit(s, random_edges(5, rng))
         assert res.kkt_residual <= 1e-6 * np.abs(s).max()
 
+    def test_kkt_residual_is_the_inverse_gap(self):
+        # W matches S on the pattern after every sweep, so only the inverse
+        # of the recovered precision shows how far the fit is from optimal
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            p = int(rng.integers(3, 15))
+            s = random_scatter(p, rng)
+            edges = random_edges(p, rng)
+            res = constrained_mle.fit(s, edges)
+            mask = edges.to_adjacency() | np.eye(p, dtype=bool)
+            gap = np.abs(np.linalg.inv(res.psi.values) - s)[mask].max()
+            assert res.kkt_residual == pytest.approx(gap, rel=1e-6)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(-4.0, 2.0))
+    def test_independent_of_data_units(self, seed, p, log_c):
+        rng = np.random.default_rng(seed)
+        s = random_scatter(p, rng)
+        edges = random_edges(p, rng, q=float(rng.uniform(0.1, 0.9)))
+        c = 10.0**log_c
+        base = constrained_mle.fit(s, edges)
+        scaled = constrained_mle.fit(c * s, edges)
+        assert scaled.sweeps == base.sweeps
+        assert np.array_equal(scaled.psi.values == 0.0, base.psi.values == 0.0)
+        tol = 1e-12 * np.abs(base.psi.values).max()
+        assert np.abs(c * scaled.psi.values - base.psi.values).max() <= tol
+        # the gap scales with the data, up to rounding in the units of S
+        assert abs(scaled.kkt_residual / c - base.kkt_residual) <= 1e-13 * np.abs(s).max()
+
 
 class TestErrors:
     def test_nonpositive_diagonal_rejected(self):
@@ -130,6 +161,18 @@ class TestErrors:
         monkeypatch.setattr(constrained_mle, "MAX_SWEEPS", 0)
         with pytest.raises(EstimationError, match="converge"):
             constrained_mle.fit(s, random_edges(8, rng, q=0.6))
+
+    def test_sweep_cap_names_the_mean_change(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        s = random_scatter(8, rng)
+        edges = random_edges(8, rng, q=0.6)
+        assert constrained_mle.fit(s, edges).sweeps > 2
+        monkeypatch.setattr(constrained_mle, "MAX_SWEEPS", 2)
+        w_tol = constrained_mle.W_TOL_SCALE * np.abs(s).mean()
+        with pytest.raises(EstimationError,
+                           match=rf"in 2 iterations \(mean change \d\.\d{{3}}e[-+]\d+, "
+                                 rf"tolerance {w_tol:.3e}\)"):
+            constrained_mle.fit(s, edges)
 
 
 class TestNeighborKernel:

@@ -9,6 +9,8 @@ from parcornet.em import EMConfig
 from parcornet.elastic_net import PenaltyConfig
 from parcornet import pipeline, selection
 from parcornet.errors import ConfigError, DataError, EstimationError, FitError
+from parcornet.matrices import PrecisionMatrix
+from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.pipeline import (
     PriceTable,
     _garch_sigma2,
@@ -20,6 +22,7 @@ from parcornet.pipeline import (
     simulate_ar_garch,
     window_count,
 )
+from parcornet.samplers import DistributionSpec, sample, spawned_rng
 from parcornet.selection import build_grid
 from test_cli import make_price_csv
 
@@ -165,7 +168,6 @@ class TestFit:
         gtol = 1e-7 * r.size
 
         def stopped(fun, x0, **kwargs):
-            # the start point itself has standardized residual variance near 1
             return optimize.OptimizeResult(x=x0, fun=-1.0, jac=np.full(5, score_in_gtol * gtol),
                                            status=status, success=False)
 
@@ -191,6 +193,80 @@ class TestFit:
             shift = (r.size - 1) * np.log(k)
             assert fit.loglik + shift == pytest.approx(base.loglik, rel=1e-9)
             assert np.abs(fit.residuals - base.residuals).max() < 1e-9
+
+
+def heavy_tailed_series():
+    """Log returns of series s04 of a t5-shock AR(1)-GARCH(1,1) price panel.
+
+    The panel's shocks are multivariate t5 draws (stream (407, 2, 3)) with
+    the correlations of the p=10 scale-free graph of topology seed 7; each
+    series follows the percent-unit recursion c=0, phi=0.1, omega=0.05,
+    a=0.1, b=0.85 over 1,009 returns after a 500-step burn-in. Prices go
+    through the CSV text, as `parcornet pipeline` reads them.
+    """
+    theta = generate_precision(TopologySpec(kind="scale-free", p=10, seed=7))[1].values
+    sigma = np.linalg.inv(theta)
+    sd = np.sqrt(np.diag(sigma))
+    corr = sigma / np.outer(sd, sd)
+    n, burn = 1009, 500
+    shocks = sample(PrecisionMatrix(np.linalg.inv(corr)), n + burn,
+                    DistributionSpec(kind="t", nu=5.0), spawned_rng(407, 2, 3)).values
+    h = np.ones(10)  # the stationary variance omega / (1 - a - b)
+    eps = np.zeros(10)
+    r = np.zeros(10)
+    returns = np.empty((n + burn, 10))
+    for t in range(n + burn):
+        h = 0.05 + 0.1 * eps**2 + 0.85 * h
+        eps = np.sqrt(h) * shocks[t]
+        r = 0.1 * r + eps
+        returns[t] = r
+    log_prices = np.log(100.0) + np.cumsum(returns[burn:] / 100.0, axis=0)
+    prices = np.exp(np.vstack([np.full((1, 10), np.log(100.0)), log_prices]))
+    dates = tuple(str(np.datetime64("2000-01-03") + k) for k in range(n + 1))
+    table = PriceTable(dates, tuple(f"s{j + 1:02d}" for j in range(10)), prices)
+    return log_returns(PriceTable.from_csv_text(table.to_csv_text()))[:, 3]
+
+
+class TestAcceptsConvergedFit:
+    """A converged QMLE fit is the fit, whatever its residual variance.
+
+    On heavy_tailed_series every start converges to the same optimum,
+    whose standardized residuals have sample variance 1.206.
+    """
+
+    def test_first_converged_start_is_the_fit(self, monkeypatch):
+        results = []
+        minimize = optimize.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        r = heavy_tailed_series()
+        monkeypatch.setattr(pipeline.optimize, "minimize", recorded)
+        fit = fit_ar_garch(r)
+        assert len(results) == 1 and results[0].success
+        assert fit.residuals.var() > 1.2
+        scale = np.sqrt(r.var())
+        assert (fit.c, fit.phi, fit.omega, fit.a, fit.b) == pipeline._unpack(results[0].x, scale)
+        assert fit.loglik == -results[0].fun
+
+    @pytest.mark.parametrize("start", [2, 3, 4, 5])
+    def test_each_start_alone_is_accepted(self, monkeypatch, start):
+        calls = []
+        minimize = optimize.minimize
+
+        def stall_until_start(fun, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) < start:
+                return optimize.OptimizeResult(x=x0, fun=1.0, jac=np.ones(5),
+                                               status=1, success=False)
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(pipeline.optimize, "minimize", stall_until_start)
+        fit = fit_ar_garch(heavy_tailed_series())
+        assert len(calls) == start
+        assert fit.residuals.var() > 1.2
 
 
 SCORE_SERIES = simulate_ar_garch(600, 0.0, 0.1, 0.05, 0.1, 0.85, rng=3)
