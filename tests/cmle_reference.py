@@ -13,8 +13,9 @@ from parcornet.constrained_mle import MAX_SWEEPS, W_TOL_SCALE, ConstrainedMLERes
 from parcornet.errors import DomainError, EstimationError
 from parcornet.matrices import PrecisionMatrix, symmetrize
 
-# The replaced sweep also required the residual on the pattern below this
-# times max(max|S|, 1) before it stopped.
+# Besides the mean change of W, reference_fit stops only once the pattern
+# residual is at most this times max(max|S|, 1). That residual is rounding
+# by construction, so the sweep counts still match constrained_mle.fit's.
 KKT_RTOL = 1e-6
 
 
