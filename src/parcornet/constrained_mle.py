@@ -9,8 +9,12 @@ sweeps the working covariance W column by column (regression form of the
 concentration-graph MLE): each column's non-edge entries are left free
 while its edge entries are matched to S. A column update solves the
 node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
-column to W[:, nb] beta, so it reads only the neighbor columns of W. The
-neighbor index arrays are built once per fit. Every column update sets W
+column to beta' W[nb, :], so it reads only the neighbor rows of W, which
+are its neighbor columns since W is kept exactly symmetric. The neighbor
+index arrays are sliced once per fit from the edge set's sorted index
+arrays. Each column update records its step in one p x p array; after the
+sweep the steps are reduced once and summed in node order, and a
+non-finite step is named by its node and sweep. Every column update sets W
 to S on the edge pattern and the diagonal up to rounding, so the sweeps
 stop on one rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is
 recovered column-wise from the same neighbor solves, with exact zeros off
@@ -54,6 +58,15 @@ def _neighbor_solve(w, block, rhs, j, sweep):
     return beta
 
 
+def _check_steps(steps, sweep):
+    """Absolute change of each column in steps; raise on the first non-finite one."""
+    change = np.abs(steps).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(change))
+    if bad.size:
+        raise EstimationError(f"non-finite column update at node {bad[0]}, sweep {sweep}")
+    return change
+
+
 def _recover_precision(w, s, nodes, sweep):
     p = s.shape[0]
     psi = np.zeros((p, p))
@@ -94,11 +107,16 @@ def fit(
     if np.diag(s).min() <= 0.0:
         raise DomainError("scatter matrix needs a strictly positive diagonal")
 
-    mask = edges.to_adjacency()
-    # per node: its neighbors, their block as flat indices into W, and S[nb, j]
+    # per node: its neighbors, their block as flat indices into W, and S[nb, j];
+    # with the edges as sorted flat indices j*p + k in both orientations,
+    # node j's neighbors are one slice
+    lo, hi = edges._ends
+    key = np.sort(np.concatenate([lo * p + hi, hi * p + lo]))
+    bounds = np.searchsorted(key, np.arange(p + 1) * p)
+    nbrs = key % p
     nodes = []
     for j in range(p):
-        nb = np.flatnonzero(mask[j])
+        nb = nbrs[bounds[j]:bounds[j + 1]]
         nodes.append((j, nb, nb[:, None] * p + nb, s[nb, j]))
 
     if w_init is not None:
@@ -112,36 +130,44 @@ def fit(
     w_tol = W_TOL_SCALE * float(np.abs(s).mean())
     n_off = max(p * (p - 1), 1)
     mean_change = math.inf
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        change = 0.0
-        for j, nb, block, rhs in nodes:
-            if nb.size:
-                col = w[:, nb] @ _neighbor_solve(w, block, rhs, j, sweeps)
-            else:
-                col = np.zeros(p)
-            col[j] = s[j, j]
-            # w is exactly symmetric and stays finite, so a non-finite
-            # column shows in its change against row j
-            step = float(np.abs(col - w[j]).sum())
-            if not math.isfinite(step):
-                raise EstimationError(f"non-finite column update at node {j}, sweep {sweeps}")
-            change += step
-            w[:, j] = col
-            w[j] = col
-        mean_change = change / n_off
-        if mean_change < w_tol:
-            break
-    else:
-        raise EstimationError(
-            f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
-            f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
-        )
+    # row j holds node j's column step of the current sweep. A non-finite
+    # column enters W before the check after the sweep, so later nodes may
+    # compute with it (numpy's warnings silenced); the check names the first.
+    steps = np.empty((p, p))
+    step_rows = list(steps)
+    with np.errstate(all="ignore"):
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            try:
+                for (j, nb, block, rhs), step in zip(nodes, step_rows):
+                    if nb.size:
+                        # W is exactly symmetric, so its neighbor rows are its neighbor columns
+                        col = _neighbor_solve(w, block, rhs, j, sweeps) @ w.take(nb, axis=0)
+                    else:
+                        col = np.zeros(p)
+                    col[j] = s[j, j]
+                    np.subtract(col, w[j], out=step)
+                    w[:, j] = col
+                    w[j] = col
+            except EstimationError:
+                _check_steps(steps[:j], sweeps)
+                raise
+            # a sequential sum in node order: pairwise rounding could move a stop
+            change = float(np.add.accumulate(_check_steps(steps, sweeps))[-1])
+            mean_change = change / n_off
+            if mean_change < w_tol:
+                break
+        else:
+            raise EstimationError(
+                f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
+                f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
+            )
 
     psi_vals = _recover_precision(w, s, nodes, sweeps)
     try:
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
+    mask = edges.to_adjacency()
     np.fill_diagonal(mask, True)
     gap = float(np.abs(np.linalg.inv(psi.values) - s)[mask].max())
     return ConstrainedMLEResult(psi, w, sweeps, gap)

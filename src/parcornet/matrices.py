@@ -108,8 +108,9 @@ class EdgeSet:
 
     pairs may be given as any collection of node pairs or as an (m, 2)
     integer array; it is stored as a frozenset of canonical (j, k) tuples
-    of ints with j < k. The same pairs are also kept as two index arrays,
-    from which to_adjacency is built.
+    of ints with j < k. The same pairs are also kept as two index arrays
+    of ends j < k, one entry per pair, sorted by (j, k), from which
+    to_adjacency and the neighbour lists of constrained_mle are built.
     """
 
     p: int
@@ -134,7 +135,9 @@ class EdgeSet:
             j, k = ends[out[0]].tolist()
             raise DomainError(f"edge ({j},{k}) out of range for p={self.p}")
         j, k = ends.T
-        ends = np.stack([np.minimum(j, k), np.maximum(j, k)])
+        # one sorted, deduplicated row per pair, j < k
+        ends = np.stack(np.divmod(np.unique(np.minimum(j, k) * self.p + np.maximum(j, k)),
+                                  self.p))
         ends.setflags(write=False)
         object.__setattr__(self, "pairs", frozenset(zip(*ends.tolist())))
         object.__setattr__(self, "_ends", ends)

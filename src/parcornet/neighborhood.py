@@ -71,5 +71,6 @@ def select_edges(gram: np.ndarray, penalty, rule: str = "and", signs=None):
             starts[k][:] = np.sign(coefficients[k])
         chosen = coefficients[k] != 0.0
         adj = chosen & chosen.T if rule == "and" else chosen | chosen.T
-        out.append(EdgeSet.from_adjacency(adj))
+        # adj is symmetric by construction, so its upper triangle holds every edge once
+        out.append(EdgeSet(p, np.argwhere(np.triu(adj, k=1))))
     return out if stacked else out[0]

@@ -155,6 +155,18 @@ class TestErrors:
         with pytest.raises(EstimationError):
             constrained_mle.fit(s, EdgeSet.from_adjacency(~np.eye(4, dtype=bool)))
 
+    def test_non_finite_column_names_its_node(self):
+        # node 0's column picks up the inf in row 1; node 2's neighbor block
+        # would read it in the same sweep, but the error names node 0
+        a = np.random.default_rng(0).standard_normal((12, 4))
+        s = a.T @ a / 12
+        s = 0.5 * (s + s.T)
+        w = s.copy()
+        w[1, 3] = w[3, 1] = np.inf
+        edges = EdgeSet.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
+        with pytest.raises(EstimationError, match=r"^non-finite column update at node 0, sweep 1$"):
+            constrained_mle.fit(s, edges, w_init=w)
+
     def test_sweep_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(39)
         s = random_scatter(8, rng)
