@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -76,7 +77,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.12g}" if np.isfinite(v) else ""
+        return f"{v:.12g}" if math.isfinite(v) else ""
     return str(v)
 
 

@@ -4,8 +4,8 @@ Each iteration re-estimates latent row scales for a t scale mixture,
 rebuilds the weighted scatter, reruns neighborhood selection on that
 scatter, and refits the zero-constrained MLE to it on the selected
 pattern. Convergence is the max absolute entry change of the scatter
-inverse between iterations. Gaussian mode is a single pass with all
-row scales fixed at one.
+inverse between iterations. Gaussian mode fixes every row scale at one
+and ends each lambda at its first iteration.
 
 In t mode the scales are rescaled to sum to n before the M-step, so the
 scatter is divided by sum(tau) rather than n: the parameter-expanded EM
@@ -27,16 +27,16 @@ distinct edge set within it. An iteration computes every group's
 scatter first, then runs stage 1 for all lambdas of all groups as one
 stacked solve (select_edges on a stack of scatters, one penalty each),
 each lambda warm-started from the supports and signs it ended on at its
-previous iteration. At the first iteration, and in gaussian mode, no
-lambda has such signs yet, and the lambdas run one at a time, from the
-largest down, each starting from those of the grid neighbour just solved
-on the same scatter (pathwise warm starts as in glmnet, Friedman,
-Hastie & Tibshirani 2010). The elastic-net solution is unique whenever
-lam(1-alpha) > 0 or its support blocks are positive definite, and each
-regression of a stacked solve is decided on its own scatter and penalty
-alone, so the edge sets, and with them every state, are the same as
-from independent fits with cold starts; only the number of solver calls
-and active-set rounds drops.
+previous iteration. At the first iteration, the only one in gaussian
+mode, no lambda has such signs yet, and the lambdas run one at a time,
+from the largest down, each starting from those of the grid neighbour
+just solved on the same scatter (pathwise warm starts as in glmnet,
+Friedman, Hastie & Tibshirani 2010). The elastic-net solution is unique
+whenever lam(1-alpha) > 0 or its support blocks are positive definite,
+and each regression of a stacked solve is decided on its own scatter and
+penalty alone, so the edge sets, and with them every state, are the same
+as from independent fits with cold starts; only the number of solver
+calls and active-set rounds drops.
 """
 from __future__ import annotations
 
@@ -184,10 +184,10 @@ def _select(scattered, penalties, rule, signs):
 
     A lambda with signs[i], the signs its regressions ended on at its
     previous iteration, starts from them, and all such lambdas run as one
-    stacked solve. A lambda without them (the first iteration, and
-    gaussian mode) runs alone, the lambdas of a scatter from the largest
-    down, each starting from the signs of the lambda just solved on its
-    scatter. signs[i] is set or updated in place.
+    stacked solve. A lambda without them (the first iteration) runs
+    alone, the lambdas of a scatter from the largest down, each starting
+    from the signs of the lambda just solved on its scatter. signs[i] is
+    set or updated in place.
     """
     edges = {}
     stack = []
@@ -229,10 +229,10 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     """Run the estimator at every lambda in lams, all in one pass.
 
     Returns one entry per lambda, in order: its EMState, or the
-    EstimationError that ended its fit. Each entry equals what estimate
-    returns or raises at that lambda alone. Raises DataError first, in
-    either mode, for a constant column or an exactly collinear column
-    pair (check_columns).
+    EstimationError that ended its fit, "iteration k: ..." with the stage-2
+    error as __cause__. Each entry equals what estimate returns or raises
+    at that lambda alone. Raises DataError first, in either mode, for a
+    constant column or an exactly collinear column pair (check_columns).
 
     The lambdas run their EM iterations in lockstep. Lambdas whose edge
     sets have agreed at every iteration so far share one scatter, one
@@ -256,26 +256,20 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     # every lambda, from the largest down
     members = sorted(range(len(penalties)), key=lambda k: penalties[k].lam, reverse=True)
 
-    if config.mode == "gaussian":
-        edges = _select([(members, scatter)], penalties, config.rule, signs)
-        for shared, found, fit in _fits(scatter, members, edges, None):
-            if not isinstance(fit, EstimationError):
-                fit = EMState(mean, fit.psi, tau, found, 1, 0.0, True)
-            for i in shared:
-                out[i] = fit
-        return out
-
     nu = config.nu
+    psi = None if config.mode == "gaussian" else _initial_psi(scatter, nu / (nu - 2.0))
     # (lambdas, mean, psi, covariance of the last fit) per group sharing a history
-    groups = [(members, mean, _initial_psi(scatter, nu / (nu - 2.0)), None)]
+    groups = [(members, mean, psi, None)]
     # EMConfig rejects max_iter < 1, so every lambda gets an entry
     for it in range(1, config.max_iter + 1):
         steps = []
         for members, mean, psi, w_prev in groups:
-            tau = expected_scales(data, mean, psi, nu)
-            tau *= n / tau.sum()
-            mean = weighted_mean(data, tau)
-            steps.append((members, psi, w_prev, tau, mean, weighted_scatter(data, tau, mean)))
+            if psi is not None:  # E-step; a gaussian group has no psi and keeps unit scales
+                tau = expected_scales(data, mean, psi, nu)
+                tau *= n / tau.sum()
+                mean = weighted_mean(data, tau)
+                scatter = weighted_scatter(data, tau, mean)
+            steps.append((members, psi, w_prev, tau, mean, scatter))
         edges = _select([(members, scatter) for members, *_, scatter in steps], penalties,
                         config.rule, signs)
         going = []
@@ -285,7 +279,8 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
                     result = EstimationError(f"iteration {it}: {fit}")
                     result.__cause__ = fit
                 else:
-                    max_change = float(np.abs(fit.psi.values - psi.values).max())
+                    max_change = (0.0 if psi is None else
+                                  float(np.abs(fit.psi.values - psi.values).max()))
                     converged = max_change < config.delta
                     if not converged and it < config.max_iter:
                         going.append((shared, mean, fit.psi, fit.covariance))
@@ -304,7 +299,7 @@ def estimate(data: Dataset, config: EMConfig) -> EMState:
 
     This is estimate_grid on a one-lambda grid; an EstimationError for
     the lambda is raised.
-    Gaussian mode: one pass with unit scales on the plain 1/n scatter.
+    Gaussian mode: one iteration with unit scales on the plain 1/n scatter.
     t mode: EM iterations until max |psi change| < delta or max_iter;
     the cap returns a state flagged converged=False rather than raising.
     Each iteration rescales the E-step scales to sum to n, so the scatter

@@ -139,10 +139,10 @@ def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport
     The whole grid is fitted in one pass (em.estimate_grid): lambdas with
     the same fitted state share it, and its BIC is computed once. Failed
     fits are recorded and excluded from the comparison. Ties go to the
-    larger lambda (sparser model). Raises SelectionError when every grid
-    value fails. A column no mode can fit is not a failed fit:
-    estimate_grid raises DataError (em.check_columns) and select lets it
-    propagate.
+    larger lambda (sparser model). Raises SelectionError, naming the first
+    grid value's error, when every grid value fails. A column no mode can
+    fit is not a failed fit: estimate_grid raises DataError
+    (em.check_columns) and select lets it propagate.
     """
     records = []
     best = None  # (bic, index, lam, state)
@@ -159,6 +159,8 @@ def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport
         if best is None or score <= best[0]:  # <= so later (larger) lam wins ties
             best = (score, idx, lam, state)
     if best is None:
-        raise SelectionError("no lambda value produced a fit", records=records)
+        first = records[0]
+        raise SelectionError(f"no lambda value produced a fit; lambda {first.lam:.6g} "
+                             f"failed with: {first.error}", records=records)
     score, idx, lam, state = best
     return SelectionReport(records, lam, idx, state, score)

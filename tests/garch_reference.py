@@ -72,16 +72,11 @@ def reference_fit(series) -> GarchFit:
         if not np.isfinite(res.fun):
             last_reason = "non-finite objective"
             continue
-        c, phi, omega, a, b = _unpack(res.x)
-        eps = r[1:] - c - phi * r[:-1]
-        sig2 = _garch_sigma2(eps, omega, a, b)
-        z = eps / np.sqrt(sig2)
-        zvar = float(z.var())
         if not res.success:
             last_reason = "optimizer did not converge"
             continue
-        if not (0.8 <= zvar <= 1.2):
-            last_reason = f"standardized residual variance {zvar:.3f} outside [0.8, 1.2]"
-            continue
-        return GarchFit(c, phi, omega, a, b, -float(res.fun), z, sig2)
+        c, phi, omega, a, b = _unpack(res.x)
+        eps = r[1:] - c - phi * r[:-1]
+        sig2 = _garch_sigma2(eps, omega, a, b)
+        return GarchFit(c, phi, omega, a, b, -float(res.fun), eps / np.sqrt(sig2), sig2)
     raise FitError(f"AR-GARCH fit failed: {last_reason}")

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from parcornet import analytics, cli
+from parcornet import analytics, cli, selection
 from parcornet.em import EMConfig
+from parcornet.errors import SelectionError
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.matrices import Dataset, PartialCorrelationMatrix
 from parcornet.pipeline import simulate_ar_garch
@@ -191,6 +192,17 @@ class TestEstimate:
         assert cli.main(["estimate", path, *mode, "--out", str(tmp_path / "o.json")]) == 2
         assert "column 'b' has zero variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
+    def test_every_lambda_failing_names_the_first_exit_3(self, tmp_path, capsys, mode):
+        # no pair is collinear, so check_columns passes, but the scatter is singular
+        x = np.random.default_rng(6).integers(-5, 6, size=(60, 3)).astype(float)
+        x = np.column_stack([x, x[:, 0] + x[:, 1] - x[:, 2]])
+        path = write_data_csv(tmp_path / "sum.csv", x, ("a", "b", "c", "d"))
+        assert cli.main(["estimate", path, *mode, "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err
+        assert ("error: no lambda value produced a fit; lambda 0.01 failed with: "
+                "iteration 1: ") in err
+
     def test_seed_flag_rejected(self, tmp_path):
         data = self._correlated_csv(tmp_path)
         prices = make_price_csv(tmp_path / "px.csv")
@@ -372,6 +384,31 @@ class TestPipeline:
         win0 = json.loads((out / "windows/window_000.json").read_text())
         assert win0["start_row"] == 0 and win0["stop_row"] == 252
         assert "measures" in win0 and win0["p"] == 3
+
+    def test_failed_window_outputs(self, tmp_path, monkeypatch):
+        real_select = selection.select
+        calls = []
+
+        def second_fails(data, grid, config):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SelectionError("no fit, at all")
+            return real_select(data, grid, config)
+
+        monkeypatch.setattr(selection, "select", second_fails)
+        prices = make_price_csv(tmp_path / "px.csv")
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", prices, *PIPE_FLAGS, "--out", str(out)]) == 0
+        win1 = json.loads((out / "windows/window_001.json").read_text())
+        assert win1["error"] == "SelectionError: no fit, at all"
+        assert "edges" not in win1
+        assert "error" not in json.loads((out / "windows/window_000.json").read_text())
+        rows = [line.split(",") for line in (out / "strength.csv").read_text().splitlines()]
+        assert [len(r) for r in rows] == [5] * 6
+        assert rows[2][0] == "1" and rows[2][3:] == ["", "SelectionError: no fit; at all"]
+        assert all(r[4] == "" for i, r in enumerate(rows[1:]) if i != 1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["windows"] == 5 and summary["failed_windows"] == 1
 
     def test_rerun_is_deterministic(self, tmp_path):
         prices = make_price_csv(tmp_path / "px.csv")

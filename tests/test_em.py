@@ -177,6 +177,23 @@ class TestColdRetry:
         assert cold_calls == [None]
 
 
+class TestFailedFits:
+    @pytest.mark.parametrize("mode", ["gaussian", "t"])
+    def test_stage_two_failure_names_its_iteration(self, monkeypatch, mode):
+        cause = EstimationError("stage 2 failed")
+
+        def broken(scatter, edges, w_init=None):
+            raise cause
+
+        monkeypatch.setattr(constrained_mle, "fit", broken)
+        data = Dataset(np.random.default_rng(57).standard_normal((60, 4)))
+        out = estimate_grid(data, [0.1, 0.5], EMConfig(pen(0.1), mode=mode))
+        for err in out:
+            assert isinstance(err, EstimationError)
+            assert str(err) == "iteration 1: stage 2 failed"
+            assert err.__cause__ is cause
+
+
 class TestSharedStates:
     def test_lambdas_with_one_history_share_a_read_only_state(self):
         data = criterion_04_draw()

@@ -152,6 +152,8 @@ class TestSelect:
         with pytest.raises(SelectionError) as err:
             select(data, grid, cfg)
         assert len(err.value.records) == 4
+        assert str(err.value) == ("no lambda value produced a fit; "
+                                  "lambda 0.1 failed with: iteration 1: nope")
 
     def test_report_serialization(self):
         rng = np.random.default_rng(66)
