@@ -51,7 +51,6 @@ class NodeCentralities:
 @dataclass(frozen=True)
 class ShockResult:
     node: int
-    initial: np.ndarray
     steady_state: np.ndarray
     total: float
     spectral_radius: float
@@ -115,16 +114,6 @@ def _mean_distance(d: np.ndarray) -> float:
     return float(finite.mean()) if finite.size else 0.0
 
 
-def eccentricities(network) -> np.ndarray:
-    """Max finite distance from each node; isolated nodes get 0."""
-    return _eccentricities(distance_matrix(network))
-
-
-def mean_distance(network) -> float:
-    """Mean over finite-distance unordered pairs; 0 when there are none."""
-    return _mean_distance(distance_matrix(network))
-
-
 def clustering_coefficients(network) -> np.ndarray:
     """Triangles over wedges per node; degree < 2 gives 0."""
     a = adjacency(network).astype(float)
@@ -161,7 +150,12 @@ def node_centralities(network, absolute_strength: bool = False) -> NodeCentralit
 
 
 def measures(network, absolute_strength: bool = False) -> NetworkMeasures:
-    """The network-wide summary; the shortest paths are computed once."""
+    """The network-wide summary; the shortest paths are computed once.
+
+    mean_distance is the mean over the unordered pairs at finite distance,
+    0 when there are none. mean_eccentricity averages each node's largest
+    finite distance, which is 0 for an isolated node.
+    """
     pc = _as_pc(network)
     adj = adjacency(pc)
     deg = adj.sum(axis=1)
@@ -211,7 +205,6 @@ def shock(network, node: int) -> ShockResult:
     steady = np.linalg.solve(np.eye(p) - vals, e)
     return ShockResult(
         node=node,
-        initial=e,
         steady_state=steady,
         total=float(steady.sum()),
         spectral_radius=rho,

@@ -97,6 +97,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _repeated(items: list):
+    """The first item equal to an earlier one, or None."""
+    return next((s for k, s in enumerate(items) if s in items[:k]), None)
+
+
 def _manifest_entry(entry, where: str) -> dict:
     """A topology or distribution entry as a dict of its fields (a bare
     string is its kind); ConfigError naming where for anything else, or for
@@ -147,23 +152,25 @@ def _resolve_manifest(raw: dict) -> dict:
         _check_fields(t, TopologySpec, f"topologies[{i}] ({label!r})")
         TopologySpec(seed=0, **t)  # validates kind and parameters
         topologies.append({"label": label, "kwargs": t})
-    if len({t["label"] for t in topologies}) != len(topologies):
-        raise ConfigError("topology labels must be unique")
+    dup = _repeated([t["label"] for t in topologies])
+    if dup is not None:
+        raise ConfigError(f"topologies: label {dup!r} appears twice")
     dists = []
     for i, entry in enumerate(m["distributions"]):
         d = _manifest_entry(entry, f"distributions[{i}]")
         _check_fields(d, DistributionSpec, f"distributions[{i}] ({d.get('kind')!r})")
         spec = DistributionSpec(**d)
         dists.append({"label": spec.label(), "kwargs": d})
-    if len({d["label"] for d in dists}) != len(dists):
-        raise ConfigError("distribution labels must be unique")
+    dup = _repeated([d["label"] for d in dists])
+    if dup is not None:
+        raise ConfigError(f"distributions: label {dup!r} appears twice")
     for mode in m["modes"]:
         if mode not in MODES:
-            raise ConfigError(f"estimator mode must be one of {MODES}, got {mode!r}")
+            raise ConfigError(f"modes: estimator mode must be one of {MODES}, got {mode!r}")
     grid = {**MANIFEST_DEFAULTS["lambda"], **dict(m["lambda"])}
     unknown = set(grid) - {"lo", "hi", "count"}
     if unknown:
-        raise ConfigError(f"unknown lambda grid keys: {sorted(unknown)}")
+        raise ConfigError(f"lambda: unknown grid keys {sorted(unknown)}")
     build_grid(grid["lo"], grid["hi"], grid["count"])
     m["lambda"] = grid
     m["topologies"] = topologies
@@ -337,10 +344,17 @@ def network_from_json_dict(d: dict) -> tuple:
     p = d["p"]
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise DataError(f"network JSON field 'p' must be a positive integer, got {p!r}")
-    names = [str(s) for s in d.get("nodes", [f"x{j + 1}" for j in range(p)])]
+    names = d.get("nodes", [f"x{j + 1}" for j in range(p)])
+    if not isinstance(names, list):
+        raise DataError(f"network JSON field 'nodes' must be a list of names, got {names!r}")
+    names = [str(s) for s in names]
     if len(names) != p:
         raise DataError(f"network lists {len(names)} nodes for p={p}")
+    dup = _repeated(names)
+    if dup is not None:
+        raise DataError(f"network lists node {dup!r} twice")
     vals = np.zeros((p, p))
+    seen = set()
     for k, e in enumerate(d.get("edges", [])):
         try:
             i, j, w = int(e["i"]) - 1, int(e["j"]) - 1, float(e["weight"])
@@ -348,6 +362,11 @@ def network_from_json_dict(d: dict) -> tuple:
             raise DataError(f"edge {k + 1} {e!r}: needs numeric i, j and weight") from None
         if not (0 <= i < p and 0 <= j < p) or i == j:
             raise DataError(f"edge ({e['i']},{e['j']}) invalid for p={p}")
+        pair = (min(i, j) + 1, max(i, j) + 1)
+        if pair in seen:
+            raise DataError(f"edge {k + 1} ({e['i']},{e['j']}) repeats the pair "
+                            f"({pair[0]},{pair[1]})")
+        seen.add(pair)
         vals[i, j] = vals[j, i] = w
     return PartialCorrelationMatrix(vals), names
 

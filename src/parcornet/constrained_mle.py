@@ -11,16 +11,16 @@ while its edge entries are matched to S. A column update solves the
 node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
 column to beta' W[nb, :], so it reads only the neighbor rows of W, which
 are its neighbor columns since W is kept exactly symmetric. The neighbor
-index arrays are sliced once per fit from the edge set's sorted index
-arrays. Each column update records its step in one p x p array; after the
-sweep the steps are reduced once and summed in node order, and a
-non-finite step is named by its node and sweep. Every column update sets W
-to S on the edge pattern and the diagonal up to rounding, so the sweeps
-stop on one rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is
-recovered column-wise from the same neighbor solves, with exact zeros off
-the pattern, and its optimality gap max |inv(Psi) - S| on the pattern and
-the diagonal is measured once, at the end. The sweep cap and the change
-tolerance are the module constants below, read at call time.
+index arrays are sliced once per fit from the edge set's adjacency, which
+also masks the optimality gap. Each column update records its step in one
+p x p array; after the sweep the steps are reduced once and summed in node
+order, and a non-finite step is named by its node and sweep. Every column
+update sets W to S on the edge pattern and the diagonal up to rounding, so
+the sweeps stop on one rule, the mean change of W. At the optimum
+W = Psi^{-1}; Psi is recovered column-wise from the same neighbor solves,
+with exact zeros off the pattern, and its optimality gap max |inv(Psi) - S|
+on the pattern and the diagonal is measured once, at the end. The sweep cap
+and the change tolerance are the module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -108,12 +108,11 @@ def fit(
         raise DomainError("scatter matrix needs a strictly positive diagonal")
 
     # per node: its neighbors, their block as flat indices into W, and S[nb, j];
-    # with the edges as sorted flat indices j*p + k in both orientations,
-    # node j's neighbors are one slice
-    lo, hi = edges._ends
-    key = np.sort(np.concatenate([lo * p + hi, hi * p + lo]))
-    bounds = np.searchsorted(key, np.arange(p + 1) * p)
-    nbrs = key % p
+    # the adjacency's nonzeros come row by row, so node j's neighbors are one
+    # ascending slice
+    adj = edges.to_adjacency()
+    rows, nbrs = np.nonzero(adj)
+    bounds = np.searchsorted(rows, np.arange(p + 1))
     nodes = []
     for j in range(p):
         nb = nbrs[bounds[j]:bounds[j + 1]]
@@ -167,7 +166,6 @@ def fit(
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    mask = edges.to_adjacency()
-    np.fill_diagonal(mask, True)
-    gap = float(np.abs(np.linalg.inv(psi.values) - s)[mask].max())
+    np.fill_diagonal(adj, True)
+    gap = float(np.abs(np.linalg.inv(psi.values) - s)[adj].max())
     return ConstrainedMLEResult(psi, w, sweeps, gap)

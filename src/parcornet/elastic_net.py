@@ -86,7 +86,6 @@ class PenaltyConfig:
 class ElasticNetFit:
     coefficients: np.ndarray
     intercept: float
-    objective: float
     rounds: int
     converged: bool
     kkt_residual: float
@@ -117,19 +116,6 @@ class GramFit:
     def converged(self) -> bool:
         """True only when every response converged."""
         return bool(self.response_converged.all())
-
-
-def penalty_value(b: np.ndarray, penalty: PenaltyConfig) -> float:
-    """lam * (alpha ||b||_1 + (1-alpha)/2 ||b||_2^2)."""
-    l1 = float(np.abs(b).sum())
-    l2 = float(b @ b)
-    return penalty.lam * (penalty.alpha * l1 + 0.5 * (1.0 - penalty.alpha) * l2)
-
-
-def _gram_objective(b, gram, cross, y_var, penalty):
-    # (1/2n)||y_c - X_c b||^2 expressed through centered moments
-    quad = 0.5 * (y_var - 2.0 * float(cross @ b) + float(b @ gram @ b))
-    return quad + penalty_value(b, penalty)
 
 
 def _kkt_residuals(b, grams, cols, thr, ridge):
@@ -426,12 +412,9 @@ def solve(
     gram[m, m] = float(yc @ yc) / n
     fit = solve_gram(gram, [m], penalty)
     b = fit.coefficients[:m, 0].copy()
-    obj = _gram_objective(b, gram[:m, :m], gram[:m, m], gram[m, m], penalty)
-    if not np.isfinite(obj):
-        raise DomainError("elastic net objective is non-finite")
     # unpenalized intercept recovered from the centering identity
     intercept = y_mean - float(x_mean @ b)
-    return ElasticNetFit(b, intercept, obj, int(fit.response_rounds[0]), fit.converged,
+    return ElasticNetFit(b, intercept, int(fit.response_rounds[0]), fit.converged,
                          float(fit.response_kkt[0]))
 
 

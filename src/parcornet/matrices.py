@@ -108,14 +108,11 @@ class EdgeSet:
 
     pairs may be given as any collection of node pairs or as an (m, 2)
     integer array; it is stored as a frozenset of canonical (j, k) tuples
-    of ints with j < k. The same pairs are also kept as two index arrays
-    of ends j < k, one entry per pair, sorted by (j, k), from which
-    to_adjacency and the neighbour lists of constrained_mle are built.
+    of ints with j < k, so a reversed or repeated pair is the same pair.
     """
 
     p: int
     pairs: frozenset = field(default_factory=frozenset)
-    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -135,12 +132,8 @@ class EdgeSet:
             j, k = ends[out[0]].tolist()
             raise DomainError(f"edge ({j},{k}) out of range for p={self.p}")
         j, k = ends.T
-        # one sorted, deduplicated row per pair, j < k
-        ends = np.stack(np.divmod(np.unique(np.minimum(j, k) * self.p + np.maximum(j, k)),
-                                  self.p))
-        ends.setflags(write=False)
-        object.__setattr__(self, "pairs", frozenset(zip(*ends.tolist())))
-        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "pairs",
+                           frozenset(zip(np.minimum(j, k).tolist(), np.maximum(j, k).tolist())))
 
     @classmethod
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":
@@ -162,10 +155,10 @@ class EdgeSet:
         return iter(sorted(self.pairs))
 
     def to_adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.p, self.p), dtype=bool)
-        j, k = self._ends
-        adj[j, k] = adj[k, j] = True
-        return adj
+        adj = np.zeros(self.p * self.p, dtype=bool)
+        adj[[j * self.p + k for j, k in self.pairs]] = True
+        adj = adj.reshape(self.p, self.p)
+        return adj | adj.T
 
 
 @dataclass(frozen=True)
@@ -191,6 +184,9 @@ class Dataset:
             names = tuple(str(s) for s in self.names)
             if len(names) != p:
                 raise ShapeError(f"{len(names)} column names for {p} columns")
+            dup = next((s for k, s in enumerate(names) if s in names[:k]), None)
+            if dup is not None:
+                raise DataError(f"column name {dup!r} appears twice")
             object.__setattr__(self, "names", names)
 
     @property

@@ -16,10 +16,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(estimated: EdgeSet, truth: EdgeSet) -> ConfusionCounts:
     """Counts over all p(p-1)/2 unordered node pairs."""

@@ -35,6 +35,9 @@ class PriceTable:
             raise DataError(
                 f"values shape {vals.shape} does not match {len(dates)} dates x {len(names)} names"
             )
+        dup = next((s for k, s in enumerate(names) if s in names[:k]), None)
+        if dup is not None:
+            raise DataError(f"column name {dup!r} appears twice")
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise DataError("dates must be strictly increasing (ISO-8601 strings sort correctly)")
         finite = np.isfinite(vals)

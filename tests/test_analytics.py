@@ -12,9 +12,7 @@ from parcornet.analytics import (
     clustering_coefficients,
     degrees,
     distance_matrix,
-    eccentricities,
     eigenvector_centrality,
-    mean_distance,
     measures,
     node_centralities,
     shock,
@@ -94,27 +92,29 @@ class TestDistanceOracle:
 
 
 class TestEccentricity:
+    # measures averages each node's largest finite distance
     def test_path(self):
-        assert eccentricities(PATH3).tolist() == [2.0, 1.0, 2.0]
+        assert measures(PATH3).mean_eccentricity == pytest.approx((2 + 1 + 2) / 3)
 
     def test_isolated_nodes_zero(self):
         g = net([(0, 1)], 4)
-        assert eccentricities(g).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert measures(g).mean_eccentricity == pytest.approx((1 + 1 + 0 + 0) / 4)
 
     def test_empty(self):
-        assert eccentricities(EMPTY4).tolist() == [0.0] * 4
+        assert measures(EMPTY4).mean_eccentricity == 0.0
 
 
 class TestMeanDistance:
+    # measures averages the distances of the unordered pairs at finite distance
     def test_path(self):
-        assert mean_distance(PATH3) == pytest.approx((1 + 1 + 2) / 3)
+        assert measures(PATH3).mean_distance == pytest.approx((1 + 1 + 2) / 3)
 
     def test_skips_unreachable_pairs(self):
         g = net([(0, 1), (2, 3)], 4)
-        assert mean_distance(g) == pytest.approx(1.0)
+        assert measures(g).mean_distance == pytest.approx(1.0)
 
     def test_empty_zero(self):
-        assert mean_distance(EMPTY4) == 0.0
+        assert measures(EMPTY4).mean_distance == 0.0
 
 
 class TestClustering:
@@ -241,8 +241,7 @@ class TestMeasures:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         m = measures(PATH3)
         assert len(calls) == 1
-        assert (m.mean_distance, m.mean_eccentricity) == (mean_distance(PATH3),
-                                                          float(eccentricities(PATH3).mean()))
+        assert (m.mean_distance, m.mean_eccentricity) == pytest.approx((4.0 / 3.0, 5.0 / 3.0))
 
     def test_node_centralities_bundle(self):
         c = node_centralities(PATH3)

@@ -105,6 +105,13 @@ class TestSimulate:
         ({"topologies": ["band", {"kind": "random", "p": "ten"}]},
          "topologies[1] ('random'): field 'p' must be an integer, got 'ten'"),
         ({"distributions": ["normal", 5]}, "distributions[1] must be a kind name or an object, got 5"),
+        ({"v": "x"}, "topologies[0] ('scale-free'): field 'v' must be a number, got 'x'"),
+        ({"topologies": ["band", "random", "band"]}, "topologies: label 'band' appears twice"),
+        ({"distributions": [{"kind": "t", "nu": 3}, {"kind": "t", "nu": 3.0}]},
+         "distributions: label 't3' appears twice"),
+        ({"modes": ["gaussian", "laplace"]},
+         "modes: estimator mode must be one of ('gaussian', 't'), got 'laplace'"),
+        ({"lambda": {"lo": 0.1, "hi": 1.0, "steps": 5}}, "lambda: unknown grid keys ['steps']"),
     ])
     def test_malformed_manifest_names_entry_and_field_exit_2(self, tmp_path, capsys, change,
                                                              named):
@@ -174,6 +181,7 @@ class TestEstimate:
         ("x,y\n1.0,oops\n2.0,3.0\n", "data row 1, column 'y': 'oops' is not a number"),
         ("1.0,2.0\n3.0,x\n", "data row 2, column 2: 'x' is not a number"),
         ("x,y\n1.0,2.0\n3.0\n", "data row 2: 1 cells for 2 columns"),
+        ("a,a,b\n1,2,3\n4,5,6\n", "column name 'a' appears twice"),
     ])
     def test_bad_data_cell_names_row_and_column_exit_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.csv"
@@ -295,6 +303,14 @@ class TestAnalyze:
         ({"edges": []}, "no field 'p'"),
         ({"p": "3", "edges": []}, "field 'p' must be a positive integer, got '3'"),
         ({"p": 2.5, "edges": []}, "field 'p' must be a positive integer, got 2.5"),
+        ({"p": 3, "nodes": 5, "edges": []}, "field 'nodes' must be a list of names, got 5"),
+        ({"p": 3, "nodes": ["a", "b", "a"], "edges": []}, "network lists node 'a' twice"),
+        # a second weight for a pair would silently replace the first
+        ({"p": 3, "edges": [{"i": 1, "j": 2, "weight": 0.5}, {"i": 2, "j": 3, "weight": 0.2},
+                            {"i": 2, "j": 1, "weight": -0.5}]},
+         "edge 3 (2,1) repeats the pair (1,2)"),
+        ({"p": 3, "edges": [{"i": 1, "j": 2, "weight": 0.5}, {"i": 1, "j": 2, "weight": 0.5}]},
+         "edge 2 (1,2) repeats the pair (1,2)"),
     ])
     def test_malformed_network_names_field_exit_2(self, tmp_path, capsys, doc, named):
         net = write_json(tmp_path / "net.json", doc)
@@ -439,6 +455,17 @@ class TestPipeline:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "returns:" in err and f"date {parts[0]}" in err and "column 's1'" in err
+
+    def test_duplicate_series_name_exit_2(self, tmp_path, capsys):
+        make_price_csv(tmp_path / "px.csv")
+        lines = (tmp_path / "px.csv").read_text().splitlines()
+        lines[0] = "date,s1,s1,s2"
+        (tmp_path / "px.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["pipeline", str(tmp_path / "px.csv"), *PIPE_FLAGS,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "returns: column name 's1' appears twice" in err
+        assert "bad input" not in err
 
     def test_short_series_names_stage_and_series(self, tmp_path, capsys):
         prices = make_price_csv(tmp_path / "px.csv", n_prices=120)

@@ -95,6 +95,23 @@ class TestSolverBehavior:
         assert warm.sweeps <= cold.sweeps
         assert np.abs(cold.psi.values - warm.psi.values).max() < 1e-8
 
+    def test_reversed_and_repeated_pairs_fit_bit_for_bit(self):
+        # the neighbour lists come from the adjacency, so the order and
+        # orientation in which the pairs were given cannot change a sweep
+        rng = np.random.default_rng(42)
+        for p, pairs in ((3, [(1, 0), (0, 1), (2, 1)]),
+                         (10, [(j, k) for j in range(10) for k in range(j + 1, 10)
+                               if rng.random() < 0.4])):
+            s = random_scatter(p, rng)
+            messy = [(k, j) for j, k in pairs] + pairs[::2]
+            rng.shuffle(messy)
+            canonical = sorted({(min(e), max(e)) for e in pairs})
+            want = constrained_mle.fit(s, EdgeSet.from_pairs(p, canonical))
+            got = constrained_mle.fit(s, EdgeSet.from_pairs(p, messy))
+            assert np.array_equal(got.psi.values, want.psi.values)
+            assert np.array_equal(got.covariance, want.covariance)
+            assert got.sweeps == want.sweeps
+
     def test_diagonal_of_working_covariance_matches_scatter(self):
         rng = np.random.default_rng(37)
         s = random_scatter(5, rng)

@@ -10,7 +10,6 @@ from parcornet import elastic_net
 from parcornet.elastic_net import (
     PenaltyConfig,
     lambda_max,
-    penalty_value,
     solve,
     solve_gram,
 )
@@ -55,12 +54,6 @@ class TestPenaltyConfig:
     def test_lam_nonnegative(self):
         with pytest.raises(ConfigError):
             PenaltyConfig(0.5, -1e-9)
-
-    def test_penalty_value_formula(self):
-        b = np.array([1.0, -2.0, 0.0])
-        pen = PenaltyConfig(0.25, 2.0)
-        want = 2.0 * (0.25 * 3.0 + 0.5 * 0.75 * 5.0)
-        assert penalty_value(b, pen) == pytest.approx(want, rel=1e-15)
 
 
 class TestClosedFormOracles:
@@ -438,15 +431,6 @@ class TestInvariants:
         shuffled = solve(x[:, perm], y, pen)
         assert np.abs(shuffled.coefficients - base.coefficients[perm]).max() < 1e-9
         assert shuffled.intercept == pytest.approx(base.intercept, abs=1e-9)
-
-    def test_objective_matches_manual_evaluation(self):
-        rng = np.random.default_rng(43)
-        x, y = make_problem(50, 4, rng)
-        pen = PenaltyConfig(0.4, 0.12)
-        fit = solve(x, y, pen)
-        resid = y - fit.intercept - x @ fit.coefficients
-        want = 0.5 * float(resid @ resid) / x.shape[0] + penalty_value(fit.coefficients, pen)
-        assert fit.objective == pytest.approx(want, rel=1e-10)
 
 
 class TestValidation:

@@ -18,7 +18,7 @@ class TestConfusion:
         truth = EdgeSet.from_pairs(4, [(0, 1), (1, 3)])
         c = confusion(est, truth)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 3)
-        assert c.total == 6  # all unordered pairs of 4 nodes
+        assert c.tp + c.fp + c.fn + c.tn == 6  # all unordered pairs of 4 nodes
 
     def test_perfect_recovery(self):
         e = EdgeSet.from_pairs(5, [(0, 1), (2, 3)])
