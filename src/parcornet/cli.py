@@ -97,6 +97,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _repeated(items: list):
     """The first item equal to an earlier one, or None."""
     return next((s for k, s in enumerate(items) if s in items[:k]), None)
@@ -130,7 +134,7 @@ def _check_fields(entry: dict, spec, where: str) -> None:
         if field.type in ("int", int):
             if not _is_int(value):
                 raise ConfigError(f"{where}: field {name!r} must be an integer, got {value!r}")
-        elif not (_is_int(value) or isinstance(value, float)):
+        elif not _is_number(value):
             raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}")
 
 
@@ -140,8 +144,18 @@ def _resolve_manifest(raw: dict) -> dict:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
     m = dict(MANIFEST_DEFAULTS)
     m.update(raw)
+    if not _is_int(m["seed"]) or m["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {m['seed']!r}")
     if not _is_int(m["runs"]) or m["runs"] < 1:
         raise ConfigError(f"runs must be a positive integer, got {m['runs']!r}")
+    for key in ("topologies", "distributions", "sample_sizes", "modes", "alphas"):
+        if not isinstance(m[key], list):
+            raise ConfigError(f"{key} must be a list, got {m[key]!r}")
+    if not isinstance(m["lambda"], dict):
+        raise ConfigError(f"lambda must be an object, got {m['lambda']!r}")
+    _check_fields({key: m[key] for key in ("nu", "delta", "max_iter")}, EMConfig, "manifest")
+    for i, alpha in enumerate(m["alphas"]):
+        _check_fields({"alpha": alpha}, PenaltyConfig, f"alphas[{i}]")
     topologies = []
     for i, entry in enumerate(m["topologies"]):
         t = _manifest_entry(entry, f"topologies[{i}]")
@@ -167,11 +181,15 @@ def _resolve_manifest(raw: dict) -> dict:
     for mode in m["modes"]:
         if mode not in MODES:
             raise ConfigError(f"modes: estimator mode must be one of {MODES}, got {mode!r}")
-    grid = {**MANIFEST_DEFAULTS["lambda"], **dict(m["lambda"])}
+    grid = {**MANIFEST_DEFAULTS["lambda"], **m["lambda"]}
     unknown = set(grid) - {"lo", "hi", "count"}
     if unknown:
         raise ConfigError(f"lambda: unknown grid keys {sorted(unknown)}")
-    build_grid(grid["lo"], grid["hi"], grid["count"])
+    for key in ("lo", "hi"):
+        if not _is_number(grid[key]):
+            raise ConfigError(f"lambda: field {key!r} must be a number, got {grid[key]!r}")
+    # every estimator's config, so that a bad value stops the run before any cell
+    list(_estimators(m, build_grid(grid["lo"], grid["hi"], grid["count"]).lo))
     m["lambda"] = grid
     m["topologies"] = topologies
     m["distributions"] = dists
@@ -179,6 +197,19 @@ def _resolve_manifest(raw: dict) -> dict:
         if not _is_int(n) or n < 2:
             raise ConfigError(f"sample_sizes[{i}] must be an integer >= 2, got {n!r}")
     return m
+
+
+def _estimators(manifest: dict, lam: float):
+    """(mode, alpha, EMConfig at lam) of every estimator a simulate cell runs."""
+    for mode, alpha in itertools.product(manifest["modes"], manifest["alphas"]):
+        yield mode, alpha, EMConfig(
+            penalty=PenaltyConfig(float(alpha), lam),
+            mode=mode,
+            nu=float(manifest["nu"]),
+            rule=manifest["rule"],
+            delta=manifest["delta"],
+            max_iter=manifest["max_iter"],
+        )
 
 
 def _truth_seed(seed: int, topo_index: int) -> int:
@@ -201,18 +232,10 @@ def _simulate_cell(manifest: dict, cell: tuple) -> list:
     data = sample(theta, n, DistributionSpec(**dist["kwargs"]), rng)
     grid = build_grid(**manifest["lambda"])
     rows = []
-    for mode, alpha in itertools.product(manifest["modes"], manifest["alphas"]):
+    for mode, alpha, config in _estimators(manifest, grid.lo):
         row = dict.fromkeys(SIM_COLUMNS)
         row.update(topology=topo["label"], distribution=dist["label"], n=n, run=run,
                    estimator=mode, alpha=float(alpha))
-        config = EMConfig(
-            penalty=PenaltyConfig(float(alpha), grid.lo),
-            mode=mode,
-            nu=float(manifest["nu"]),
-            rule=manifest["rule"],
-            delta=manifest["delta"],
-            max_iter=manifest["max_iter"],
-        )
         try:
             report = select(data, grid, config)
         except (EstimationError, SelectionError) as exc:
@@ -353,13 +376,23 @@ def network_from_json_dict(d: dict) -> tuple:
     dup = _repeated(names)
     if dup is not None:
         raise DataError(f"network lists node {dup!r} twice")
+    edges = d.get("edges", [])
+    if not isinstance(edges, list):
+        raise DataError(f"network JSON field 'edges' must be a list of edges, got {edges!r}")
     vals = np.zeros((p, p))
     seen = set()
-    for k, e in enumerate(d.get("edges", [])):
+    for k, e in enumerate(edges):
         try:
-            i, j, w = int(e["i"]) - 1, int(e["j"]) - 1, float(e["weight"])
-        except (KeyError, TypeError, ValueError):
+            i, j, w = e["i"], e["j"], e["weight"]
+        except (KeyError, TypeError):
             raise DataError(f"edge {k + 1} {e!r}: needs numeric i, j and weight") from None
+        if not _is_number(w):
+            raise DataError(f"edge {k + 1} {e!r}: needs numeric i, j and weight")
+        if not (_is_int(i) and _is_int(j)):
+            raise DataError(f"edge {k + 1} {e!r}: node numbers i and j must be integers")
+        if not math.isfinite(w):
+            raise DataError(f"edge {k + 1} {e!r}: weight must be finite")
+        i, j = i - 1, j - 1
         if not (0 <= i < p and 0 <= j < p) or i == j:
             raise DataError(f"edge ({e['i']},{e['j']}) invalid for p={p}")
         pair = (min(i, j) + 1, max(i, j) + 1)

@@ -19,16 +19,17 @@ With H = G + lam(1-alpha) I, a response g whose support A and signs s
 are known has the solution H_AA b_A = g_A - lam*alpha*s_A and 0 off A.
 Each round of the primal-dual active-set (PDAS) update of Hintermuller,
 Ito & Kunisch (2003) reads every running response's dual residual
-z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha with
-the signs of that expression, and solves all the support systems in
-one batch, or in a few by block size (BATCH_BLOCK). The dual residuals
-of a stack are one batched matmul over its Grams. A response stops when
-its (support, signs) repeats: that fixed point is the KKT condition, so
-the solution is exact rather than accurate to a tolerance. PDAS can
-cycle. A response that revisits an earlier state, meets a singular
-block or uses MAX_ROUNDS rounds goes on by feature-sign steps (Lee et
-al. 2007), each of which lowers its objective, and is returned
-unconverged if those too use MAX_ROUNDS.
+z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha
+with the signs of that expression, and solves all the support systems
+in one batch, or in a few by block size (BATCH_BLOCK). Each response is
+one row of every per-response array, so a round takes and writes whole
+rows, and its dual residuals are one product per Gram. A response stops
+when its (support, signs) repeats: that fixed point is the KKT
+condition, so the solution is exact rather than accurate to a
+tolerance. PDAS can cycle. A response that revisits an earlier state,
+meets a singular block or uses MAX_ROUNDS rounds goes on by
+feature-sign steps (Lee et al. 2007), each of which lowers its
+objective, and is returned unconverged if those too use MAX_ROUNDS.
 A solve may start from given supports and signs instead of from 0 (a
 warm start); where the solution is unique it ends at the same point.
 KAPPA, MAX_ROUNDS and BATCH_BLOCK are module constants, read at call
@@ -86,9 +87,6 @@ class PenaltyConfig:
 class ElasticNetFit:
     coefficients: np.ndarray
     intercept: float
-    rounds: int
-    converged: bool
-    kkt_residual: float
 
 
 @dataclass
@@ -96,16 +94,15 @@ class GramFit:
     """The active-set solve of several responses of one Gram, or of a stack.
 
     Column i of coefficients regresses Gram column columns[i] on all the
-    others; its own row is 0. The response_* arrays hold each response's
-    round count (PDAS rounds plus feature-sign steps), convergence flag
-    and subgradient residual. For a stack of Grams every array has a
-    leading axis with one entry per Gram.
+    others; its own row is 0. response_rounds and response_converged hold
+    each response's round count (PDAS rounds plus feature-sign steps) and
+    convergence flag. For a stack of Grams every array has a leading axis
+    with one entry per Gram.
     """
 
     coefficients: np.ndarray
     response_rounds: np.ndarray
     response_converged: np.ndarray
-    response_kkt: np.ndarray
 
     @property
     def sweeps(self) -> int:
@@ -118,50 +115,41 @@ class GramFit:
         return bool(self.response_converged.all())
 
 
-def _kkt_residuals(b, grams, cols, thr, ridge):
-    """Largest subgradient violation of each response (stack k, column i)."""
-    grad = np.matmul(grams, b) - grams[:, :, cols] + ridge[:, None, None] * b
-    t = thr[:, None, None]
-    res = np.where(b != 0.0, np.abs(grad + t * np.sign(b)), np.maximum(np.abs(grad) - t, 0.0))
-    res[:, cols, np.arange(cols.size)] = 0.0  # a response is not one of its own coordinates
-    return res.max(axis=1, initial=0.0)
+def _solve_supports(hx, g, thr, scale, state, b, q, lk):
+    """Solve the support systems of the responses in rows q into b.
 
-
-def _solve_supports(hx, g, thr, scale, state, b, lk, li):
-    """Solve the support systems of responses (lk, li) into b.
-
-    Response (k, i) is column i of Gram k. state holds each response's
-    signs on its support and 0 off it. hx stacks the s matrices H on top
-    of an identity block, s p + p rows by 2 p columns, which pads blocks
-    to a common size. Supports smaller than BATCH_BLOCK are solved as one
+    lk holds the Gram of each row in q. state holds each response's signs
+    on its support and 0 off it. hx stacks the s matrices H on top of an
+    identity block, s p + p rows by 2 p columns, which pads blocks to a
+    common size. Supports smaller than BATCH_BLOCK are solved as one
     batch, and larger ones in batches whose sizes lie within a factor of
-    2, each padded to its largest support. Returns a mask over the
-    responses of those whose block is singular; their coefficients are
-    left as they were.
+    2, each padded to its largest support. Returns a mask over q of the
+    responses whose block is singular; their coefficients are left as
+    they were.
     """
-    act = state[lk, :, li] != 0
+    act = state[q] != 0
     size = act.sum(axis=1)
     if size.max() < BATCH_BLOCK:
-        return _solve_batch(hx, g, thr, scale, state, b, lk, li, act, size)
+        return _solve_batch(hx, g, thr, scale, state, b, q, lk, act, size)
     band = np.frexp(np.maximum(size, BATCH_BLOCK - 1))[1]
-    singular = np.zeros(lk.size, dtype=bool)
+    singular = np.zeros(q.size, dtype=bool)
     for v in np.unique(band):
         j = np.flatnonzero(band == v)
-        singular[j] = _solve_batch(hx, g, thr, scale, state, b, lk[j], li[j], act[j], size[j])
+        singular[j] = _solve_batch(hx, g, thr, scale, state, b, q[j], lk[j], act[j], size[j])
     return singular
 
 
-def _solve_batch(hx, g, thr, scale, state, b, lk, li, act, size):
+def _solve_batch(hx, g, thr, scale, state, b, q, lk, act, size):
     """_solve_supports for one batch, padded to its largest support."""
-    s, p = b.shape[:2]
+    p = b.shape[1]
     m = int(size.max())
     pad = np.arange(m) >= size[:, None]
     rows = np.argsort(~act, axis=1, kind="stable")[:, :m]  # each support first, ascending
-    at_row = np.where(pad, s * p + np.arange(m), lk[:, None] * p + rows)
+    at_row = np.where(pad, hx.shape[0] - p + np.arange(m), lk[:, None] * p + rows)
     at_col = np.where(pad, p + np.arange(m), rows)
     blocks = hx[at_row[:, :, None], at_col[:, None, :]]
-    kc, ic = lk[:, None], li[:, None]
-    rhs = np.where(pad, 0.0, g[kc, rows, ic] - thr[kc] * state[kc, rows, ic])
+    qc = q[:, None]
+    rhs = np.where(pad, 0.0, g[qc, rows] - thr[lk[:, None]] * state[qc, rows])
     try:
         x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:  # an exactly singular block: find it, one block at a time
@@ -173,10 +161,9 @@ def _solve_batch(hx, g, thr, scale, state, b, lk, li, act, size):
                 pass
     singular = _singular(x, scale[lk], rhs)
     keep = ~singular
-    b[lk[keep], :, li[keep]] = 0.0
+    b[q[keep]] = 0.0
     filled = ~pad & keep[:, None]
-    at = np.nonzero(filled)[0]
-    b[lk[at], rows[filled], li[at]] = x[filled]
+    b[q[np.nonzero(filled)[0]], rows[filled]] = x[filled]
     return singular
 
 
@@ -191,18 +178,12 @@ def _singular(x, scale, rhs):
 
 def _products(h, x, lk):
     """Row j of the result is h[lk[j]] @ x[j], for lk in ascending order:
-    one batched matmul over the Grams that lk names, each against its
-    own rows of x, padded with zeros to the most rows any of them has."""
-    if lk[0] == lk[-1]:
-        return (h[lk[0]] @ x.T).T
-    head = np.ones(lk.size, dtype=bool)
-    np.not_equal(lk[1:], lk[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    at = np.cumsum(head) - 1  # each row's Gram, among those named
-    slot = np.arange(lk.size) - first[at]
-    cols = np.zeros((first.size, x.shape[1], int(slot.max()) + 1))
-    cols[at, :, slot] = x
-    return np.matmul(h[lk[first]], cols)[at, :, slot]
+    one product per Gram, over its run of rows."""
+    out = np.empty_like(x)
+    cut = np.flatnonzero(lk[1:] != lk[:-1]) + 1
+    for a, z in zip([0, *cut.tolist()], [*cut.tolist(), lk.size]):
+        out[a:z] = (h[lk[a]] @ x[a:z].T).T
+    return out
 
 
 def _feature_sign(h, g, thr, b, own, budget):
@@ -300,7 +281,8 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
     MAX_ROUNDS of them, and are returned unconverged if those run out.
     Every decision about a response reads only its own Gram and penalty,
     so a response's support and signs do not depend on what it is
-    stacked with.
+    stacked with. Row k r + i of the solve's arrays is response i of Gram
+    k (r = len(columns)); start and the coefficients are transposed once.
     """
     gram = np.asarray(gram, dtype=float)
     stacked = gram.ndim == 3
@@ -315,7 +297,9 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
         raise DomainError("elastic net Gram is non-finite")
     cols = np.asarray(columns, dtype=np.intp).reshape(-1)
     r = cols.size
-    ar = np.arange(r)
+    # the Gram and the own column of each row
+    gram_of = np.repeat(np.arange(s), r)
+    own = np.tile(cols, s)
     thr = np.array([pen.lam * pen.alpha for pen in penalties])
     ridge = np.array([pen.lam * (1.0 - pen.alpha) for pen in penalties])
     h = grams + ridge[:, None, None] * np.eye(p)
@@ -323,36 +307,35 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
     hx[:s * p, :p] = h.reshape(s * p, p)
     hx[s * p:, p:] = np.eye(p)
     scale = np.abs(h).max(axis=(1, 2))
-    g = grams[:, :, cols]
+    g = grams[:, :, cols].transpose(0, 2, 1).reshape(s * r, p)
     weight = KAPPA * np.diagonal(h, axis1=1, axis2=2)
-    b = np.zeros((s, p, r))
-    state = np.zeros((s, p, r), dtype=np.int8)  # signs on the support, 0 off it
+    b = np.zeros((s * r, p))
+    state = np.zeros((s * r, p), dtype=np.int8)  # signs on the support, 0 off it
     if start is not None:
         start = np.asarray(start)
-        want = b.shape if stacked else (p, r)
+        want = (s, p, r) if stacked else (p, r)
         if start.shape != want:
             raise ShapeError(f"start must have shape {want}, got {start.shape}")
-        state[:] = np.sign(start).reshape(b.shape)
-        state[:, cols, ar] = 0
-        wk, wi = np.nonzero(state.any(axis=1))
-        if wk.size:
+        state[:] = np.sign(start).reshape(s, p, r).transpose(0, 2, 1).reshape(s * r, p)
+        state[np.arange(s * r), own] = 0
+        warm = np.flatnonzero(state.any(axis=1))
+        if warm.size:
             # a singular warm block leaves its coefficients at 0: start it cold
-            singular = _solve_supports(hx, g, thr, scale, state, b, wk, wi)
-            state[wk[singular], :, wi[singular]] = 0
-    # response q = k r + i is column i of Gram k
-    seen = [{key.tobytes()} for key in state.transpose(0, 2, 1).reshape(s * r, p)]
+            singular = _solve_supports(hx, g, thr, scale, state, b, warm, gram_of[warm])
+            state[warm[singular]] = 0
+    seen = [{key.tobytes()} for key in state]
     rounds = np.zeros(s * r, dtype=np.int64)
     converged = np.zeros(s * r, dtype=bool)
     handed = []  # responses left to the feature-sign steps
     live = np.arange(s * r)
     while live.size:
         rounds[live] += 1
-        lk, li = np.divmod(live, r)
-        bl = b[lk, :, li]
-        v = weight[lk] * bl + g[lk, :, li] - _products(h, bl, lk)
+        lk = gram_of[live]
+        bl = b[live]
+        v = weight[lk] * bl + g[live] - _products(h, bl, lk)
         new = np.where(np.abs(v) > thr[lk, None], np.sign(v), 0.0).astype(np.int8)
-        new[np.arange(live.size), cols[li]] = 0
-        same = (new == state[lk, :, li]).all(axis=1)
+        new[np.arange(live.size), own[live]] = 0
+        same = (new == state[live]).all(axis=1)
         converged[live[same]] = True
         going = ~same
         for j in np.flatnonzero(going).tolist():
@@ -364,23 +347,21 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
                 seen[q].add(key)
         live = live[going]
         if live.size:
-            lk, li = np.divmod(live, r)
-            state[lk, :, li] = new[going]
-            singular = _solve_supports(hx, g, thr, scale, state, b, lk, li)
+            state[live] = new[going]
+            singular = _solve_supports(hx, g, thr, scale, state, b, live, gram_of[live])
             handed.extend(live[singular].tolist())
             live = live[~singular]
     for q in handed:
-        k, i = divmod(q, r)
-        b[k, :, i], steps, converged[q] = _feature_sign(h[k], g[k, :, i], thr[k], b[k, :, i],
-                                                        cols[i], MAX_ROUNDS)
+        k = gram_of[q]
+        b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS)
         rounds[q] += steps
     rounds, converged = rounds.reshape(s, r), converged.reshape(s, r)
     if not np.all(np.isfinite(b)):
         raise DomainError("elastic net coefficients are non-finite")
-    kkt = _kkt_residuals(b, grams, cols, thr, ridge)
+    coefficients = b.reshape(s, r, p).transpose(0, 2, 1)
     if stacked:
-        return GramFit(b, rounds, converged, kkt)
-    return GramFit(b[0], rounds[0], converged[0], kkt[0])
+        return GramFit(coefficients, rounds, converged)
+    return GramFit(coefficients[0], rounds[0], converged[0])
 
 
 def solve(
@@ -414,8 +395,7 @@ def solve(
     b = fit.coefficients[:m, 0].copy()
     # unpenalized intercept recovered from the centering identity
     intercept = y_mean - float(x_mean @ b)
-    return ElasticNetFit(b, intercept, int(fit.response_rounds[0]), fit.converged,
-                         float(fit.response_kkt[0]))
+    return ElasticNetFit(b, intercept)
 
 
 def lambda_max(design: np.ndarray, response: np.ndarray, alpha: float) -> float:

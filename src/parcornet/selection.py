@@ -53,6 +53,8 @@ def build_grid(lo: float, hi: float, count: int) -> LambdaGrid:
         raise ConfigError(f"grid lo must be finite and > 0, got {lo}")
     if not (np.isfinite(hi) and hi >= lo):
         raise ConfigError(f"grid hi must be finite and >= lo, got {hi}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ConfigError(f"grid count must be an integer, got {count!r}")
     if count < 1 or (count == 1 and hi != lo):
         raise ConfigError(f"count={count} incompatible with bounds ({lo}, {hi})")
     if count == 1:

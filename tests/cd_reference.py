@@ -4,7 +4,9 @@ reference_solve is one response's cyclic coordinate descent written as a
 plain loop over coordinates; reference_nodes runs it once per listed Gram
 column, slicing the Gram as a per-node neighborhood regression would. The
 active-set solve must reproduce its supports exactly and its coefficients
-to within the reference's own stopping tolerance.
+to within the reference's own stopping tolerance. kkt_residuals is the
+certificate of a solve_gram result: each response's largest subgradient
+violation, which is at rounding level when the solve is exact.
 """
 import numpy as np
 
@@ -24,7 +26,8 @@ def _soft(z, thr):
     return 0.0
 
 
-def _kkt_residual(b, gram, cross, penalty):
+def kkt_residual(b, gram, cross, penalty):
+    """Largest subgradient violation of b as the solution of one response."""
     grad = gram @ b - cross + penalty.lam * (1.0 - penalty.alpha) * b
     thr = penalty.lam * penalty.alpha
     res = 0.0
@@ -34,6 +37,18 @@ def _kkt_residual(b, gram, cross, penalty):
         else:
             res = max(res, max(0.0, abs(grad[j]) - thr))
     return float(res)
+
+
+def kkt_residuals(coefs, gram, columns, penalty):
+    """kkt_residual of each response of a solve_gram result on one Gram:
+    column i of coefs regresses Gram column columns[i] on all the others."""
+    p = gram.shape[0]
+    res = []
+    for i, k in enumerate(columns):
+        others = np.delete(np.arange(p), k)
+        res.append(kkt_residual(coefs[others, i], gram[np.ix_(others, others)], gram[others, k],
+                                penalty))
+    return np.array(res)
 
 
 def reference_solve(gram, cross, penalty):
@@ -55,7 +70,7 @@ def reference_solve(gram, cross, penalty):
             if bj != bj_old:
                 b[j] = bj
                 delta = max(delta, abs(bj - bj_old))
-        if delta < COEF_TOL * scale and _kkt_residual(b, gram, cross, penalty) <= KKT_TOL * scale:
+        if delta < COEF_TOL * scale and kkt_residual(b, gram, cross, penalty) <= KKT_TOL * scale:
             converged = True
             break
     return b, sweeps, converged

@@ -121,6 +121,32 @@ class TestSimulate:
         assert named in err
         assert "bad input" not in err
 
+    @pytest.mark.parametrize("change, named", [
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"lambda": {"lo": 0.01, "hi": 1.5, "count": 2.5}}, "grid count must be an integer, got 2.5"),
+        ({"lambda": {"lo": "x", "hi": 1.5, "count": 3}}, "lambda: field 'lo' must be a number, got 'x'"),
+        ({"lambda": {"lo": 0.01, "hi": "x", "count": 3}}, "lambda: field 'hi' must be a number, got 'x'"),
+        ({"alphas": [0.5, "x"]}, "alphas[1]: field 'alpha' must be a number, got 'x'"),
+        ({"nu": "x"}, "manifest: field 'nu' must be a number, got 'x'"),
+        ({"delta": "x"}, "manifest: field 'delta' must be a number, got 'x'"),
+        ({"max_iter": "x"}, "manifest: field 'max_iter' must be an integer, got 'x'"),
+        ({"alphas": [1.5]}, "alpha must be in [0, 1], got 1.5"),
+        ({"modes": "gaussian"}, "modes must be a list, got 'gaussian'"),
+        ({"distributions": "normal"}, "distributions must be a list, got 'normal'"),
+        ({"topologies": 5}, "topologies must be a list, got 5"),
+        ({"sample_sizes": 60}, "sample_sizes must be a list, got 60"),
+        ({"alphas": 0.5}, "alphas must be a list, got 0.5"),
+        ({"lambda": 5}, "lambda must be an object, got 5"),
+    ])
+    def test_mistyped_manifest_value_names_field_before_any_cell_exit_2(
+            self, tmp_path, capsys, monkeypatch, change, named):
+        monkeypatch.setattr(cli, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
+        man = write_json(tmp_path / "man.json", {**SMOKE_MANIFEST, **change})
+        assert cli.main(["simulate", man, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "bad input" not in err
+
     def test_manifest_syntax_error_names_line_and_column_exit_2(self, tmp_path, capsys):
         man = tmp_path / "man.json"
         man.write_text('{\n  "seed": 5,\n  "runs": 1,\n}\n')
@@ -314,6 +340,24 @@ class TestAnalyze:
     ])
     def test_malformed_network_names_field_exit_2(self, tmp_path, capsys, doc, named):
         net = write_json(tmp_path / "net.json", doc)
+        assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "bad input" not in err
+
+    @pytest.mark.parametrize("edges, named", [
+        ([{"i": 1, "j": 2, "weight": 0.1}, {"i": 1.9, "j": 3, "weight": 0.3}],
+         "edge 2 {'i': 1.9, 'j': 3, 'weight': 0.3}: node numbers i and j must be integers"),
+        ([{"i": True, "j": 2, "weight": 0.2}],
+         "edge 1 {'i': True, 'j': 2, 'weight': 0.2}: node numbers i and j must be integers"),
+        (5, "field 'edges' must be a list of edges, got 5"),
+        ([{"i": 1, "j": 2, "weight": "nan"}],
+         "edge 1 {'i': 1, 'j': 2, 'weight': 'nan'}: needs numeric i, j and weight"),
+        ([{"i": 1, "j": 2, "weight": float("nan")}],
+         "edge 1 {'i': 1, 'j': 2, 'weight': nan}: weight must be finite"),
+    ])
+    def test_mistyped_edge_named_exit_2(self, tmp_path, capsys, edges, named):
+        net = write_json(tmp_path / "net.json", {"p": 3, "edges": edges})
         assert cli.main(["analyze", net, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert named in err
