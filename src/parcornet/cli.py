@@ -139,6 +139,8 @@ def _check_fields(entry: dict, spec, where: str) -> None:
 
 
 def _resolve_manifest(raw: dict) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"manifest must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(MANIFEST_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
@@ -148,6 +150,8 @@ def _resolve_manifest(raw: dict) -> dict:
         raise ConfigError(f"seed must be a non-negative integer, got {m['seed']!r}")
     if not _is_int(m["runs"]) or m["runs"] < 1:
         raise ConfigError(f"runs must be a positive integer, got {m['runs']!r}")
+    if m["runs"] > sys.maxsize:
+        raise ConfigError(f"runs must be at most {sys.maxsize}, got {m['runs']}")
     for key in ("topologies", "distributions", "sample_sizes", "modes", "alphas"):
         if not isinstance(m[key], list):
             raise ConfigError(f"{key} must be a list, got {m[key]!r}")
@@ -165,6 +169,8 @@ def _resolve_manifest(raw: dict) -> dict:
         label = t.pop("label", t["kind"])
         _check_fields(t, TopologySpec, f"topologies[{i}] ({label!r})")
         TopologySpec(seed=0, **t)  # validates kind and parameters
+        if not isinstance(label, str):
+            raise ConfigError(f"topologies[{i}]: field 'label' must be a string, got {label!r}")
         topologies.append({"label": label, "kwargs": t})
     dup = _repeated([t["label"] for t in topologies])
     if dup is not None:
@@ -274,6 +280,8 @@ def _load_json(path: str, error: type) -> object:
 def cmd_simulate(args) -> int:
     manifest = _resolve_manifest(_load_json(args.manifest, ConfigError))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         manifest["seed"] = args.seed
     cells = itertools.product(
         *(range(len(manifest[key])) for key in ("topologies", "distributions", "sample_sizes")),

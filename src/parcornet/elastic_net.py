@@ -6,14 +6,13 @@ Minimizes
 
 with the intercept a left unpenalized. Columns are NOT standardized
 internally; the penalty acts on the coefficients as given. The solver
-works on centered second moments (Gram form). solve_gram regresses
-several columns of one Gram G on all its other columns at once: the
-coefficients form a matrix with one column per response and a zero in
-each response's own row. It also takes a stack of Grams with one
-penalty each and solves all their responses at once, every decision
-about a response reading only its own Gram and penalty, so each Gram
-gets what it gets alone. solve is the one-response case, on the Gram of
-[X, y].
+works on centered second moments (Gram form). solve_gram takes a stack
+of Grams G with one penalty each and regresses several columns of every
+G on all its other columns at once: each Gram's coefficients form a
+matrix with one column per response and a zero in each response's own
+row. Every decision about a response reads only its own Gram and
+penalty, so each Gram gets what it gets alone. solve is the
+one-response case, on a stack of one: the Gram of [X, y].
 
 With H = G + lam(1-alpha) I, a response g whose support A and signs s
 are known has the solution H_AA b_A = g_A - lam*alpha*s_A and 0 off A.
@@ -30,8 +29,9 @@ tolerance. PDAS can cycle. A response that revisits an earlier state,
 meets a singular block or uses MAX_ROUNDS rounds goes on by
 feature-sign steps (Lee et al. 2007), each of which lowers its
 objective, and is returned unconverged if those too use MAX_ROUNDS.
-A solve may start from given supports and signs instead of from 0 (a
-warm start); where the solution is unique it ends at the same point.
+A solve starts from given supports and signs: all-zero signs start
+every response from 0 (a cold start), and where the solution is unique
+any other start (a warm start) ends at the same point.
 KAPPA, MAX_ROUNDS and BATCH_BLOCK are module constants, read at call
 time.
 """
@@ -91,13 +91,13 @@ class ElasticNetFit:
 
 @dataclass
 class GramFit:
-    """The active-set solve of several responses of one Gram, or of a stack.
+    """The active-set solve of several responses of each Gram of a stack.
 
-    Column i of coefficients regresses Gram column columns[i] on all the
-    others; its own row is 0. response_rounds and response_converged hold
-    each response's round count (PDAS rounds plus feature-sign steps) and
-    convergence flag. For a stack of Grams every array has a leading axis
-    with one entry per Gram.
+    Every array has a leading axis with one entry per Gram. Column i of
+    coefficients[k] regresses column columns[i] of Gram k on all the
+    others; its own row is 0. response_rounds[k] and
+    response_converged[k] hold each response's round count (PDAS rounds
+    plus feature-sign steps) and convergence flag.
     """
 
     coefficients: np.ndarray
@@ -257,46 +257,47 @@ def _feature_sign(h, g, thr, b, own, budget):
         settled = ends and taus.size == 1
 
 
-def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
-    """Regress each listed column of a centered Gram on all its other columns.
+def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> GramFit:
+    """Regress each listed column of every centered Gram of a stack on all
+    its other columns.
 
-    gram is X_c^T X_c / n and penalty a PenaltyConfig, or gram is a stack
-    of s such Grams (s x p x p) and penalty a sequence of s PenaltyConfigs,
-    one per Gram: each Gram's regressions are then solved under its own
-    penalty, and every array of the result gains a leading stack axis.
-    Column i of the result holds the coefficients of response columns[i],
-    with its own row held at 0. Without start, every response starts from
-    0. start, a p x len(columns) sign matrix (s of them for a stack),
-    warm-starts the solve: column i's nonzeros are response i's starting
-    support, with their signs, and its entry in the response's own row is
-    ignored. The warm supports are solved once as a batch before the
-    first round, and that solve is not counted as a round; a response
-    whose warm block is singular starts from 0 instead. The solution is
-    unique when lam(1-alpha) > 0 or every support block is positive
-    definite, so a start changes the rounds, not the result. Every
-    response then runs the batched PDAS rounds; a coordinate with no
-    curvature (zero variance, no ridge term) has a zero dual residual and
-    never enters a support. Responses that cycle, meet a singular block
-    or reach MAX_ROUNDS continue by feature-sign steps, at most
-    MAX_ROUNDS of them, and are returned unconverged if those run out.
-    Every decision about a response reads only its own Gram and penalty,
-    so a response's support and signs do not depend on what it is
-    stacked with. Row k r + i of the solve's arrays is response i of Gram
-    k (r = len(columns)); start and the coefficients are transposed once.
+    grams is a stack of s Grams X_c^T X_c / n (s x p x p) and penalties a
+    sequence of s PenaltyConfigs, one per Gram: each Gram's regressions
+    are solved under its own penalty. Column i of coefficients[k] holds
+    the coefficients of response columns[i] of Gram k, with its own row
+    held at 0. start, an s x p x len(columns) sign array, gives each
+    response its starting support and signs in the same layout; its entry
+    in the response's own row is ignored. All zeros is the cold start:
+    every response starts from 0. The nonzero (warm) supports are solved
+    once as a batch before the first round, and that solve is not
+    counted as a round; a response whose warm block is singular starts
+    from 0 instead. The solution is unique when lam(1-alpha) > 0 or every
+    support block is positive definite, so a start changes the rounds,
+    not the result. Every response then runs the batched PDAS rounds; a
+    coordinate with no curvature (zero variance, no ridge term) has a
+    zero dual residual and never enters a support. Responses that cycle,
+    meet a singular block or reach MAX_ROUNDS continue by feature-sign
+    steps, at most MAX_ROUNDS of them, and are returned unconverged if
+    those run out. Every decision about a response reads only its own
+    Gram and penalty, so a response's support and signs do not depend on
+    what it is stacked with. Row k r + i of the solve's arrays is
+    response i of Gram k (r = len(columns)); start and the coefficients
+    are transposed once.
     """
-    gram = np.asarray(gram, dtype=float)
-    stacked = gram.ndim == 3
-    grams = gram if stacked else gram[None]
-    penalties = list(penalty) if stacked else [penalty]
+    grams = np.asarray(grams, dtype=float)
     if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
-        raise ShapeError(f"gram must be a square 2-d array or a stack of them, got shape {gram.shape}")
+        raise ShapeError(f"grams must be a stack of square Grams (s x p x p), got shape {grams.shape}")
     s, p = grams.shape[:2]
+    penalties = list(penalties)
     if len(penalties) != s:
         raise ShapeError(f"a stack of {s} Grams needs {s} penalties, got {len(penalties)}")
     if not np.all(np.isfinite(grams)):
         raise DomainError("elastic net Gram is non-finite")
     cols = np.asarray(columns, dtype=np.intp).reshape(-1)
     r = cols.size
+    start = np.asarray(start)
+    if start.shape != (s, p, r):
+        raise ShapeError(f"start must have shape {(s, p, r)}, got {start.shape}")
     # the Gram and the own column of each row
     gram_of = np.repeat(np.arange(s), r)
     own = np.tile(cols, s)
@@ -310,19 +311,14 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
     g = grams[:, :, cols].transpose(0, 2, 1).reshape(s * r, p)
     weight = KAPPA * np.diagonal(h, axis1=1, axis2=2)
     b = np.zeros((s * r, p))
-    state = np.zeros((s * r, p), dtype=np.int8)  # signs on the support, 0 off it
-    if start is not None:
-        start = np.asarray(start)
-        want = (s, p, r) if stacked else (p, r)
-        if start.shape != want:
-            raise ShapeError(f"start must have shape {want}, got {start.shape}")
-        state[:] = np.sign(start).reshape(s, p, r).transpose(0, 2, 1).reshape(s * r, p)
-        state[np.arange(s * r), own] = 0
-        warm = np.flatnonzero(state.any(axis=1))
-        if warm.size:
-            # a singular warm block leaves its coefficients at 0: start it cold
-            singular = _solve_supports(hx, g, thr, scale, state, b, warm, gram_of[warm])
-            state[warm[singular]] = 0
+    # signs on the support, 0 off it
+    state = np.sign(start).transpose(0, 2, 1).reshape(s * r, p).astype(np.int8)
+    state[np.arange(s * r), own] = 0
+    warm = np.flatnonzero(state.any(axis=1))
+    if warm.size:
+        # a singular warm block leaves its coefficients at 0: start it cold
+        singular = _solve_supports(hx, g, thr, scale, state, b, warm, gram_of[warm])
+        state[warm[singular]] = 0
     seen = [{key.tobytes()} for key in state]
     rounds = np.zeros(s * r, dtype=np.int64)
     converged = np.zeros(s * r, dtype=bool)
@@ -355,13 +351,10 @@ def solve_gram(gram: np.ndarray, columns, penalty, start=None) -> GramFit:
         k = gram_of[q]
         b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS)
         rounds[q] += steps
-    rounds, converged = rounds.reshape(s, r), converged.reshape(s, r)
     if not np.all(np.isfinite(b)):
         raise DomainError("elastic net coefficients are non-finite")
-    coefficients = b.reshape(s, r, p).transpose(0, 2, 1)
-    if stacked:
-        return GramFit(coefficients, rounds, converged)
-    return GramFit(coefficients[0], rounds[0], converged[0])
+    return GramFit(b.reshape(s, r, p).transpose(0, 2, 1), rounds.reshape(s, r),
+                   converged.reshape(s, r))
 
 
 def solve(
@@ -391,8 +384,8 @@ def solve(
     gram[:m, :m] = xc.T @ xc / n
     gram[:m, m] = gram[m, :m] = xc.T @ yc / n
     gram[m, m] = float(yc @ yc) / n
-    fit = solve_gram(gram, [m], penalty)
-    b = fit.coefficients[:m, 0].copy()
+    fit = solve_gram(gram[None], [m], [penalty], np.zeros((1, m + 1, 1), dtype=np.int8))
+    b = fit.coefficients[0, :m, 0].copy()
     # unpenalized intercept recovered from the centering identity
     intercept = y_mean - float(x_mean @ b)
     return ElasticNetFit(b, intercept)

@@ -23,20 +23,22 @@ lambda's next iteration depends only on its scatter, its edge set and
 its previous fit, so lambdas whose edge sets have agreed at every
 iteration so far are one group: each group's E-step and scatter are
 computed once per iteration, and so is the constrained fit of each
-distinct edge set within it. An iteration computes every group's
-scatter first, then runs stage 1 for all lambdas of all groups as one
-stacked solve (select_edges on a stack of scatters, one penalty each),
-each lambda warm-started from the supports and signs it ended on at its
-previous iteration. At the first iteration, the only one in gaussian
-mode, no lambda has such signs yet, and the lambdas run one at a time,
-from the largest down, each starting from those of the grid neighbour
-just solved on the same scatter (pathwise warm starts as in glmnet,
-Friedman, Hastie & Tibshirani 2010). The elastic-net solution is unique
-whenever lam(1-alpha) > 0 or its support blocks are positive definite,
-and each regression of a stacked solve is decided on its own scatter and
-penalty alone, so the edge sets, and with them every state, are the same
-as from independent fits with cold starts; only the number of solver
-calls and active-set rounds drops.
+distinct edge set within it. Every lambda keeps the supports and signs
+its stage-1 regressions ended on, all in one L x p x p array. An
+iteration computes every group's scatter first, then runs stage 1 for
+all lambdas of all groups as one stacked solve (select_edges on a stack
+of scatters, one penalty each), each lambda warm-started from the signs
+it ended on at its previous iteration. At the first iteration, the only
+one in gaussian mode, there is one scatter and no lambda has such signs
+yet: the lambdas run one at a time, from the largest down, each
+starting from the signs of the grid neighbour just solved (pathwise
+warm starts as in glmnet, Friedman, Hastie & Tibshirani 2010), and the
+largest from all zeros. The elastic-net solution is unique whenever
+lam(1-alpha) > 0 or its support blocks are positive definite, and each
+regression of a stacked solve is decided on its own scatter and penalty
+alone, so the edge sets, and with them every state, are the same as
+from independent fits with cold starts; only the number of solver calls
+and active-set rounds drops.
 """
 from __future__ import annotations
 
@@ -178,34 +180,29 @@ def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
         return constrained_mle.fit(scatter, edges, w_init=None)
 
 
-def _select(scattered, penalties, rule, signs):
+def _select(scattered, penalties, rule, signs, first):
     """Stage 1 for every lambda of every (lambdas, scatter) pair in
     scattered, each run on its pair's scatter. Returns {lambda: EdgeSet}.
 
-    A lambda with signs[i], the signs its regressions ended on at its
-    previous iteration, starts from them, and all such lambdas run as one
-    stacked solve. A lambda without them (the first iteration) runs
-    alone, the lambdas of a scatter from the largest down, each starting
-    from the signs of the lambda just solved on its scatter. signs[i] is
-    set or updated in place.
+    signs[i] holds the signs lambda i's regressions ended on at its
+    previous iteration and is replaced by those they end on now. At the
+    first iteration (first) there is one scatter and the lambdas run
+    alone, from the largest down, the largest from all zeros and each
+    other from the signs of the lambda just solved. After it, every
+    lambda starts from its own signs and all run as one stacked solve.
     """
-    edges = {}
-    stack = []
-    for members, scatter in scattered:
-        last = None
+    if first:
+        ((members, scatter),) = scattered
+        end = np.zeros_like(signs[:1])
+        edges = {}
         for i in members:
-            if signs[i] is not None:
-                stack.append((i, scatter))
-                continue
-            signs[i] = np.zeros(scatter.shape, dtype=np.int8) if last is None else last.copy()
-            edges[i] = select_edges(scatter, penalties[i], rule, signs[i])
-            last = signs[i]
-    if stack:
-        lams = [i for i, _ in stack]
-        found = select_edges(np.stack([scatter for _, scatter in stack]),
-                             [penalties[i] for i in lams], rule, [signs[i] for i in lams])
-        edges.update(zip(lams, found))
-    return edges
+            (edges[i],), end = select_edges(scatter[None], [penalties[i]], rule, end)
+            signs[i] = end[0]
+        return edges
+    lams = [i for members, _ in scattered for i in members]
+    grams = np.stack([scatter for members, scatter in scattered for _ in members])
+    found, signs[lams] = select_edges(grams, [penalties[i] for i in lams], rule, signs[lams])
+    return dict(zip(lams, found))
 
 
 def _fits(scatter, members, edges, w_init):
@@ -240,8 +237,8 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     together share one EMState object. Each iteration computes every
     group's scatter first, then runs stage 1 for all lambdas (_select):
     at the first iteration one lambda at a time, from the grid neighbour
-    just solved on the same scatter, and after it as one stacked solve,
-    each lambda warm-started from its own previous supports.
+    just solved, and after it as one stacked solve, each lambda
+    warm-started from its own previous supports.
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
@@ -251,7 +248,7 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     scatter = weighted_scatter(data, tau, mean)
     check_columns(data, scatter)
     penalties = [PenaltyConfig(config.penalty.alpha, lam) for lam in lams]
-    signs = [None] * len(penalties)
+    signs = np.zeros((len(penalties), data.p, data.p), dtype=np.int8)
     out = [None] * len(penalties)
     # every lambda, from the largest down
     members = sorted(range(len(penalties)), key=lambda k: penalties[k].lam, reverse=True)
@@ -271,7 +268,7 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
                 scatter = weighted_scatter(data, tau, mean)
             steps.append((members, psi, w_prev, tau, mean, scatter))
         edges = _select([(members, scatter) for members, *_, scatter in steps], penalties,
-                        config.rule, signs)
+                        config.rule, signs, it == 1)
         going = []
         for members, psi, w_prev, tau, mean, scatter in steps:
             for shared, found, fit in _fits(scatter, members, edges, w_prev):

@@ -5,7 +5,8 @@ E-step scales are used as they come, so the scatter is divided by n
 rather than by sum(tau). Both schemes share their fixed points; where a
 lambda leads both to the same edge set, a tight delta must bring them to
 the same psi, and the rescaled loop must get there in far fewer
-iterations.
+iterations. cold_select, its stage 1, is stage 1 on one scatter from a
+cold start, as other tests run it too.
 """
 import numpy as np
 
@@ -20,6 +21,14 @@ from parcornet.em import (
 from parcornet.errors import EstimationError
 from parcornet.matrices import EdgeSet
 from parcornet.neighborhood import select_edges
+
+
+def cold_select(scatter, penalty, rule):
+    """Stage 1 on one scatter from a cold start: the EdgeSet of
+    select_edges on a stack of one with all-zero starting signs."""
+    p = scatter.shape[0]
+    (edges,), _ = select_edges(scatter[None], [penalty], rule, np.zeros((1, p, p), dtype=np.int8))
+    return edges
 
 
 def reference_estimate(data, config, rescale=False):
@@ -48,7 +57,7 @@ def reference_estimate(data, config, rescale=False):
         mean = weighted_mean(data, tau)
         scatter = weighted_scatter(data, tau, mean)
         try:
-            edges = select_edges(scatter, config.penalty, config.rule)
+            edges = cold_select(scatter, config.penalty, config.rule)
             res = _constrained_fit(scatter, edges, w_prev)
         except EstimationError as exc:
             raise EstimationError(f"iteration {it}: {exc}") from exc

@@ -1,6 +1,7 @@
 import csv
 import datetime
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ class TestSimulate:
         monkeypatch.setattr(cli, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
         man = write_json(tmp_path / "man.json", {**SMOKE_MANIFEST, **change})
         assert cli.main(["simulate", man, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "bad input" not in err
+
+    @pytest.mark.parametrize("manifest, flags, named", [
+        (5, [], "manifest must be a JSON object, got int"),
+        ({**SMOKE_MANIFEST, "topologies": [{"kind": "band", "label": ["x"]}]}, [],
+         "topologies[0]: field 'label' must be a string, got ['x']"),
+        (SMOKE_MANIFEST, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        # above sys.maxsize: rejected before anything the size of runs is built
+        ({**SMOKE_MANIFEST, "runs": 10**30}, [], f"runs must be at most {sys.maxsize}, got {10**30}"),
+    ])
+    def test_bad_manifest_or_seed_names_field_before_any_cell_exit_2(
+            self, tmp_path, capsys, monkeypatch, manifest, flags, named):
+        monkeypatch.setattr(cli, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
+        man = write_json(tmp_path / "man.json", manifest)
+        assert cli.main(["simulate", man, *flags, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert named in err
         assert "bad input" not in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cd_reference import kkt_residual, kkt_residuals, reference_nodes
 from parcornet import elastic_net
 from parcornet.elastic_net import (
+    GramFit,
     PenaltyConfig,
     lambda_max,
     solve,
@@ -42,6 +43,16 @@ def joint_gram(x, y):
     z = np.column_stack([x, y])
     zc = z - z.mean(axis=0)
     return zc.T @ zc / z.shape[0]
+
+
+def solve_one(gram, columns, pen, start=None):
+    # solve_gram on a stack of one Gram, from start (all zeros when None),
+    # with the stack axis taken off every array of the result
+    columns = list(columns)
+    if start is None:
+        start = np.zeros((gram.shape[0], len(columns)), dtype=np.int8)
+    fit = solve_gram(gram[None], columns, [pen], start[None])
+    return GramFit(fit.coefficients[0], fit.response_rounds[0], fit.response_converged[0])
 
 
 class TestPenaltyConfig:
@@ -102,16 +113,16 @@ class TestSolverBehavior:
         x[:, 1:] += 2.0 * x[:, :1]  # correlated columns: supports need several rounds
         gram = joint_gram(x[:, 1:], x[:, 0])
         pen = PenaltyConfig(0.7, 0.005)
-        full = solve_gram(gram, np.arange(8), pen)
+        full = solve_one(gram, np.arange(8), pen)
         assert full.converged and kkt_residuals(full.coefficients, gram, range(8), pen).max() <= 1e-12
         monkeypatch.setattr(elastic_net, "MAX_ROUNDS", 1)
-        capped = solve_gram(gram, np.arange(8), pen)
+        capped = solve_one(gram, np.arange(8), pen)
         bad = np.flatnonzero(~capped.response_converged)
         assert bad.size
         assert np.all(capped.response_rounds[bad] == 2)
         assert not capped.converged
         with pytest.warns(UserWarning, match=re.escape(f"did not converge in 2 rounds: nodes {bad.tolist()}")):
-            select_edges(gram, pen)
+            select_edges(gram[None], [pen], "and", np.zeros((1, 8, 8), dtype=np.int8))
 
     def test_kkt_residual_enforced(self):
         rng = np.random.default_rng(14)
@@ -119,7 +130,7 @@ class TestSolverBehavior:
             x, y = make_problem(70, 6, rng)
             pen = PenaltyConfig(rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.3))
             fit = solve(x, y, pen)
-            assert solve_gram(joint_gram(x, y), [6], pen).converged
+            assert solve_one(joint_gram(x, y), [6], pen).converged
             xc, yc = x - x.mean(axis=0), y - y.mean()
             n = x.shape[0]
             assert kkt_residual(fit.coefficients, xc.T @ xc / n, xc.T @ yc / n, pen) <= 1e-7
@@ -178,7 +189,7 @@ class TestBlockKernel:
 
     def assert_matches(self, gram, pen, columns=None, coef_atol=COEF_ATOL):
         columns = range(gram.shape[0]) if columns is None else columns
-        fit = solve_gram(gram, columns, pen)
+        fit = solve_one(gram, columns, pen)
         coefs, _, converged, scales = reference_nodes(gram, columns, pen)
         assert converged.all() and fit.converged
         assert np.array_equal(fit.coefficients != 0.0, coefs != 0.0)
@@ -197,9 +208,9 @@ class TestBlockKernel:
         starts = [rng.integers(-1, 2, size=cold.coefficients.shape).astype(np.int8)]
         for factor in (0.5, 2.0):
             near = PenaltyConfig(pen.alpha, factor * pen.lam)
-            starts.append(np.sign(solve_gram(gram, columns, near).coefficients).astype(np.int8))
+            starts.append(np.sign(solve_one(gram, columns, near).coefficients).astype(np.int8))
         for start in starts:
-            warm = solve_gram(gram, columns, pen, start)
+            warm = solve_one(gram, columns, pen, start)
             assert warm.converged
             assert np.array_equal(np.sign(warm.coefficients), np.sign(cold.coefficients))
 
@@ -269,7 +280,7 @@ class TestBlockKernel:
         gram = xc.T @ xc / x.shape[0]
         for lam in (0.001, 0.05):
             pen = PenaltyConfig(1.0, lam)
-            fit = solve_gram(gram, range(8), pen)
+            fit = solve_one(gram, range(8), pen)
             assert fit.converged
             assert np.all(kkt_residuals(fit.coefficients, gram, range(8), pen) <= 1e-12)
         self.assert_matches(gram, PenaltyConfig(0.5, 0.2))
@@ -289,8 +300,8 @@ class TestWarmStart:
         # the warm solve before the first round is not a round
         gram = self.gram(80, 8, 1)
         pen = PenaltyConfig(0.5, 0.05)
-        cold = solve_gram(gram, range(8), pen)
-        warm = solve_gram(gram, range(8), pen, np.sign(cold.coefficients).astype(np.int8))
+        cold = solve_one(gram, range(8), pen)
+        warm = solve_one(gram, range(8), pen, np.sign(cold.coefficients).astype(np.int8))
         assert np.all(warm.response_rounds == 1)
         assert np.array_equal(warm.coefficients != 0.0, cold.coefficients != 0.0)
 
@@ -299,7 +310,7 @@ class TestWarmStart:
         # once for the whole batch
         gram = self.gram(80, 8, 2)
         pen = PenaltyConfig(0.5, 10.0)
-        warm = solve_gram(gram, range(8), pen, np.ones((8, 8), dtype=np.int8))
+        warm = solve_one(gram, range(8), pen, np.ones((8, 8), dtype=np.int8))
         assert warm.converged
         assert np.all(warm.coefficients == 0.0)
         assert np.all(warm.response_rounds == 2)
@@ -314,25 +325,46 @@ class TestWarmStart:
         start = np.where(np.abs(gram) > pen.lam, np.sign(gram), 0).astype(np.int8)
         np.fill_diagonal(start, 0)
         assert np.all((start != 0).sum(axis=0) > 8)
-        cold = solve_gram(gram, range(12), pen)
-        warm = solve_gram(gram, range(12), pen, start)
+        cold = solve_one(gram, range(12), pen)
+        warm = solve_one(gram, range(12), pen, start)
         assert np.array_equal(warm.coefficients, cold.coefficients)
         assert np.array_equal(warm.response_rounds, cold.response_rounds)
 
+    def test_zero_start_is_the_cold_start(self, monkeypatch):
+        # an all-zero start has no warm support, so no support system is
+        # solved before the first round's dual residuals: every response
+        # starts from b = 0, and signs only on the ignored own rows change
+        # nothing, bit for bit
+        gram = self.gram(80, 8, 6)
+        pen = PenaltyConfig(0.5, 0.05)
+        calls = []
+        for name in ("_products", "_solve_supports"):
+            real = getattr(elastic_net, name)
+            monkeypatch.setattr(elastic_net, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        cold = solve_one(gram, range(8), pen)
+        assert calls[0] == "_products"
+        own = np.diag(np.where(np.arange(8) % 2, 1, -1)).astype(np.int8)
+        marked = solve_one(gram, range(8), pen, own)
+        assert np.array_equal(marked.coefficients, cold.coefficients)
+        assert np.array_equal(marked.response_rounds, cold.response_rounds)
+        assert np.array_equal(marked.response_converged, cold.response_converged)
+        assert cold.converged and np.any(cold.coefficients != 0.0)
+
     def test_start_shape_checked(self):
         gram = self.gram(40, 5, 4)
-        with pytest.raises(ShapeError, match=r"start must have shape \(5, 2\)"):
-            solve_gram(gram, [0, 3], PenaltyConfig(0.5, 0.1), np.zeros((5, 5), dtype=np.int8))
+        with pytest.raises(ShapeError, match=r"start must have shape \(1, 5, 2\)"):
+            solve_gram(gram[None], [0, 3], [PenaltyConfig(0.5, 0.1)], np.zeros((1, 5, 5), dtype=np.int8))
 
     def test_own_row_of_start_ignored(self):
         gram = self.gram(80, 6, 5)
         pen = PenaltyConfig(0.5, 0.02)
-        start = np.sign(solve_gram(gram, [1, 4], PenaltyConfig(0.5, 0.2)).coefficients)
+        start = np.sign(solve_one(gram, [1, 4], PenaltyConfig(0.5, 0.2)).coefficients)
         start = start.astype(np.int8)
         marked = start.copy()
         marked[[1, 4], [0, 1]] = [1, -1]
-        a = solve_gram(gram, [1, 4], pen, start)
-        b = solve_gram(gram, [1, 4], pen, marked)
+        a = solve_one(gram, [1, 4], pen, start)
+        b = solve_one(gram, [1, 4], pen, marked)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.response_rounds, b.response_rounds)
         assert np.all(b.coefficients[[1, 4], [0, 1]] == 0.0)
@@ -363,11 +395,11 @@ class TestStack:
             grams[huge] *= 1e6
         pens = [PenaltyConfig(alpha, rng.uniform(0.01, 1.0) * TestBlockKernel.lam_max(gram, alpha))
                 for gram in grams]
-        start = rng.integers(-1, 2, size=(s, p, p)).astype(np.int8) if warm else None
+        start = (rng.integers(-1, 2, size=(s, p, p)) if warm else np.zeros((s, p, p))).astype(np.int8)
         stacked = solve_gram(grams, range(p), pens, start)
         assert stacked.coefficients.shape == (s, p, p)
         for k in range(s):
-            alone = solve_gram(grams[k], range(p), pens[k], None if start is None else start[k])
+            alone = solve_one(grams[k], range(p), pens[k], start[k])
             assert np.array_equal(np.sign(stacked.coefficients[k]), np.sign(alone.coefficients))
             assert np.array_equal(stacked.response_rounds[k], alone.response_rounds)
             assert np.array_equal(stacked.response_converged[k], alone.response_converged)
@@ -378,19 +410,24 @@ class TestStack:
         rng = np.random.default_rng(91)
         grams = np.stack([self.draw_gram(rng, 8, 8), self.draw_gram(rng, 10, 8)])
         pens = [PenaltyConfig(1.0, 0.05 * TestBlockKernel.lam_max(g, 1.0)) for g in grams]
-        alone = solve_gram(grams, range(8), pens)
+        cold = np.zeros((2, 8, 8), dtype=np.int8)
+        alone = solve_gram(grams, range(8), pens, cold)
         grams[1] *= 1e6
         pens[1] = PenaltyConfig(1.0, 1e6 * pens[1].lam)
-        beside = solve_gram(grams, range(8), pens)
+        beside = solve_gram(grams, range(8), pens, cold)
         assert np.array_equal(np.sign(beside.coefficients[0]), np.sign(alone.coefficients[0]))
         assert np.array_equal(beside.response_rounds[0], alone.response_rounds[0])
 
     def test_one_penalty_per_gram(self):
         grams = np.stack([np.eye(3)] * 2)
         with pytest.raises(ShapeError, match="2 Grams needs 2 penalties"):
-            solve_gram(grams, range(3), [PenaltyConfig(0.5, 0.1)])
+            solve_gram(grams, range(3), [PenaltyConfig(0.5, 0.1)], np.zeros((2, 3, 3)))
         with pytest.raises(ShapeError, match=r"start must have shape \(2, 3, 3\)"):
             solve_gram(grams, range(3), [PenaltyConfig(0.5, 0.1)] * 2, np.zeros((3, 3)))
+
+    def test_two_d_gram_rejected(self):
+        with pytest.raises(ShapeError, match=r"got shape \(3, 3\)"):
+            solve_gram(np.eye(3), range(3), [PenaltyConfig(0.5, 0.1)], np.zeros((1, 3, 3)))
 
 
 class TestLambdaMax:
@@ -446,7 +483,7 @@ class TestValidation:
         gram = np.eye(3)
         gram[0, 1] = gram[1, 0] = np.nan
         with pytest.raises(DomainError):
-            solve_gram(gram, [0, 1, 2], PenaltyConfig(0.5, 0.1))
+            solve_gram(gram[None], [0, 1, 2], [PenaltyConfig(0.5, 0.1)], np.zeros((1, 3, 3)))
 
     def test_lambda_max_requires_positive_alpha(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from em_reference import reference_estimate
+from em_reference import cold_select, reference_estimate
 from parcornet import constrained_mle
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.em import (
@@ -18,7 +18,6 @@ from parcornet.em import (
 )
 from parcornet.errors import ConfigError, EstimationError
 from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix
-from parcornet.neighborhood import select_edges
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
 from parcornet.selection import build_grid
@@ -126,7 +125,7 @@ class TestGaussianMode:
         # oracle: run the two stages directly on the plain scatter
         xc = x - x.mean(axis=0)
         scatter = xc.T @ xc / 120
-        edges = select_edges(scatter, pen(0.15), "and")
+        edges = cold_select(scatter, pen(0.15), "and")
         res = constrained_mle.fit(scatter, edges)
         assert edges == state.edges
         assert np.abs(res.psi.values - state.psi.values).max() < 1e-10
@@ -145,7 +144,7 @@ class TestColdRetry:
         x = np.random.default_rng(58).standard_normal((120, 5))
         xc = x - x.mean(axis=0)
         scatter = xc.T @ xc / 120
-        return scatter, select_edges(scatter, pen(0.15), "and")
+        return scatter, cold_select(scatter, pen(0.15), "and")
 
     def test_failed_warm_start_is_redone_cold(self, monkeypatch):
         scatter, edges = self.stage_inputs()
@@ -237,7 +236,7 @@ class TestTMode:
         state = estimate(data, cfg)
         assert state.converged
         scatter = weighted_scatter(data, state.tau, state.mean)
-        assert state.edges == select_edges(scatter, cfg.penalty, cfg.rule)
+        assert state.edges == cold_select(scatter, cfg.penalty, cfg.rule)
 
     def test_iteration_cap_flags_unconverged(self):
         edges, theta = generate_precision(TopologySpec("scale-free", 5, seed=3))
