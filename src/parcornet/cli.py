@@ -37,7 +37,8 @@ from .errors import (
     SelectionError,
     ShapeError,
 )
-from .matrices import Dataset, PartialCorrelationMatrix, precision_to_partial_correlation
+from .matrices import (MAX_ENTRIES, Dataset, PartialCorrelationMatrix, first_repeat,
+                       precision_to_partial_correlation)
 from .metrics import confusion, f1_score, false_discovery_rate, frobenius_distance
 from .netgen import TopologySpec, generate_precision
 from .samplers import DistributionSpec, sample, spawned_rng
@@ -101,9 +102,20 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
-def _repeated(items: list):
-    """The first item equal to an earlier one, or None."""
-    return next((s for k, s in enumerate(items) if s in items[:k]), None)
+def _is_finite(v) -> bool:
+    """Whether v is an int or float whose float value is finite: not inf or
+    NaN, nor an int past the float range (compared, as float() overflows)."""
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _check_number(value, what: str) -> None:
+    """ConfigError naming what unless value is a finite number."""
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not _is_finite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
 
 
 def _manifest_entry(entry, where: str) -> dict:
@@ -121,8 +133,8 @@ def _manifest_entry(entry, where: str) -> dict:
 
 def _check_fields(entry: dict, spec, where: str) -> None:
     """ConfigError naming where and the first key of entry that spec has no
-    field for, or the first numeric field whose value is not a number (an
-    integer for an int field; None only where spec's default is None)."""
+    field for, or the first numeric field whose value is not a finite number
+    (an integer for an int field; None only where spec's default is None)."""
     fields = {f.name: f for f in dataclasses.fields(spec) if f.name != "seed"}
     unknown = sorted(set(entry) - set(fields))
     if unknown:
@@ -134,8 +146,8 @@ def _check_fields(entry: dict, spec, where: str) -> None:
         if field.type in ("int", int):
             if not _is_int(value):
                 raise ConfigError(f"{where}: field {name!r} must be an integer, got {value!r}")
-        elif not _is_number(value):
-            raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}")
+        else:
+            _check_number(value, f"{where}: field {name!r}")
 
 
 def _resolve_manifest(raw: dict) -> dict:
@@ -172,7 +184,7 @@ def _resolve_manifest(raw: dict) -> dict:
         if not isinstance(label, str):
             raise ConfigError(f"topologies[{i}]: field 'label' must be a string, got {label!r}")
         topologies.append({"label": label, "kwargs": t})
-    dup = _repeated([t["label"] for t in topologies])
+    dup = first_repeat([t["label"] for t in topologies])
     if dup is not None:
         raise ConfigError(f"topologies: label {dup!r} appears twice")
     dists = []
@@ -181,7 +193,7 @@ def _resolve_manifest(raw: dict) -> dict:
         _check_fields(d, DistributionSpec, f"distributions[{i}] ({d.get('kind')!r})")
         spec = DistributionSpec(**d)
         dists.append({"label": spec.label(), "kwargs": d})
-    dup = _repeated([d["label"] for d in dists])
+    dup = first_repeat([d["label"] for d in dists])
     if dup is not None:
         raise ConfigError(f"distributions: label {dup!r} appears twice")
     for mode in m["modes"]:
@@ -192,16 +204,19 @@ def _resolve_manifest(raw: dict) -> dict:
     if unknown:
         raise ConfigError(f"lambda: unknown grid keys {sorted(unknown)}")
     for key in ("lo", "hi"):
-        if not _is_number(grid[key]):
-            raise ConfigError(f"lambda: field {key!r} must be a number, got {grid[key]!r}")
+        _check_number(grid[key], f"lambda: field {key!r}")
     # every estimator's config, so that a bad value stops the run before any cell
     list(_estimators(m, build_grid(grid["lo"], grid["hi"], grid["count"]).lo))
     m["lambda"] = grid
     m["topologies"] = topologies
     m["distributions"] = dists
+    p_max = max((t["kwargs"]["p"] for t in topologies), default=1)
     for i, n in enumerate(m["sample_sizes"]):
         if not _is_int(n) or n < 2:
             raise ConfigError(f"sample_sizes[{i}] must be an integer >= 2, got {n!r}")
+        if n * p_max > MAX_ENTRIES:  # the n x p sample
+            raise ConfigError(f"sample_sizes[{i}] must be at most {MAX_ENTRIES // p_max} "
+                              f"for p={p_max}, got {n}")
     return m
 
 
@@ -267,14 +282,26 @@ def _simulate_cell(manifest: dict, cell: tuple) -> list:
     return rows
 
 
+def _read_text(path: str, error: type) -> str:
+    """The text of the UTF-8 file at path; a byte that does not decode raises
+    error naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+
+
 def _load_json(path: str, error: type) -> object:
     """The JSON document in the file at path; a syntax error raises error
     naming the file, line and column."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    try:
+        return json.loads(_read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an int past 4300 digits, or deep nesting
+        raise error(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -283,19 +310,18 @@ def cmd_simulate(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         manifest["seed"] = args.seed
-    cells = itertools.product(
-        *(range(len(manifest[key])) for key in ("topologies", "distributions", "sample_sizes")),
-        range(manifest["runs"]),
-    )
+    os.makedirs(args.out, exist_ok=True)
+    sizes = [len(manifest[key]) for key in ("topologies", "distributions", "sample_sizes")]
+    cells = itertools.product(*map(range, sizes), range(manifest["runs"]))
     run_cell = functools.partial(_simulate_cell, manifest)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, math.prod(sizes) * manifest["runs"])
+    if workers > 1:  # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, cells, chunksize=1))
     else:
         results = map(run_cell, cells)
     rows = [row for chunk in results for row in chunk]
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     _write_csv(csv_path, SIM_COLUMNS, ([r[c] for c in SIM_COLUMNS] for r in rows))
 
@@ -375,13 +401,16 @@ def network_from_json_dict(d: dict) -> tuple:
     p = d["p"]
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise DataError(f"network JSON field 'p' must be a positive integer, got {p!r}")
-    names = d.get("nodes", [f"x{j + 1}" for j in range(p)])
+    if p * p > MAX_ENTRIES:  # the p x p matrix
+        raise DataError(f"network JSON field 'p' must be at most {math.isqrt(MAX_ENTRIES)}, "
+                        f"got {p}")
+    names = d["nodes"] if "nodes" in d else [f"x{j + 1}" for j in range(p)]
     if not isinstance(names, list):
         raise DataError(f"network JSON field 'nodes' must be a list of names, got {names!r}")
     names = [str(s) for s in names]
     if len(names) != p:
         raise DataError(f"network lists {len(names)} nodes for p={p}")
-    dup = _repeated(names)
+    dup = first_repeat(names)
     if dup is not None:
         raise DataError(f"network lists node {dup!r} twice")
     edges = d.get("edges", [])
@@ -398,7 +427,7 @@ def network_from_json_dict(d: dict) -> tuple:
             raise DataError(f"edge {k + 1} {e!r}: needs numeric i, j and weight")
         if not (_is_int(i) and _is_int(j)):
             raise DataError(f"edge {k + 1} {e!r}: node numbers i and j must be integers")
-        if not math.isfinite(w):
+        if not _is_finite(w):
             raise DataError(f"edge {k + 1} {e!r}: weight must be finite")
         i, j = i - 1, j - 1
         if not (0 <= i < p and 0 <= j < p) or i == j:
@@ -423,8 +452,7 @@ def _write_json(obj: dict, path: str | None) -> None:
 
 def cmd_estimate(args) -> int:
     config, grid = _estimator_config(args)
-    with open(args.data) as fh:
-        data = Dataset.from_csv_text(fh.read())
+    data = Dataset.from_csv_text(_read_text(args.data, DataError))
     report = select(data, grid, config)
     pc = precision_to_partial_correlation(report.state.psi)
     out = network_to_json_dict(
@@ -492,13 +520,13 @@ def cmd_pipeline(args) -> int:
 
     config, grid = _estimator_config(args)
     try:
-        with open(args.prices) as fh:
-            prices = pipeline.PriceTable.from_csv_text(fh.read())
+        prices = pipeline.PriceTable.from_csv_text(_read_text(args.prices, DataError))
         returns = pipeline.log_returns(prices)
     except ParcornetError as exc:
         raise type(exc)(f"returns: {exc}") from exc
     if not np.all(np.isfinite(returns)):
         raise DataError("returns: missing values present; clean the price panel first")
+    os.makedirs(args.out, exist_ok=True)
 
     fits = []
     for name, series in zip(prices.names, returns.T):
@@ -508,8 +536,6 @@ def cmd_pipeline(args) -> int:
             raise type(exc)(f"garch: series {name}: {exc}") from exc
     resid = np.column_stack([f.residuals for f in fits])
     resid_dates = prices.dates[2:]  # one row to the returns, one to the AR(1) lag
-
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "residuals.csv"), ("date", *prices.names),
                ((d, *row) for d, row in zip(resid_dates, resid)))
 
@@ -581,17 +607,28 @@ def cmd_pipeline(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not _is_finite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_estimator_flags(sp) -> None:
     sp.add_argument("--mode", choices=MODES, default="t")
-    sp.add_argument("--nu", type=float, default=None,
+    sp.add_argument("--nu", type=_finite_float, default=None,
                     help="tail parameter; required with --mode t")
     m, grid = MANIFEST_DEFAULTS, MANIFEST_DEFAULTS["lambda"]
-    sp.add_argument("--alpha", type=float, default=m["alphas"][0])
-    sp.add_argument("--lambda-lo", type=float, default=grid["lo"])
-    sp.add_argument("--lambda-hi", type=float, default=grid["hi"])
+    sp.add_argument("--alpha", type=_finite_float, default=m["alphas"][0])
+    sp.add_argument("--lambda-lo", type=_finite_float, default=grid["lo"])
+    sp.add_argument("--lambda-hi", type=_finite_float, default=grid["hi"])
     sp.add_argument("--lambda-count", type=int, default=grid["count"])
     sp.add_argument("--rule", choices=("and", "or"), default=m["rule"])
-    sp.add_argument("--delta", type=float, default=m["delta"])
+    sp.add_argument("--delta", type=_finite_float, default=m["delta"])
     sp.add_argument("--max-iter", type=int, default=m["max_iter"])
 
 
@@ -644,14 +681,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: bad input: {exc!r}", file=sys.stderr)
         return 2
     except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

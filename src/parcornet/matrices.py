@@ -7,6 +7,7 @@ immutable after construction.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,17 @@ from .errors import DataError, DomainError, ShapeError
 
 SYMMETRY_RTOL = 1e-8
 PD_PIVOT_TOL = 1e-12
+MAX_ENTRIES = sys.maxsize // 8  # float64 entries of numpy's largest array (sys.maxsize bytes)
+
+
+def first_repeat(items):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    for s in items:
+        if s in seen:
+            return s
+        seen.add(s)
+    return None
 
 
 def _square_values(m, name: str) -> np.ndarray:
@@ -184,7 +196,7 @@ class Dataset:
             names = tuple(str(s) for s in self.names)
             if len(names) != p:
                 raise ShapeError(f"{len(names)} column names for {p} columns")
-            dup = next((s for k, s in enumerate(names) if s in names[:k]), None)
+            dup = first_repeat(names)
             if dup is not None:
                 raise DataError(f"column name {dup!r} appears twice")
             object.__setattr__(self, "names", names)

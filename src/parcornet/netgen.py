@@ -6,12 +6,13 @@ numpy's Generator seeded per spec.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .matrices import EdgeSet, PrecisionMatrix
+from .matrices import MAX_ENTRIES, EdgeSet, PrecisionMatrix
 
 KINDS = (
     "scale-free",
@@ -50,6 +51,8 @@ class TopologySpec:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.p < 4:
             raise ConfigError(f"need p >= 4, got {self.p}")
+        if self.p * self.p > MAX_ENTRIES:  # the p x p precision matrix
+            raise ConfigError(f"need p <= {math.isqrt(MAX_ENTRIES)}, got {self.p}")
         if not self.v > 0.0:
             raise ConfigError(f"edge value v must be > 0, got {self.v}")
         if self.u < 0.0:

@@ -12,7 +12,7 @@ from scipy import optimize, signal, special
 from . import analytics, selection
 from .em import EMConfig
 from .errors import ConfigError, DataError, FitError, ParcornetError
-from .matrices import Dataset, precision_to_partial_correlation
+from .matrices import Dataset, first_repeat, precision_to_partial_correlation
 from .selection import LambdaGrid, SelectionReport
 
 MIN_SERIES_LEN = 250
@@ -35,7 +35,7 @@ class PriceTable:
             raise DataError(
                 f"values shape {vals.shape} does not match {len(dates)} dates x {len(names)} names"
             )
-        dup = next((s for k, s in enumerate(names) if s in names[:k]), None)
+        dup = first_repeat(names)
         if dup is not None:
             raise DataError(f"column name {dup!r} appears twice")
         if any(b <= a for a, b in zip(dates, dates[1:])):

@@ -1,6 +1,7 @@
 """Penalty selection by BIC over a geometric lambda grid."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import gammaln
 # perfbench/tracing.py patches selection.estimate
 from .em import EMConfig, EMState, estimate, estimate_grid, mahalanobis  # noqa: F401
 from .errors import ConfigError, EstimationError, SelectionError
-from .matrices import Dataset, PrecisionMatrix
+from .matrices import MAX_ENTRIES, Dataset, PrecisionMatrix
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,14 @@ def build_grid(lo: float, hi: float, count: int) -> LambdaGrid:
     Interior points satisfy values[i] = lo * (hi/lo)^(i/(count-1)), so the
     ratio between consecutive values is constant.
     """
-    if not (np.isfinite(lo) and lo > 0.0):
+    if not (math.isfinite(lo) and lo > 0.0):
         raise ConfigError(f"grid lo must be finite and > 0, got {lo}")
-    if not (np.isfinite(hi) and hi >= lo):
+    if not (math.isfinite(hi) and hi >= lo):
         raise ConfigError(f"grid hi must be finite and >= lo, got {hi}")
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ConfigError(f"grid count must be an integer, got {count!r}")
+    if count > MAX_ENTRIES:
+        raise ConfigError(f"grid count must be at most {MAX_ENTRIES}, got {count}")
     if count < 1 or (count == 1 and hi != lo):
         raise ConfigError(f"count={count} incompatible with bounds ({lo}, {hi})")
     if count == 1:

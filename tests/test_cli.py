@@ -1,17 +1,23 @@
+import copy
 import csv
 import datetime
+import functools
 import json
+import math
+import operator
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parcornet import analytics, cli, selection
 from parcornet.em import EMConfig
-from parcornet.errors import SelectionError
+from parcornet.errors import ParcornetError, SelectionError
 from parcornet.elastic_net import PenaltyConfig
 from parcornet.matrices import Dataset, PartialCorrelationMatrix
-from parcornet.pipeline import simulate_ar_garch
+from parcornet.pipeline import PriceTable, simulate_ar_garch
 from parcornet.selection import build_grid, select
 
 
@@ -81,6 +87,30 @@ class TestSimulate:
         assert cli.main(["simulate", man, "--out", str(tmp_path / "a")]) == 0
         assert cli.main(["simulate", man, "--seed", "77", "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/metrics.csv").read_text() != (tmp_path / "b/metrics.csv").read_text()
+
+    def test_threads_capped_at_cell_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_simulate_cell", lambda manifest, cell: [])
+        man = write_json(tmp_path / "man.json", {**SMOKE_MANIFEST, "runs": 3})
+        assert cli.main(["simulate", man, "--threads", "64", "--out", str(tmp_path / "a")]) == 0
+        one = write_json(tmp_path / "one.json", SMOKE_MANIFEST)
+        assert cli.main(["simulate", one, "--threads", "64", "--out", str(tmp_path / "b")]) == 0
+        assert started == [3]
 
     def test_unknown_manifest_key_rejected(self, tmp_path):
         man = write_json(tmp_path / "man.json", {**SMOKE_MANIFEST, "typo_key": 1})
@@ -753,3 +783,167 @@ class TestNetworkJson:
     def test_default_names(self):
         pc, names = cli.network_from_json_dict({"p": 3, "edges": []})
         assert names == ["x1", "x2", "x3"]
+
+
+NOT_UTF8 = b'{"p": \xff}\n'  # byte 6 does not decode
+TINY_PRICES = "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.1\n"
+BIG = str(10**30)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, files, named", [
+        # a file that is not UTF-8, for every command that reads one
+        (["estimate", "in", "--mode", "gaussian"], {"in": NOT_UTF8}, "in: byte 6: not UTF-8"),
+        (["pipeline", "in", "--mode", "gaussian", "--out", "o"], {"in": NOT_UTF8},
+         "in: byte 6: not UTF-8"),
+        (["simulate", "in", "--out", "o"], {"in": NOT_UTF8}, "in: byte 6: not UTF-8"),
+        (["analyze", "in"], {"in": NOT_UTF8}, "in: byte 6: not UTF-8"),
+        (["shock", "in", "--node", "1"], {"in": NOT_UTF8}, "in: byte 6: not UTF-8"),
+        # JSON that the parser rejects past its syntax errors
+        (["simulate", "in", "--out", "o"], {"in": b'{"seed": ' + b"9" * 5000 + b"}"},
+         "in: Exceeds the limit (4300 digits) for integer string conversion"),
+        (["analyze", "in"], {"in": b"[" * 100000}, "in: maximum recursion depth exceeded"),
+        # sizes whose arrays would pass numpy's limit of sys.maxsize bytes
+        (["simulate", "m", "--out", "o"], {"m": {**SMOKE_MANIFEST, "p": 10**30}},
+         f"need p <= 1073741823, got {BIG}"),
+        (["simulate", "m", "--out", "o"], {"m": {**SMOKE_MANIFEST, "sample_sizes": [10**30]}},
+         f"sample_sizes[0] must be at most {sys.maxsize // 80} for p=10, got {BIG}"),
+        (["simulate", "m", "--out", "o"],
+         {"m": {**SMOKE_MANIFEST, "lambda": {"lo": 0.1, "hi": 1.0, "count": 10**30}}},
+         f"grid count must be at most {sys.maxsize // 8}, got {BIG}"),
+        (["estimate", "in", "--mode", "gaussian", "--lambda-count", BIG], {},
+         f"grid count must be at most {sys.maxsize // 8}, got {BIG}"),
+        (["pipeline", "in", "--mode", "gaussian", "--lambda-count", BIG, "--out", "o"], {},
+         f"grid count must be at most {sys.maxsize // 8}, got {BIG}"),
+        # an int past int64 is a number, but no numpy scalar
+        (["simulate", "m", "--out", "o"],
+         {"m": {**SMOKE_MANIFEST, "lambda": {"lo": 10**30, "hi": 1.0, "count": 5}}},
+         "grid hi must be finite and >= lo, got 1.0"),
+        (["analyze", "net"], {"net": {"p": 10**12, "nodes": ["a", "b"]}},
+         f"field 'p' must be at most 1073741823, got {10**12}"),
+        # numbers that are not finite
+        (["simulate", "m", "--out", "o"], {"m": {**SMOKE_MANIFEST, "v": math.inf}},
+         "topologies[0] ('scale-free'): field 'v' must be finite, got inf"),
+        (["simulate", "m", "--out", "o"], {"m": {**SMOKE_MANIFEST, "u": math.inf}},
+         "topologies[0] ('scale-free'): field 'u' must be finite, got inf"),
+        (["simulate", "m", "--out", "o"], {"m": {**SMOKE_MANIFEST, "nu": math.inf}},
+         "manifest: field 'nu' must be finite, got inf"),
+        (["simulate", "m", "--out", "o"],
+         {"m": {**SMOKE_MANIFEST, "distributions": [{"kind": "t", "nu": math.inf}]}},
+         "distributions[0] ('t'): field 'nu' must be finite, got inf"),
+        (["analyze", "net"], {"net": {"p": 2, "edges": [{"i": 1, "j": 2, "weight": 10**400}]}},
+         "edge 1 {'i': 1, 'j': 2, 'weight': 1000"),
+        (["estimate", "in", "--nu", "inf"], {"in": b"a,b\n1,2\n2,1\n3,5\n"},
+         "argument --nu: must be a finite number, got 'inf'"),
+        (["estimate", "in", "--nu", "5", "--alpha", "nan"], {},
+         "argument --alpha: must be a finite number, got 'nan'"),
+        (["estimate", "in", "--nu", "5", "--lambda-lo=-inf"], {},
+         "argument --lambda-lo: must be a finite number, got '-inf'"),
+        (["pipeline", "in", "--nu", "5", "--lambda-hi", "inf", "--out", "o"], {},
+         "argument --lambda-hi: must be a finite number, got 'inf'"),
+        (["pipeline", "in", "--nu", "5", "--delta", "1e999", "--out", "o"], {},
+         "argument --delta: must be a finite number, got '1e999'"),
+        # --out at an existing file, or under one
+        (["analyze", "net", "--out", "f"], {"net": star_network(), "f": b""},
+         "File exists: 'f'"),
+        (["simulate", "m", "--out", "f"], {"m": SMOKE_MANIFEST, "f": b""}, "File exists: 'f'"),
+        (["pipeline", "px", "--mode", "gaussian", "--out", "f"],
+         {"px": TINY_PRICES.encode(), "f": b""}, "File exists: 'f'"),
+        (["shock", "net", "--node", "1", "--out", "f/s.json"], {"net": star_network(), "f": b""},
+         "Not a directory: 'f/s.json'"),
+    ])
+    def test_bad_input_names_offender_exit_2(self, tmp_path, capsys, monkeypatch, argv, files,
+                                             named):
+        monkeypatch.setattr(cli, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr("parcornet.pipeline.fit_ar_garch",
+                            lambda *args: pytest.fail("a GARCH fit ran"))
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            if isinstance(content, bytes):
+                (tmp_path / name).write_bytes(content)
+            else:
+                write_json(tmp_path / name, content)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+
+def _paths(doc, path=()):
+    """The path (keys and indices) of every value nested in doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three edits: drop a key, swap a value's type, nest a
+    value in a list, or set it to an infinite, NaN or oversized number."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, head, doc)
+        edit = draw(st.sampled_from(["drop", "swap", "nest", "number"]))
+        if edit == "drop":
+            del parent[last]
+        elif edit == "swap":
+            parent[last] = draw(st.sampled_from(["x", 1, 2.5, None, True, {}, []]))
+        elif edit == "nest":
+            parent[last] = [parent[last]]
+        else:
+            parent[last] = draw(st.sampled_from([math.inf, -math.inf, math.nan, 10**30, -10**30]))
+    return doc
+
+
+@st.composite
+def mutated_text(draw, text):
+    """text with one to three slices replaced by short runs of CSV-ish characters."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(',"\n\r.-+e0123456789nainf\x00x', max_size=6)) + text[j:]
+    return text
+
+
+class TestMutatedInput:
+    """A mutated input exits 0 or 2; any other exception escapes cli.main
+    and fails the test, as it would print a traceback and exit 1."""
+
+    FUZZ = settings(deadline=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @FUZZ
+    @given(manifest=mutated(SMOKE_MANIFEST))
+    def test_manifest_exits_0_or_2(self, tmp_path, monkeypatch, manifest):
+        monkeypatch.setattr(cli, "_simulate_cell", lambda manifest, cell: [])
+        man = write_json(tmp_path / "man.json", manifest)
+        assert cli.main(["simulate", man, "--out", str(tmp_path / "out")]) in (0, 2)
+
+    @FUZZ
+    @given(network=mutated(star_network()))
+    def test_network_exits_0_or_2(self, tmp_path, network):
+        net = write_json(tmp_path / "net.json", network)
+        assert cli.main(["analyze", net, "--out", str(tmp_path / "out")]) in (0, 2)
+
+    @FUZZ
+    @given(text=mutated_text("a,b,c\n1.5,2,-3e-2\n4,5.25,6\n7,8,9\n"))
+    def test_data_csv_raises_only_named_errors(self, text):
+        try:
+            Dataset.from_csv_text(text)
+        except ParcornetError:
+            pass
+
+    @FUZZ
+    @given(text=mutated_text(TINY_PRICES + "2020-01-03,1.2,2.2\n"))
+    def test_price_csv_raises_only_named_errors(self, text):
+        try:
+            PriceTable.from_csv_text(text)
+        except ParcornetError:
+            pass
