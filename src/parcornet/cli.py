@@ -40,6 +40,7 @@ from .errors import (
 from .matrices import (MAX_ENTRIES, Dataset, PartialCorrelationMatrix, first_repeat,
                        precision_to_partial_correlation)
 from .metrics import confusion, f1_score, false_discovery_rate, frobenius_distance
+from .neighborhood import RULES
 from .netgen import TopologySpec, generate_precision
 from .samplers import DistributionSpec, sample, spawned_rng
 from .selection import LambdaGrid, build_grid, select
@@ -537,7 +538,7 @@ def cmd_pipeline(args) -> int:
     resid = np.column_stack([f.residuals for f in fits])
     resid_dates = prices.dates[2:]  # one row to the returns, one to the AR(1) lag
     _write_csv(os.path.join(args.out, "residuals.csv"), ("date", *prices.names),
-               ((d, *row) for d, row in zip(resid_dates, resid)))
+               ((d, *row) for d, row in zip(resid_dates, resid.tolist())))
 
     garch_rows = []
     for name, f in zip(prices.names, fits):
@@ -627,7 +628,7 @@ def _add_estimator_flags(sp) -> None:
     sp.add_argument("--lambda-lo", type=_finite_float, default=grid["lo"])
     sp.add_argument("--lambda-hi", type=_finite_float, default=grid["hi"])
     sp.add_argument("--lambda-count", type=int, default=grid["count"])
-    sp.add_argument("--rule", choices=("and", "or"), default=m["rule"])
+    sp.add_argument("--rule", choices=RULES, default=m["rule"])
     sp.add_argument("--delta", type=_finite_float, default=m["delta"])
     sp.add_argument("--max-iter", type=int, default=m["max_iter"])
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import constrained_mle
 from .elastic_net import PenaltyConfig
-from .errors import ConfigError, DataError, DomainError, EstimationError, ShapeError
+from .errors import ConfigError, DataError, DomainError, EstimationError
 from .matrices import Dataset, EdgeSet, PrecisionMatrix
 from .neighborhood import RULES, select_edges
 
@@ -164,7 +164,7 @@ def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
         try:
             inv = np.linalg.inv(scatter + ridge * np.eye(p))
             return PrecisionMatrix(factor * inv)
-        except (np.linalg.LinAlgError, DomainError, ShapeError):
+        except (np.linalg.LinAlgError, DomainError):
             ridge = ridge_step if ridge == 0.0 else ridge * 10.0
     raise EstimationError("could not build an initial scatter inverse")
 

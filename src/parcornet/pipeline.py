@@ -328,8 +328,9 @@ def rolling_estimate(
     """Estimate a network on each rolling window of the row matrix.
 
     Windows start at multiples of step and span window rows. A window
-    whose fit fails is returned flagged with the error message; the
-    remaining windows still run.
+    whose fit raises a ParcornetError is returned flagged with the error
+    message and the remaining windows still run; any other exception
+    propagates.
     """
     vals = np.asarray(getattr(values, "values", values), dtype=float)
     if vals.ndim != 2:
@@ -353,7 +354,7 @@ def rolling_estimate(
             pc = precision_to_partial_correlation(report.state.psi)
             meas = analytics.measures(pc, absolute_strength=absolute_strength)
             out.append(WindowResult(i, start, stop, report, meas))
-        except (ParcornetError, np.linalg.LinAlgError) as exc:
-            # an estimation or numeric failure flags the window; a bug still propagates
+        except ParcornetError as exc:
+            # a named estimation failure flags the window; anything else propagates
             out.append(WindowResult(i, start, stop, None, None, f"{type(exc).__name__}: {exc}"))
     return out

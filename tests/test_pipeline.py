@@ -8,7 +8,7 @@ from garch_reference import reference_fit
 from parcornet.em import EMConfig
 from parcornet.elastic_net import PenaltyConfig
 from parcornet import pipeline, selection
-from parcornet.errors import ConfigError, DataError, EstimationError, FitError
+from parcornet.errors import ConfigError, DataError, EstimationError, FitError, SelectionError
 from parcornet.matrices import PrecisionMatrix
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.pipeline import (
@@ -403,6 +403,8 @@ class TestRolling:
         assert results[1].error is None and results[2].error is None
 
     def test_estimation_error_flags_window_but_bug_propagates(self, monkeypatch):
+        # only a named parcornet error flags a window; a raw LinAlgError is
+        # not one and stops the run like any bug
         rng = np.random.default_rng(34)
         vals = rng.standard_normal((80, 3))
         real_select = selection.select
@@ -414,18 +416,22 @@ class TestRolling:
                 raise exc
             return real_select(data, grid, config)
 
-        monkeypatch.setattr(pipeline.selection, "select",
-                            lambda d, g, c: failing_first(d, g, c, EstimationError("no fit")))
-        results = rolling_estimate(vals, window=40, step=20, config=self._config(),
-                                   grid=build_grid(0.1, 0.5, 2))
-        assert results[0].error == "EstimationError: no fit" and results[0].report is None
-        assert results[1].error is None and results[2].error is None
-        calls.clear()
-        monkeypatch.setattr(pipeline.selection, "select",
-                            lambda d, g, c: failing_first(d, g, c, TypeError("a bug")))
-        with pytest.raises(TypeError, match="a bug"):
-            rolling_estimate(vals, window=40, step=20, config=self._config(),
-                             grid=build_grid(0.1, 0.5, 2))
+        for exc in (EstimationError("no fit"), SelectionError("none")):
+            calls.clear()
+            monkeypatch.setattr(pipeline.selection, "select",
+                                lambda d, g, c, exc=exc: failing_first(d, g, c, exc))
+            results = rolling_estimate(vals, window=40, step=20, config=self._config(),
+                                       grid=build_grid(0.1, 0.5, 2))
+            assert results[0].error == f"{type(exc).__name__}: {exc}"
+            assert results[0].report is None
+            assert results[1].error is None and results[2].error is None
+        for exc in (TypeError("a bug"), np.linalg.LinAlgError("singular")):
+            calls.clear()
+            monkeypatch.setattr(pipeline.selection, "select",
+                                lambda d, g, c, exc=exc: failing_first(d, g, c, exc))
+            with pytest.raises(type(exc), match=str(exc)):
+                rolling_estimate(vals, window=40, step=20, config=self._config(),
+                                 grid=build_grid(0.1, 0.5, 2))
 
     def test_window_bounds_validated(self):
         vals = np.zeros((50, 3))
