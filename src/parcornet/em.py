@@ -48,7 +48,7 @@ import numpy as np
 
 from . import constrained_mle
 from .elastic_net import PenaltyConfig
-from .errors import ConfigError, DataError, DomainError, EstimationError
+from .errors import ConfigError, DataError, DomainError, EstimationError, ShapeError
 from .matrices import Dataset, EdgeSet, PrecisionMatrix
 from .neighborhood import RULES, select_edges
 
@@ -164,7 +164,9 @@ def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
         try:
             inv = np.linalg.inv(scatter + ridge * np.eye(p))
             return PrecisionMatrix(factor * inv)
-        except (np.linalg.LinAlgError, DomainError):
+        # with n <= p the scatter is singular and its unridged inverse is far
+        # from symmetric, which PrecisionMatrix rejects with ShapeError
+        except (np.linalg.LinAlgError, DomainError, ShapeError):
             ridge = ridge_step if ridge == 0.0 else ridge * 10.0
     raise EstimationError("could not build an initial scatter inverse")
 

@@ -233,6 +233,15 @@ class TestEstimate:
         assert cli.main(["estimate", data, "--mode", "gaussian",
                          "--out", str(tmp_path / "o2.json")]) == 0
 
+    def test_t_mode_with_fewer_rows_than_columns(self, tmp_path):
+        rng = np.random.default_rng(0)
+        names = tuple(f"x{k}" for k in range(12))
+        data = write_data_csv(tmp_path / "wide.csv", rng.standard_normal((8, 12)), names)
+        out = tmp_path / "net.json"
+        assert cli.main(["estimate", data, "--mode", "t", "--nu", "3", "--lambda-count", "3",
+                         "--lambda-lo", "0.3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["nodes"] == list(names)
+
     def test_independent_noise_mostly_empty(self, tmp_path):
         # Monte Carlo through the same selection path the command runs
         grid = build_grid(0.01, 1.5, 20)

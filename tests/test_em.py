@@ -246,6 +246,13 @@ class TestTMode:
         assert not state.converged
         assert state.iterations == 2
 
+    def test_fewer_rows_than_columns(self):
+        # the 8 x 12 scatter is singular, so the first psi is a ridged inverse
+        data = Dataset(np.random.default_rng(0).standard_normal((8, 12)))
+        state = estimate(data, EMConfig(pen(0.3), mode="t", nu=3.0))
+        assert state.converged
+        assert np.linalg.eigvalsh(state.psi.values).min() > 0.0
+
     def test_large_nu_approaches_gaussian_mode(self):
         rng = np.random.default_rng(57)
         data = Dataset(rng.standard_normal((300, 4)))
