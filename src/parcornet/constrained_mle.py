@@ -9,18 +9,19 @@ sweeps the working covariance W column by column (regression form of the
 concentration-graph MLE): each column's non-edge entries are left free
 while its edge entries are matched to S. A column update solves the
 node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
-column to beta' W[nb, :], so it reads only the neighbor rows of W, which
-are its neighbor columns since W is kept exactly symmetric. The neighbor
-index arrays are sliced once per fit from the edge set's adjacency, which
-also masks the optimality gap. Each column update records its step in one
-p x p array; after the sweep the steps are reduced once and summed in node
-order, and a non-finite step is named by its node and sweep. Every column
-update sets W to S on the edge pattern and the diagonal up to rounding, so
-the sweeps stop on one rule, the mean change of W. At the optimum
-W = Psi^{-1}; Psi is recovered column-wise from the same neighbor solves,
-with exact zeros off the pattern, and its optimality gap max |inv(Psi) - S|
-on the pattern and the diagonal is measured once, at the end. The sweep cap
-and the change tolerance are the module constants below, read at call time.
+column to beta' W[nb, :]. It gathers the neighbor rows of W once and
+reads the block as their nb columns; W is kept exactly symmetric, so the
+rows are also the neighbor columns. Each node's neighbors are sliced once
+per fit from the edge set's adjacency, which also masks the optimality
+gap. Each column update records its step in one p x p array; after the
+sweep the steps are reduced once and summed in node order, and a
+non-finite step is named by its node and sweep. Every column update sets
+W to S on the edge pattern and the diagonal up to rounding, so the sweeps
+stop on one rule, the mean change of W. At the optimum W = Psi^{-1}; Psi
+is recovered column-wise from the same neighbor solves, with exact zeros
+off the pattern, and its optimality gap max |inv(Psi) - S| on the pattern
+and the diagonal is measured once, at the end. The sweep cap and the
+change tolerance are the module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -45,17 +46,18 @@ class ConstrainedMLEResult:
     kkt_residual: float  # max |inv(psi) - S| over the pattern and the diagonal
 
 
-def _neighbor_solve(w, block, rhs, j, sweep):
-    """Solve W[nb, nb] beta = S[nb, j] for node j by Cholesky.
+def _neighbor_solve(w, nb, rhs, j, sweep):
+    """Solve W[nb, nb] beta = S[nb, j] for node j by Cholesky; return beta and W[nb, :].
 
-    block holds the flat indices of W[nb, nb] into W and rhs is S[nb, j].
+    The neighbor rows are gathered once and the block is read as their nb columns.
     """
-    _, beta, info = lapack.dposv(w.take(block), rhs)
+    rows = w.take(nb, axis=0)
+    _, beta, info = lapack.dposv(rows.take(nb, axis=1), rhs)
     if info:
         raise EstimationError(
             f"edge subproblem at node {j}, sweep {sweep} is singular or not positive definite"
         )
-    return beta
+    return beta, rows
 
 
 def _check_steps(steps, sweep):
@@ -67,12 +69,12 @@ def _check_steps(steps, sweep):
     return change
 
 
-def _recover_precision(w, s, nodes, sweep):
-    p = s.shape[0]
+def _recover_precision(w, nodes, sweep):
+    p = w.shape[0]
     psi = np.zeros((p, p))
-    for j, nb, block, rhs in nodes:
-        beta = _neighbor_solve(w, block, rhs, j, sweep) if nb.size else rhs
-        gap = s[j, j] - float(rhs @ beta)
+    for j, nb, rhs, s_jj in nodes:
+        beta = _neighbor_solve(w, nb, rhs, j, sweep)[0] if nb.size else rhs
+        gap = s_jj - float(rhs @ beta)
         if not np.isfinite(gap) or gap <= 0.0:
             raise EstimationError(f"nonpositive partial variance at node {j}: {gap:.3e}")
         psi[j, j] = 1.0 / gap
@@ -107,16 +109,12 @@ def fit(
     if np.diag(s).min() <= 0.0:
         raise DomainError("scatter matrix needs a strictly positive diagonal")
 
-    # per node: its neighbors, their block as flat indices into W, and S[nb, j];
-    # the adjacency's nonzeros come row by row, so node j's neighbors are one
-    # ascending slice
+    # per node: its neighbors, S[nb, j] and S[j, j]; the adjacency's nonzeros
+    # come row by row, so node j's neighbors are one ascending slice
     adj = edges.to_adjacency()
     rows, nbrs = np.nonzero(adj)
-    bounds = np.searchsorted(rows, np.arange(p + 1))
-    nodes = []
-    for j in range(p):
-        nb = nbrs[bounds[j]:bounds[j + 1]]
-        nodes.append((j, nb, nb[:, None] * p + nb, s[nb, j]))
+    nodes = [(j, nb, s[nb, j], s[j, j])
+             for j, nb in enumerate(np.split(nbrs, np.searchsorted(rows, np.arange(1, p))))]
 
     if w_init is not None:
         w = np.array(w_init, dtype=float)
@@ -137,13 +135,14 @@ def fit(
     with np.errstate(all="ignore"):
         for sweeps in range(1, MAX_SWEEPS + 1):
             try:
-                for (j, nb, block, rhs), step in zip(nodes, step_rows):
+                for (j, nb, rhs, s_jj), step in zip(nodes, step_rows):
                     if nb.size:
                         # W is exactly symmetric, so its neighbor rows are its neighbor columns
-                        col = _neighbor_solve(w, block, rhs, j, sweeps) @ w.take(nb, axis=0)
+                        beta, nb_rows = _neighbor_solve(w, nb, rhs, j, sweeps)
+                        col = beta @ nb_rows
                     else:
                         col = np.zeros(p)
-                    col[j] = s[j, j]
+                    col[j] = s_jj
                     np.subtract(col, w[j], out=step)
                     w[:, j] = col
                     w[j] = col
@@ -161,7 +160,7 @@ def fit(
                 f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
             )
 
-    psi_vals = _recover_precision(w, s, nodes, sweeps)
+    psi_vals = _recover_precision(w, nodes, sweeps)
     try:
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:

@@ -151,11 +151,6 @@ class EdgeSet:
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":
         return cls(p, list(pairs))
 
-    @classmethod
-    def from_adjacency(cls, adj) -> "EdgeSet":
-        a = symmetrize(np.asarray(adj, dtype=float), "adjacency")
-        return cls(a.shape[0], np.column_stack(np.nonzero(np.triu(a, k=1))))
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -20,6 +20,10 @@ def random_edges(p, rng, q=0.4):
     return EdgeSet.from_pairs(p, pairs)
 
 
+def complete_edges(p):
+    return EdgeSet(p, np.argwhere(np.triu(np.ones((p, p), dtype=bool), 1)))
+
+
 class TestKKTIdentity:
     def test_inverse_matches_scatter_on_pattern(self):
         rng = np.random.default_rng(30)
@@ -53,7 +57,7 @@ class TestClosedFormOracles:
     def test_complete_pattern_is_plain_inverse(self):
         rng = np.random.default_rng(32)
         s = random_scatter(5, rng)
-        res = constrained_mle.fit(s, EdgeSet.from_adjacency(~np.eye(5, dtype=bool)))
+        res = constrained_mle.fit(s, complete_edges(5))
         assert np.abs(res.psi.values - np.linalg.inv(s)).max() < 1e-8
 
     def test_empty_pattern_is_diagonal_inverse(self):
@@ -169,8 +173,10 @@ class TestErrors:
         # rank-1 scatter cannot support a complete pattern
         v = np.arange(1.0, 5.0)
         s = np.outer(v, v)
-        with pytest.raises(EstimationError):
-            constrained_mle.fit(s, EdgeSet.from_adjacency(~np.eye(4, dtype=bool)))
+        with pytest.raises(EstimationError,
+                           match=r"^edge subproblem at node 0, sweep 1 is singular or not "
+                                 r"positive definite$"):
+            constrained_mle.fit(s, complete_edges(4))
 
     def test_non_finite_column_names_its_node(self):
         # node 0's column picks up the inf in row 1; node 2's neighbor block
@@ -227,8 +233,14 @@ class TestNeighborKernel:
         rng = np.random.default_rng(60 + p)
         for _ in range(3):
             s = random_scatter(p, rng)
-            for edges in (EdgeSet(p), EdgeSet.from_adjacency(~np.eye(p, dtype=bool)),
-                          random_edges(p, rng, q=0.1), random_edges(p, rng, q=0.4)):
+            # the star gives node 0 a (p-1) x (p-1) block; the complete pattern
+            # less a few pairs is the near-complete shape of small lambdas
+            complete = list(complete_edges(p))
+            dropped = rng.choice(len(complete), size=min(3, len(complete) - 1), replace=False)
+            near_complete = EdgeSet(p, np.delete(complete, dropped, axis=0))
+            star = EdgeSet.from_pairs(p, [(0, k) for k in range(1, p)])
+            for edges in (EdgeSet(p), complete_edges(p), random_edges(p, rng, q=0.1),
+                          random_edges(p, rng, q=0.4), star, near_complete):
                 want = self.assert_matches(s, edges)
                 # warm start from the converged covariance of a nearby scatter
                 nearby = s + 0.05 * random_scatter(p, rng)
@@ -237,7 +249,7 @@ class TestNeighborKernel:
     def test_same_errors_as_reference(self, monkeypatch):
         v = np.arange(1.0, 5.0)
         cases = [
-            (np.outer(v, v), EdgeSet.from_adjacency(~np.eye(4, dtype=bool)),
+            (np.outer(v, v), complete_edges(4),
              constrained_mle.MAX_SWEEPS),
             (random_scatter(8, np.random.default_rng(39)),
              random_edges(8, np.random.default_rng(40), q=0.6), 0),

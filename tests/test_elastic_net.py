@@ -162,7 +162,7 @@ class TestSolverBehavior:
 
 
 class TestBlockKernel:
-    """solve_gram against the scalar per-node CD loop in tests/cd_reference.py.
+    """solve_gram against the cyclic CD over all responses in tests/cd_reference.py.
 
     The active-set solve is exact and the reference stops within its own
     tolerance, so supports must match exactly and coefficients within
