@@ -555,15 +555,13 @@ def cmd_pipeline(args) -> int:
                 "ks_normal_reject", "ks_t", "ks_t_reject"), garch_rows)
 
     try:
-        windows = pipeline.rolling_estimate(
-            resid, args.window, args.step, config, grid,
-            absolute_strength=args.absolute_strength,
-        )
+        windows = pipeline.rolling_estimate(resid, args.window, args.step, config, grid)
     except ParcornetError as exc:
         raise type(exc)(f"windows: {exc}") from exc
 
     wdir = os.path.join(args.out, "windows")
     os.makedirs(wdir, exist_ok=True)
+    strength_rows = []
     for w in windows:
         path = os.path.join(wdir, f"window_{w.index:03d}.json")
         base = {
@@ -573,22 +571,20 @@ def cmd_pipeline(args) -> int:
             "start_date": resid_dates[w.start],
             "end_date": resid_dates[w.stop - 1],
         }
+        strength = None
         if w.report is not None:
             pc = precision_to_partial_correlation(w.report.state.psi)
+            meas = analytics.measures(pc, absolute_strength=args.absolute_strength)
+            strength = meas.mean_strength
             net = network_to_json_dict(
                 pc, prices.names, w.report.chosen_lambda, w.report.bic_value,
-                extra={"measures": w.net_measures.to_json_dict()},
+                extra={"measures": meas.to_json_dict()},
             )
             _write_json({**base, **net}, path)
         else:
             _write_json({**base, "error": w.error}, path)
-
-    strength_rows = [
-        (w.index, resid_dates[w.start], resid_dates[w.stop - 1],
-         w.net_measures.mean_strength if w.net_measures is not None else None,
-         _clean_msg(w.error) if w.error else "")
-        for w in windows
-    ]
+        strength_rows.append((w.index, base["start_date"], base["end_date"], strength,
+                              _clean_msg(w.error) if w.error else ""))
     _write_csv(os.path.join(args.out, "strength.csv"),
                ("window", "start_date", "end_date", "mean_strength", "error"), strength_rows)
 

@@ -129,8 +129,6 @@ def _solve_supports(hx, g, thr, scale, state, b, q, lk):
     """
     act = state[q] != 0
     size = act.sum(axis=1)
-    if size.max() < BATCH_BLOCK:
-        return _solve_batch(hx, g, thr, scale, state, b, q, lk, act, size)
     band = np.frexp(np.maximum(size, BATCH_BLOCK - 1))[1]
     singular = np.zeros(q.size, dtype=bool)
     for v in np.unique(band):
@@ -186,8 +184,9 @@ def _products(h, x, lk):
     return out
 
 
-def _feature_sign(h, g, thr, b, own, budget):
-    """Feature-sign steps (Lee et al. 2007) for one response, from b.
+def _feature_sign(h, g, thr, b, own, budget, scale):
+    """Feature-sign steps (Lee et al. 2007) for one response, from b, on an
+    h with max |h| = scale.
 
     Once b minimizes the objective on its own support and signs, a step
     adds the worst KKT violator with the sign of its dual residual. Each
@@ -199,7 +198,6 @@ def _feature_sign(h, g, thr, b, own, budget):
     converged).
     """
     b = b.copy() if 0.5 * b @ h @ b - g @ b + thr * np.abs(b).sum() < 0.0 else np.zeros_like(b)
-    scale = np.abs(h).max()
     settled = False  # b minimizes the objective on its support and signs
     steps = 0
     while True:
@@ -349,7 +347,8 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
             live = live[~singular]
     for q in handed:
         k = gram_of[q]
-        b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS)
+        b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS,
+                                                   scale[k])
         rounds[q] += steps
     if not np.all(np.isfinite(b)):
         raise DomainError("elastic net coefficients are non-finite")

@@ -21,24 +21,25 @@ A lambda grid is fitted in one pass (estimate_grid; estimate is its
 one-lambda case). Every lambda starts from the same state, and a
 lambda's next iteration depends only on its scatter, its edge set and
 its previous fit, so lambdas whose edge sets have agreed at every
-iteration so far are one group: each group's E-step and scatter are
-computed once per iteration, and so is the constrained fit of each
-distinct edge set within it. Every lambda keeps the supports and signs
-its stage-1 regressions ended on, all in one L x p x p array. An
-iteration computes every group's scatter first, then runs stage 1 for
-all lambdas of all groups as one stacked solve (select_edges on a stack
-of scatters, one penalty each), each lambda warm-started from the signs
-it ended on at its previous iteration. At the first iteration, the only
-one in gaussian mode, there is one scatter and no lambda has such signs
-yet: the lambdas run one at a time, from the largest down, each
-starting from the signs of the grid neighbour just solved (pathwise
-warm starts as in glmnet, Friedman, Hastie & Tibshirani 2010), and the
-largest from all zeros. The elastic-net solution is unique whenever
-lam(1-alpha) > 0 or its support blocks are positive definite, and each
-regression of a stacked solve is decided on its own scatter and penalty
-alone, so the edge sets, and with them every state, are the same as
-from independent fits with cold starts; only the number of solver calls
-and active-set rounds drops.
+iteration so far are one group. A group's scatter is formed when the
+group forms: in gaussian mode it has unit weights, in t mode it comes
+from the E-step under the initial psi or the fit that formed the group.
+Every lambda keeps the supports and signs its stage-1 regressions ended
+on, all in one L x p x p array. An iteration runs stage 1 for all
+lambdas of all groups as one stacked solve (select_edges on a stack of
+scatters, one penalty each), each lambda warm-started from the signs it
+ended on at its previous iteration, then fits each distinct edge set
+within a group once; an edge set that goes on forms a group of the next
+iteration. At the first iteration, the only one in gaussian mode, there
+is one scatter and no lambda has such signs yet: the lambdas run one at
+a time, from the largest down, each starting from the signs of the grid
+neighbour just solved (pathwise warm starts as in glmnet, Friedman,
+Hastie & Tibshirani 2010), and the largest from all zeros. The
+elastic-net solution is unique whenever lam(1-alpha) > 0 or its support
+blocks are positive definite, and each regression of a stacked solve is
+decided on its own scatter and penalty alone, so the edge sets, and with
+them every state, are the same as from independent fits with cold
+starts; only the number of solver calls and active-set rounds drops.
 """
 from __future__ import annotations
 
@@ -156,6 +157,14 @@ def check_columns(data: Dataset, scatter: np.ndarray) -> None:
                         f"(|correlation| = {corr[j, k]:.15g})")
 
 
+def _e_step(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix, nu: float):
+    """(tau, mean, scatter) of the E-step under (mean, psi), tau rescaled to sum to n."""
+    tau = expected_scales(data, mean, psi, nu)
+    tau *= data.n / tau.sum()
+    mean = weighted_mean(data, tau)
+    return tau, mean, weighted_scatter(data, tau, mean)
+
+
 def _initial_psi(scatter: np.ndarray, factor: float) -> PrecisionMatrix:
     p = scatter.shape[0]
     ridge = 0.0
@@ -207,23 +216,6 @@ def _select(scattered, penalties, rule, signs, first):
     return dict(zip(lams, found))
 
 
-def _fits(scatter, members, edges, w_init):
-    """One constrained fit to scatter per distinct edge set of members.
-
-    Yields (lambdas, edges, fit) per edge set, where fit is the
-    ConstrainedMLEResult or the EstimationError it raised.
-    """
-    by_edges = {}
-    for i in members:
-        by_edges.setdefault(edges[i], []).append(i)
-    for found, shared in by_edges.items():
-        try:
-            fit = _constrained_fit(scatter, found, w_init)
-        except EstimationError as exc:
-            fit = exc
-        yield shared, found, fit
-
-
 def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     """Run the estimator at every lambda in lams, all in one pass.
 
@@ -234,18 +226,15 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
     constant column or an exactly collinear column pair (check_columns).
 
     The lambdas run their EM iterations in lockstep. Lambdas whose edge
-    sets have agreed at every iteration so far share one scatter, one
-    E-step and one constrained fit per iteration, and those that end
-    together share one EMState object. Each iteration computes every
-    group's scatter first, then runs stage 1 for all lambdas (_select):
-    at the first iteration one lambda at a time, from the grid neighbour
-    just solved, and after it as one stacked solve, each lambda
-    warm-started from its own previous supports.
+    sets have agreed so far form a group, which carries the scatter it
+    fits next. An iteration runs stage 1 for all lambdas (_select), then
+    fits each distinct edge set of each group once; an edge set that goes
+    on forms a group of the next iteration, with its E-step, and lambdas
+    that end together share one EMState object.
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
-    n = data.n
-    tau = np.ones(n)
+    tau = np.ones(data.n)
     mean = data.values.mean(axis=0)
     scatter = weighted_scatter(data, tau, mean)
     check_columns(data, scatter)
@@ -257,32 +246,33 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
 
     nu = config.nu
     psi = None if config.mode == "gaussian" else _initial_psi(scatter, nu / (nu - 2.0))
-    # (lambdas, mean, psi, covariance of the last fit) per group sharing a history
-    groups = [(members, mean, psi, None)]
+    if psi is not None:  # a gaussian group has no psi and keeps unit scales
+        tau, mean, scatter = _e_step(data, mean, psi, nu)
+    # (lambdas, psi, covariance of the last fit, tau, mean, scatter) per group
+    # sharing a history; scatter is the one its next iteration fits
+    groups = [(members, psi, None, tau, mean, scatter)]
     # EMConfig rejects max_iter < 1, so every lambda gets an entry
     for it in range(1, config.max_iter + 1):
-        steps = []
-        for members, mean, psi, w_prev in groups:
-            if psi is not None:  # E-step; a gaussian group has no psi and keeps unit scales
-                tau = expected_scales(data, mean, psi, nu)
-                tau *= n / tau.sum()
-                mean = weighted_mean(data, tau)
-                scatter = weighted_scatter(data, tau, mean)
-            steps.append((members, psi, w_prev, tau, mean, scatter))
-        edges = _select([(members, scatter) for members, *_, scatter in steps], penalties,
+        edges = _select([(members, scatter) for members, *_, scatter in groups], penalties,
                         config.rule, signs, it == 1)
         going = []
-        for members, psi, w_prev, tau, mean, scatter in steps:
-            for shared, found, fit in _fits(scatter, members, edges, w_prev):
-                if isinstance(fit, EstimationError):
-                    result = EstimationError(f"iteration {it}: {fit}")
-                    result.__cause__ = fit
+        for members, psi, w_prev, tau, mean, scatter in groups:
+            by_edges = {}
+            for i in members:
+                by_edges.setdefault(edges[i], []).append(i)
+            for found, shared in by_edges.items():
+                try:
+                    fit = _constrained_fit(scatter, found, w_prev)
+                except EstimationError as exc:
+                    result = EstimationError(f"iteration {it}: {exc}")
+                    result.__cause__ = exc
                 else:
                     max_change = (0.0 if psi is None else
                                   float(np.abs(fit.psi.values - psi.values).max()))
                     converged = max_change < config.delta
                     if not converged and it < config.max_iter:
-                        going.append((shared, mean, fit.psi, fit.covariance))
+                        going.append((shared, fit.psi, fit.covariance,
+                                      *_e_step(data, mean, fit.psi, nu)))
                         continue
                     result = EMState(mean, fit.psi, tau, found, it, max_change, converged)
                 for i in shared:

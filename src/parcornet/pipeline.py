@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, signal, special
 
-from . import analytics, selection
+from . import selection
 from .em import EMConfig
 from .errors import ConfigError, DataError, FitError, ParcornetError
-from .matrices import Dataset, first_repeat, precision_to_partial_correlation
+from .matrices import Dataset, first_repeat
 from .selection import LambdaGrid, SelectionReport
 
 MIN_SERIES_LEN = 250
@@ -313,7 +313,6 @@ class WindowResult:
     start: int
     stop: int
     report: SelectionReport | None
-    net_measures: analytics.NetworkMeasures | None
     error: str | None = None
 
 
@@ -321,16 +320,14 @@ def window_count(n_rows: int, window: int, step: int) -> int:
     return (n_rows - window) // step + 1 if n_rows >= window else 0
 
 
-def rolling_estimate(
-    values, window: int, step: int, config: EMConfig, grid: LambdaGrid,
-    absolute_strength: bool = False,
-) -> list:
+def rolling_estimate(values, window: int, step: int, config: EMConfig, grid: LambdaGrid) -> list:
     """Estimate a network on each rolling window of the row matrix.
 
-    Windows start at multiples of step and span window rows. A window
-    whose fit raises a ParcornetError is returned flagged with the error
-    message and the remaining windows still run; any other exception
-    propagates.
+    Windows start at multiples of step and span window rows. Each
+    window's result carries its SelectionReport; network measures are
+    left to the caller. A window whose fit raises a ParcornetError is
+    returned flagged with the error message and the remaining windows
+    still run; any other exception propagates.
     """
     vals = np.asarray(getattr(values, "values", values), dtype=float)
     if vals.ndim != 2:
@@ -347,14 +344,12 @@ def rolling_estimate(
         stop = start + window
         chunk = vals[start:stop]
         if not np.all(np.isfinite(chunk)):
-            out.append(WindowResult(i, start, stop, None, None, "window contains missing values"))
+            out.append(WindowResult(i, start, stop, None, "window contains missing values"))
             continue
         try:
             report = selection.select(Dataset(chunk), grid, config)
-            pc = precision_to_partial_correlation(report.state.psi)
-            meas = analytics.measures(pc, absolute_strength=absolute_strength)
-            out.append(WindowResult(i, start, stop, report, meas))
+            out.append(WindowResult(i, start, stop, report))
         except ParcornetError as exc:
             # a named estimation failure flags the window; anything else propagates
-            out.append(WindowResult(i, start, stop, None, None, f"{type(exc).__name__}: {exc}"))
+            out.append(WindowResult(i, start, stop, None, f"{type(exc).__name__}: {exc}"))
     return out

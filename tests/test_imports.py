@@ -1,17 +1,22 @@
 """The import graph: `import parcornet` and `import parcornet.cli` load no
-scipy module that only the pipeline command needs, and the scipy.special
-laws that pipeline's KS test uses equal the scipy.stats ones exactly.
+scipy module that only the pipeline command needs, the scipy.special
+laws that pipeline's KS test uses equal the scipy.stats ones exactly, and
+every layer boundary is looked up through its module at call time.
 """
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from parcornet.pipeline import KS_CRITICAL_COEF, ks_statistic
+from parcornet import analytics, cli, constrained_mle, em, neighborhood, pipeline, selection
+from parcornet.elastic_net import PenaltyConfig
+from parcornet.matrices import Dataset
+from parcornet.pipeline import KS_CRITICAL_COEF, PriceTable, ks_statistic, simulate_ar_garch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PIPELINE_ONLY = ("scipy.optimize", "scipy.signal", "scipy.stats", "scipy.sparse")
@@ -63,3 +68,44 @@ class TestKSAgainstStats:
         scale = np.sqrt((nu - 2.0) / nu)
         want = _ks_from_stats(x, lambda v: stats.t.cdf(v / scale, df=nu))
         assert ks_statistic(x, "t", nu=nu) == want
+
+
+# (module, name) of each layer boundary that a caller reaches as module.name
+BOUNDARIES = [(em, "select_edges"), (neighborhood, "solve_gram"), (constrained_mle, "fit"),
+              (selection, "bic"), (selection, "select"), (pipeline, "fit_ar_garch"),
+              (pipeline, "rolling_estimate"), (analytics, "measures")]
+
+
+class TestCallTimeLookups:
+    """Replacing a layer's module attribute reaches every caller, so a
+    wrapper over it, as perfbench's tracer installs, sees each call: a
+    caller that bound the function at import would bypass the wrapper and
+    leave its counts at zero. selection.estimate is the one deliberate
+    exclusion: no caller has used it since select began fitting its whole
+    grid through em.estimate_grid, and the tracer's em counters stay on it
+    until they move to that function (ROADMAP direction 1)."""
+
+    def test_every_boundary_is_called_through_its_module(self, monkeypatch, tmp_path):
+        select = selection.select  # called directly, so its count comes from the pipeline
+        calls = Counter()
+        for module, name in BOUNDARIES:
+            def counted(*args, _real=getattr(module, name), _key=(module, name), **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        x = np.random.default_rng(5).standard_t(5.0, size=(120, 4))
+        x[:, 1] += 0.6 * x[:, 0]
+        config = em.EMConfig(PenaltyConfig(0.5, 0.1), mode="t", nu=5.0)
+        select(Dataset(x), selection.build_grid(0.05, 0.5, 3), config)
+
+        r = np.column_stack([simulate_ar_garch(300, 2e-4, 0.05, 2e-5, 0.05, 0.9, rng=j)
+                             for j in range(3)])
+        prices = 100.0 * np.exp(np.cumsum(np.vstack([np.zeros((1, 3)), r]), axis=0))
+        dates = [str(np.datetime64("2020-01-01") + k) for k in range(prices.shape[0])]
+        path = tmp_path / "prices.csv"
+        path.write_text(PriceTable(dates, ("s1", "s2", "s3"), prices).to_csv_text())
+        assert cli.main(["pipeline", str(path), "--mode", "t", "--nu", "5", "--window", "150",
+                         "--step", "150", "--lambda-count", "3", "--absolute-strength",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert [f"{m.__name__}.{n}" for m, n in BOUNDARIES if not calls[m, n]] == []

@@ -391,7 +391,7 @@ class TestRolling:
         assert [(- w.start + w.stop) for w in results] == [40, 40, 40]
         assert [w.start for w in results] == [0, 20, 40]
         assert all(w.error is None for w in results)
-        assert all(w.net_measures.p == 3 for w in results)
+        assert all(w.report.state.p == 3 for w in results)
 
     def test_nan_window_flagged_not_fatal(self):
         rng = np.random.default_rng(32)
@@ -452,7 +452,7 @@ class TestRolling:
         results = rolling_estimate(vals, window=40, step=20, config=self._config(),
                                    grid=build_grid(0.1, 0.5, 2))
         assert results[0].index == 0
-        assert results[0].net_measures is None and results[0].report is None
+        assert results[0].report is None
         assert "missing" in results[0].error
         assert results[1].error is None
-        assert np.isfinite(results[1].net_measures.mean_strength)
+        assert np.all(np.isfinite(results[1].report.state.psi.values))
