@@ -11,17 +11,18 @@ while its edge entries are matched to S. A column update solves the
 node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
 column to beta' W[nb, :]. It gathers the neighbor rows of W once and
 reads the block as their nb columns; W is kept exactly symmetric, so the
-rows are also the neighbor columns. Each node's neighbors are sliced once
-per fit from the edge set's adjacency, which also masks the optimality
-gap. Each column update records its step in one p x p array; after the
-sweep the steps are reduced once and summed in node order, and a
-non-finite step is named by its node and sweep. Every column update sets
-W to S on the edge pattern and the diagonal up to rounding, so the sweeps
-stop on one rule, the mean change of W. At the optimum W = Psi^{-1}; Psi
-is recovered column-wise from the same neighbor solves, with exact zeros
-off the pattern, and its optimality gap max |inv(Psi) - S| on the pattern
-and the diagonal is measured once, at the end. The sweep cap and the
-change tolerance are the module constants below, read at call time.
+rows are also the neighbor columns. Each fit builds one node plan from
+the edge set's adjacency: per node its neighbors, S[nb, j] and S[j, j],
+and views of its row of steps and of its row and column of W, which the
+sweeps write through. Each sweep records every column step in one p x p
+array, then reduces it once and sums it in node order; a non-finite step
+is named by its node and sweep. Every column update sets W to S on the
+edge pattern and the diagonal up to rounding, so the sweeps stop on one
+rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is recovered
+column-wise from the same plan's neighbor solves, with exact zeros off
+the pattern, and its optimality gap max |inv(Psi) - S| on the pattern and
+the diagonal is measured once, at the end. The sweep cap and the change
+tolerance are the module constants below, read at call time.
 """
 from __future__ import annotations
 
@@ -46,41 +47,18 @@ class ConstrainedMLEResult:
     kkt_residual: float  # max |inv(psi) - S| over the pattern and the diagonal
 
 
-def _neighbor_solve(w, nb, rhs, j, sweep):
-    """Solve W[nb, nb] beta = S[nb, j] for node j by Cholesky; return beta and W[nb, :].
-
-    The neighbor rows are gathered once and the block is read as their nb columns.
-    """
-    rows = w.take(nb, axis=0)
-    _, beta, info = lapack.dposv(rows.take(nb, axis=1), rhs)
-    if info:
-        raise EstimationError(
-            f"edge subproblem at node {j}, sweep {sweep} is singular or not positive definite"
-        )
-    return beta, rows
-
-
 def _check_steps(steps, sweep):
-    """Absolute change of each column in steps; raise on the first non-finite one."""
-    change = np.abs(steps).sum(axis=1)
-    bad = np.flatnonzero(~np.isfinite(change))
+    """Raise on the first row of steps whose absolute change is not finite."""
+    bad = np.flatnonzero(~np.isfinite(np.abs(steps).sum(axis=1)))
     if bad.size:
         raise EstimationError(f"non-finite column update at node {bad[0]}, sweep {sweep}")
-    return change
 
 
-def _recover_precision(w, nodes, sweep):
-    p = w.shape[0]
-    psi = np.zeros((p, p))
-    for j, nb, rhs, s_jj in nodes:
-        beta = _neighbor_solve(w, nb, rhs, j, sweep)[0] if nb.size else rhs
-        gap = s_jj - float(rhs @ beta)
-        if not np.isfinite(gap) or gap <= 0.0:
-            raise EstimationError(f"nonpositive partial variance at node {j}: {gap:.3e}")
-        psi[j, j] = 1.0 / gap
-        psi[nb, j] = -beta / gap
-    # averaging symmetrizes roundoff but keeps off-pattern entries exactly zero
-    return 0.5 * (psi + psi.T)
+def _singular(j, sweep):
+    """The error for node j's neighbor block failing its Cholesky test."""
+    return EstimationError(
+        f"edge subproblem at node {j}, sweep {sweep} is singular or not positive definite"
+    )
 
 
 def fit(
@@ -109,13 +87,6 @@ def fit(
     if np.diag(s).min() <= 0.0:
         raise DomainError("scatter matrix needs a strictly positive diagonal")
 
-    # per node: its neighbors, S[nb, j] and S[j, j]; the adjacency's nonzeros
-    # come row by row, so node j's neighbors are one ascending slice
-    adj = edges.to_adjacency()
-    rows, nbrs = np.nonzero(adj)
-    nodes = [(j, nb, s[nb, j], s[j, j])
-             for j, nb in enumerate(np.split(nbrs, np.searchsorted(rows, np.arange(1, p))))]
-
     if w_init is not None:
         w = np.array(w_init, dtype=float)
         if w.shape != (p, p):
@@ -124,33 +95,45 @@ def fit(
     else:
         w = s.copy()
 
+    # the node plan; row j of steps holds node j's column step of the current
+    # sweep. The adjacency's nonzeros come row by row, so node j's neighbors
+    # and its S[nb, j] are one ascending slice of each.
+    adj = edges.to_adjacency()
+    rows, nbrs = np.nonzero(adj)
+    rhs = s[nbrs, rows]
+    bounds = np.searchsorted(rows, np.arange(p + 1)).tolist()
+    steps = np.empty((p, p))
+    plan = [(j, nbrs[a:b], rhs[a:b], s[j, j], steps[j], w[j], w[:, j])
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+    dposv = lapack.dposv
     w_tol = W_TOL_SCALE * float(np.abs(s).mean())
     n_off = max(p * (p - 1), 1)
     mean_change = math.inf
-    # row j holds node j's column step of the current sweep. A non-finite
-    # column enters W before the check after the sweep, so later nodes may
-    # compute with it (numpy's warnings silenced); the check names the first.
-    steps = np.empty((p, p))
-    step_rows = list(steps)
+    # A non-finite column enters W before the check after the sweep, so later
+    # nodes may compute with it (numpy's warnings silenced); the check names the first.
     with np.errstate(all="ignore"):
         for sweeps in range(1, MAX_SWEEPS + 1):
-            try:
-                for (j, nb, rhs, s_jj), step in zip(nodes, step_rows):
-                    if nb.size:
-                        # W is exactly symmetric, so its neighbor rows are its neighbor columns
-                        beta, nb_rows = _neighbor_solve(w, nb, rhs, j, sweeps)
-                        col = beta @ nb_rows
-                    else:
-                        col = np.zeros(p)
-                    col[j] = s_jj
-                    np.subtract(col, w[j], out=step)
-                    w[:, j] = col
-                    w[j] = col
-            except EstimationError:
-                _check_steps(steps[:j], sweeps)
-                raise
-            # a sequential sum in node order: pairwise rounding could move a stop
-            change = float(np.add.accumulate(_check_steps(steps, sweeps))[-1])
+            for j, nb, b, s_jj, step, w_row, w_col in plan:
+                if nb.size:
+                    # W is exactly symmetric, so its neighbor rows are its neighbor columns
+                    nb_rows = w.take(nb, axis=0)
+                    _, beta, info = dposv(nb_rows.take(nb, axis=1), b)
+                    if info:
+                        _check_steps(steps[:j], sweeps)
+                        raise _singular(j, sweeps)
+                    col = beta.dot(nb_rows)  # as beta @ nb_rows, with less call overhead
+                else:
+                    col = np.zeros(p)
+                col[j] = s_jj
+                np.subtract(col, w_row, out=step)
+                w_col[:] = col
+                w_row[:] = col
+            # a sequential sum in node order: pairwise rounding could move a stop.
+            # The row sums are non-negative, so a non-finite one makes the total non-finite.
+            change = float(np.add.accumulate(np.abs(steps).sum(axis=1))[-1])
+            if not math.isfinite(change):
+                _check_steps(steps, sweeps)
             mean_change = change / n_off
             if mean_change < w_tol:
                 break
@@ -160,9 +143,22 @@ def fit(
                 f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
             )
 
-    psi_vals = _recover_precision(w, nodes, sweeps)
+    # Psi column-wise from the same neighbor solves on the converged W
+    psi_vals = np.zeros((p, p))
+    for j, nb, b, s_jj, *_ in plan:
+        beta = b
+        if nb.size:
+            _, beta, info = dposv(w.take(nb, axis=0).take(nb, axis=1), b)
+            if info:
+                raise _singular(j, sweeps)
+        gap = s_jj - float(b @ beta)
+        if not np.isfinite(gap) or gap <= 0.0:
+            raise EstimationError(f"nonpositive partial variance at node {j}: {gap:.3e}")
+        psi_vals[j, j] = 1.0 / gap
+        psi_vals[nb, j] = -beta / gap
     try:
-        psi = PrecisionMatrix(psi_vals)
+        # averaging symmetrizes roundoff but keeps off-pattern entries exactly zero
+        psi = PrecisionMatrix(0.5 * (psi_vals + psi_vals.T))
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
     np.fill_diagonal(adj, True)

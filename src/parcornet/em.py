@@ -187,7 +187,9 @@ def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
     except EstimationError:
         if w_init is None:
             raise
-        # warm start can stall after a pattern change: retry cold
+        # after a pattern change the warm start, its diagonal reset to the new
+        # scatter's, need not be positive definite, and a neighbor block can fail
+        # its Cholesky test: retry cold
         return constrained_mle.fit(scatter, edges, w_init=None)
 
 

@@ -116,6 +116,20 @@ class TestSolverBehavior:
             assert np.array_equal(got.covariance, want.covariance)
             assert got.sweeps == want.sweeps
 
+    def test_inputs_are_not_written(self):
+        # the sweeps write W through row and column views, so W must be a copy
+        rng = np.random.default_rng(43)
+        s = random_scatter(6, rng)
+        edges = random_edges(6, rng, q=0.5)
+        s_before = s.copy()
+        cold = constrained_mle.fit(s, edges)
+        w_init = cold.covariance + 0.01 * np.eye(6)
+        w_before = w_init.copy()
+        warm = constrained_mle.fit(s, edges, w_init=w_init)
+        assert np.array_equal(s, s_before)
+        assert np.array_equal(w_init, w_before)
+        assert not np.shares_memory(warm.covariance, w_init)
+
     def test_diagonal_of_working_covariance_matches_scatter(self):
         rng = np.random.default_rng(37)
         s = random_scatter(5, rng)
@@ -166,8 +180,26 @@ class TestErrors:
             constrained_mle.fit(s, EdgeSet(3))
 
     def test_p_mismatch(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match=r"^edge set has p=4, scatter has p=3$"):
             constrained_mle.fit(np.eye(3), EdgeSet(4))
+
+    def test_w_init_shape_named(self):
+        with pytest.raises(EstimationError, match=r"^w_init must have shape \(3,3\)$"):
+            constrained_mle.fit(np.eye(3), EdgeSet(3), w_init=np.eye(4))
+
+    @pytest.mark.parametrize("seed, message", [
+        (0, r"^recovered precision is not positive definite: "
+            r"precision matrix is not positive definite$"),
+        (3, r"^nonpositive partial variance at node 0: -?\d\.\d{3}e[-+]\d+$"),
+    ])
+    def test_collinear_scatter_fails_in_recovery(self, seed, message):
+        # d = a + b - c makes the scatter singular, but any three of the four
+        # columns are independent, so every neighbor block of the complete
+        # pattern is positive definite, the sweeps converge and the recovery fails
+        a, b, c = np.random.default_rng(seed).integers(-5, 6, size=(60, 3)).T
+        x = np.column_stack([a, b, c, a + b - c]).astype(float)
+        with pytest.raises(EstimationError, match=message):
+            constrained_mle.fit(x.T @ x / 60, complete_edges(4))
 
     def test_degenerate_scatter_with_full_pattern_fails(self):
         # rank-1 scatter cannot support a complete pattern
