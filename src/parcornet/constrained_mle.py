@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, ShapeError
 from .matrices import EdgeSet, PrecisionMatrix, symmetrize
 
 W_TOL_SCALE = 1e-8
@@ -76,12 +76,15 @@ def fit(
     EstimationError with the last change, as do neighbor blocks that are
     singular or not positive definite, non-finite column updates,
     nonpositive partial variances and a recovered precision that is not
-    positive definite. The result's kkt_residual is the optimality gap
-    max |inv(Psi) - S| over the edge pattern plus the diagonal, in the
-    units of S.
+    positive definite. A scatter of p < 2 raises ShapeError up front, as
+    a precision matrix needs p >= 2. The result's kkt_residual is the
+    optimality gap max |inv(Psi) - S| over the edge pattern plus the
+    diagonal, in the units of S.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
+    if p < 2:
+        raise ShapeError(f"constrained fit needs a p x p scatter with p >= 2, got {p} x {p}")
     if edges.p != p:
         raise EstimationError(f"edge set has p={edges.p}, scatter has p={p}")
     if np.diag(s).min() <= 0.0:

@@ -108,6 +108,15 @@ class EMState:
         return self.psi.p
 
 
+@dataclass(frozen=True)
+class SkippedFit:
+    """A lambda whose stage-2 fit estimate_grid skipped: no fit to edges can
+    score below bound, and a state fitted before it already does."""
+
+    edges: EdgeSet
+    bound: float
+
+
 def mahalanobis(data: Dataset, mean: np.ndarray, psi: PrecisionMatrix) -> np.ndarray:
     """Squared Mahalanobis distance of each row under (mean, psi)."""
     x = data.values - mean
@@ -139,17 +148,26 @@ def weighted_scatter(data: Dataset, tau: np.ndarray, mean: np.ndarray) -> np.nda
 
 
 def check_columns(data: Dataset, scatter: np.ndarray) -> None:
-    """Raise DataError for a constant column or an exactly collinear pair.
+    """Raise DataError for a constant column, a column out of floating-point
+    range, or an exactly collinear pair.
 
-    scatter is the unit-weight scatter of data. Neither case can be
-    estimated in any mode: a constant column has no scatter diagonal and
-    a collinear pair makes every scatter singular.
+    scatter is the unit-weight scatter of data. None of these can be
+    estimated in any mode: a constant column has no scatter diagonal, a
+    column whose scatter diagonal overflows or falls below the smallest
+    normal float (np.finfo(float).tiny) has none that arithmetic can use,
+    and a collinear pair makes every scatter singular.
     """
     names = data.names or range(data.p)
     const = np.flatnonzero(np.ptp(data.values, axis=0) == 0.0)
     if const.size:
         raise DataError(f"column {names[const[0]]!r} has zero variance")
-    scale = np.sqrt(np.diag(scatter))
+    diag = np.diag(scatter)
+    bad = np.flatnonzero(~(np.isfinite(diag) & (diag >= np.finfo(float).tiny)))
+    if bad.size:
+        raise DataError(f"column {names[bad[0]]!r} is out of floating-point range: its "
+                        f"variance {diag[bad[0]]:.3g} is not a finite normal float; "
+                        "rescale the data")
+    scale = np.sqrt(diag)
     corr = np.triu(np.abs(scatter) / np.outer(scale, scale), k=1)
     j, k = np.unravel_index(np.argmax(corr), corr.shape)
     if corr[j, k] >= 1.0 - COLLINEAR_TOL:
@@ -218,14 +236,28 @@ def _select(scattered, penalties, rule, signs, first):
     return dict(zip(lams, found))
 
 
-def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
+def estimate_grid(data: Dataset, lams, config: EMConfig, *, scores=None) -> list:
     """Run the estimator at every lambda in lams, all in one pass.
 
     Returns one entry per lambda, in order: its EMState, or the
     EstimationError that ended its fit, "iteration k: ..." with the stage-2
     error as __cause__. Each entry equals what estimate returns or raises
     at that lambda alone. Raises DataError first, in either mode, for a
-    constant column or an exactly collinear column pair (check_columns).
+    constant column, a column out of floating-point range or an exactly
+    collinear column pair (check_columns).
+
+    scores, which only selection.select passes, gives the floor of an
+    edge set and records each fitted state's score. Before an edge set is
+    fitted, scores.floor(edges) returns a lower bound on the score of any
+    fit to it when that bound already loses to a recorded score, and None
+    otherwise; each EMState is passed to scores.record once. An edge set
+    whose floor loses is not fitted, and its lambdas get one SkippedFit
+    holding the edge set and the floor, which select reports as bic_bound.
+    Only gaussian mode has a floor, the saturated likelihood less a rounding
+    margin (selection module docstring); the t likelihood's supremum over
+    psi has no closed form to bound a fit by. In gaussian mode every fit
+    runs at the first iteration, from the largest lambda down, so the
+    sparse edge sets are fitted first.
 
     The lambdas run their EM iterations in lockstep. Lambdas whose edge
     sets have agreed so far form a group, which carries the scatter it
@@ -238,7 +270,9 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
         data = Dataset(np.asarray(data, dtype=float))
     tau = np.ones(data.n)
     mean = data.values.mean(axis=0)
-    scatter = weighted_scatter(data, tau, mean)
+    # a column whose scatter overflows is named by check_columns, not by numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scatter = weighted_scatter(data, tau, mean)
     check_columns(data, scatter)
     penalties = [PenaltyConfig(config.penalty.alpha, lam) for lam in lams]
     signs = np.zeros((len(penalties), data.p, data.p), dtype=np.int8)
@@ -263,6 +297,12 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
             for i in members:
                 by_edges.setdefault(edges[i], []).append(i)
             for found, shared in by_edges.items():
+                bound = None if scores is None else scores.floor(found)
+                if bound is not None:  # no fit to found can win: skip it
+                    result = SkippedFit(found, bound)
+                    for i in shared:
+                        out[i] = result
+                    continue
                 try:
                     fit = _constrained_fit(scatter, found, w_prev)
                 except EstimationError as exc:
@@ -277,6 +317,8 @@ def estimate_grid(data: Dataset, lams, config: EMConfig) -> list:
                                       *_e_step(data, mean, fit.psi, nu)))
                         continue
                     result = EMState(mean, fit.psi, tau, found, it, max_change, converged)
+                    if scores is not None:
+                        scores.record(result)
                 for i in shared:
                     out[i] = result
         groups = going

@@ -224,6 +224,8 @@ class TestEstimate:
         assert (edge["i"], edge["j"]) == (1, 2) and edge["weight"] > 0
         assert net["em_converged"] is True
         assert len(net["bic_table"]) == 20
+        # a lambda has a BIC when fitted and a bic_bound when skipped
+        assert all((r["bic"] is None) == (r["bic_bound"] is not None) for r in net["bic_table"])
 
     def test_nu_required_only_in_t_mode(self, tmp_path):
         data = self._correlated_csv(tmp_path)
@@ -282,6 +284,14 @@ class TestEstimate:
         path = write_data_csv(tmp_path / "flat.csv", x, ("a", "b", "c"))
         assert cli.main(["estimate", path, *mode, "--out", str(tmp_path / "o.json")]) == 2
         assert "column 'b' has zero variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
+    def test_column_out_of_float_range_exit_2(self, tmp_path, capsys, mode):
+        x = np.random.default_rng(5).standard_normal((100, 3))
+        x[:, 2] *= 1e200
+        path = write_data_csv(tmp_path / "huge.csv", x, ("a", "b", "c"))
+        assert cli.main(["estimate", path, *mode, "--out", str(tmp_path / "o.json")]) == 2
+        assert "column 'c' is out of floating-point range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [["--mode", "gaussian"], ["--mode", "t", "--nu", "3"]])
     def test_every_lambda_failing_names_the_first_exit_3(self, tmp_path, capsys, mode):

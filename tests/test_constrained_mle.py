@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cmle_reference import reference_fit
 from parcornet import constrained_mle
-from parcornet.errors import DomainError, EstimationError
+from parcornet.errors import DomainError, EstimationError, ShapeError
 from parcornet.matrices import EdgeSet
 
 
@@ -182,6 +182,11 @@ class TestErrors:
     def test_p_mismatch(self):
         with pytest.raises(EstimationError, match=r"^edge set has p=4, scatter has p=3$"):
             constrained_mle.fit(np.eye(3), EdgeSet(4))
+
+    def test_one_by_one_scatter_rejected_up_front(self):
+        with pytest.raises(ShapeError, match=r"^constrained fit needs a p x p scatter with "
+                                             r"p >= 2, got 1 x 1$"):
+            constrained_mle.fit(2.0 * np.eye(1), EdgeSet(1))
 
     def test_w_init_shape_named(self):
         with pytest.raises(EstimationError, match=r"^w_init must have shape \(3,3\)$"):

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from em_reference import reference_estimate
-from parcornet import constrained_mle
+from parcornet import constrained_mle, selection
 from parcornet.elastic_net import PenaltyConfig
-from parcornet.em import EMConfig, estimate
+from parcornet.em import MODES, EMConfig, estimate
 from parcornet.errors import ConfigError, DataError, EstimationError, SelectionError
 from parcornet.matrices import Dataset, PrecisionMatrix
 from parcornet.netgen import TopologySpec, generate_precision
@@ -94,6 +98,27 @@ class TestBIC:
         assert bic(state, data, cfg) == pytest.approx(want, rel=1e-12)
 
 
+def assert_records_match_independent_fits(report, data, grid, cfg):
+    """Every fitted record equals an independent estimate at its lambda bit
+    for bit; every skipped one (gaussian mode only) has bic NaN, that fit's
+    edge count and a bic_bound at most its BIC and above the chosen BIC.
+    Returns the independent states and the skipped indices."""
+    states = [estimate(data, cfg.with_lam(lam)) for lam in grid.values]
+    skipped = []
+    for idx, (lam, rec, state) in enumerate(zip(grid.values, report.records, states)):
+        if rec.bic_bound is None:
+            assert rec == LambdaRecord(lam, bic(state, data, cfg), len(state.edges),
+                                       state.converged, False, iterations=state.iterations)
+            continue
+        skipped.append(idx)
+        assert cfg.mode == "gaussian"
+        assert np.isnan(rec.bic)
+        assert rec == LambdaRecord(lam, rec.bic, len(state.edges), False, False,
+                                   bic_bound=rec.bic_bound)
+        assert report.bic_value < rec.bic_bound <= bic(state, data, cfg)
+    return states, skipped
+
+
 class TestSelect:
     def test_picks_minimum_bic(self):
         edges, theta = generate_precision(TopologySpec("scale-free", 6, seed=6))
@@ -101,10 +126,46 @@ class TestSelect:
         grid = build_grid(0.02, 1.0, 8)
         cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian")
         report = select(data, grid, cfg)
-        finite = [r.bic for r in report.records if not r.failed]
-        assert report.bic_value == min(finite)
+        states, skipped = assert_records_match_independent_fits(report, data, grid, cfg)
+        # the dense end is skipped, and every lambda's BIC, fitted or not, is
+        # at least the chosen one
+        assert skipped == [0, 1, 2, 3]
+        assert report.bic_value == min(bic(s, data, cfg) for s in states)
+        assert report.bic_value == min(r.bic for r in report.records if r.bic_bound is None)
         assert len(report.records) == 8
         assert report.chosen_lambda == grid.values[report.chosen_index]
+        table = report.to_json_dict()["records"]
+        assert [r["bic"] is None for r in table] == [r["bic_bound"] is not None for r in table]
+
+    def test_complete_graph_floor_equals_its_bic(self):
+        """The floor is attained by the complete graph, so the margin is the
+        only room between them: it must cover the rounding of both and stay
+        far below one edge's log(n)."""
+        for n, p, seed in [(500, 20, 0), (40, 20, 1), (22, 20, 2), (11, 10, 3)]:
+            data = Dataset(np.random.default_rng(seed).standard_normal((n, p)))
+            cfg = EMConfig(PenaltyConfig(0.5, 1e-6), mode="gaussian")
+            state = estimate(data, cfg)
+            assert len(state.edges) == p * (p - 1) // 2
+            scores = selection._Scores(data, cfg)
+            scores.best = -np.inf  # so floor returns the bound
+            floor = scores.floor(state.edges)
+            _, margin = scores._saturated
+            assert abs(bic(state, data, cfg) - floor) <= 0.01 * margin
+            assert margin < 1e-3 * np.log(n)
+            scores.best = bic(state, data, cfg)
+            assert scores.floor(state.edges) is None
+
+    @pytest.mark.parametrize("mode, n", [("t", 200), ("gaussian", 10), ("gaussian", 8)])
+    def test_nothing_skipped_without_a_floor(self, mode, n):
+        # t mode has no closed-form floor, and with n <= p = 10 the scatter is singular
+        x = np.random.default_rng(68).standard_normal((200, 10))
+        x[:, 1] += x[:, 0]
+        grid = build_grid(0.01, 1.0, 6)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian", nu=3.0)
+        assert any(r.bic_bound is not None for r in select(Dataset(x), grid, cfg).records)
+        data, cfg = Dataset(x[:n]), EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0)
+        assert selection._Scores(data, cfg)._saturated is None
+        assert all(r.bic_bound is None for r in select(data, grid, cfg).records)
 
     def test_ties_go_to_larger_lambda(self):
         rng = np.random.default_rng(63)
@@ -123,22 +184,25 @@ class TestSelect:
         data = Dataset(rng.standard_normal((80, 3)))
         grid = build_grid(0.1, 1.0, 3)
         cfg = EMConfig(PenaltyConfig(0.5, 0.1), mode="gaussian")
-        # fail the constrained fit of the smallest lambda's edge set only
-        dense = estimate(data, cfg).edges
-        assert estimate(data, cfg.with_lam(grid.hi)).edges != dense
+        # fail the constrained fit of the largest lambda's edge set only: it is
+        # fitted first, before any BIC could let a gaussian-mode select skip it
+        sparse = estimate(data, cfg.with_lam(grid.hi)).edges
+        assert estimate(data, cfg).edges != sparse
         real = constrained_mle.fit
 
         def flaky(scatter, edges, w_init=None):
-            if edges == dense:
+            if edges == sparse:
                 raise EstimationError("forced failure")
             return real(scatter, edges, w_init=w_init)
 
         monkeypatch.setattr(constrained_mle, "fit", flaky)
         report = select(data, grid, cfg)
-        assert report.records[0].failed
-        assert "forced failure" in report.records[0].error
-        assert not np.isfinite(report.records[0].bic)
-        assert report.chosen_index >= 1
+        assert report.records[-1].failed
+        assert "forced failure" in report.records[-1].error
+        assert not np.isfinite(report.records[-1].bic)
+        assert report.records[-1].bic_bound is None
+        assert report.chosen_index < 2
+        assert not report.records[report.chosen_index].failed
 
     def test_all_failed_raises_with_records(self, monkeypatch):
         def broken(scatter, edges, w_init=None):
@@ -204,11 +268,11 @@ class TestGridEquivalence:
         # at 5 iterations the t-mode EM is capped at some lambdas, not all
         cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=3.0, max_iter=5)
         report = select(data, grid, cfg)
-        states = [estimate(data, cfg.with_lam(lam)) for lam in grid.values]
-        for lam, rec, state in zip(grid.values, report.records, states):
-            assert rec == LambdaRecord(lam, bic(state, data, cfg), len(state.edges),
-                                       state.converged, False, iterations=state.iterations)
-        if mode == "t":
+        states, skipped = assert_records_match_independent_fits(report, data, grid, cfg)
+        if mode == "gaussian":
+            assert skipped
+        else:
+            assert not skipped
             assert {r.em_converged for r in report.records} == {True, False}
             # and equal to the EM with every stage-1 solve started from 0
             for state, lam in zip(states, grid.values):
@@ -257,9 +321,60 @@ class TestDegenerateColumns:
         x[:, 7] = factor * x[:, 2] + 1.0
         self.assert_rejected(Dataset(x), mode, "columns 2 and 7 are collinear")
 
+    @pytest.mark.parametrize("mode", ["gaussian", "t"])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+    def test_column_out_of_float_range(self, mode, scale):
+        # the scatter diagonal of columns 4 on overflows, is subnormal or is zero
+        x = self.base()
+        x[:, 4:] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_rejected(Dataset(x), mode, "^column 4 is out of floating-point range: "
+                                 "its variance .* is not a finite normal float; "
+                                 "rescale the data$")
+
     def test_nearly_collinear_columns_pass(self):
         x = self.base()
         x[:, 7] = x[:, 2] + 1e-3 * x[:, 5]
         grid = build_grid(0.5, 1.0, 2)
         cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian")
         assert len(select(Dataset(x), grid, cfg).records) == 2
+
+
+class TestRowPermutation:
+    """select depends on the rows as a set: permuting them moves the scatter,
+    log det S and every BIC only in their last bits. That must not change the
+    chosen lambda, an edge count or which lambdas are skipped (the floor
+    margin covers such rounding), and psi must agree to rounding."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(4, 10), mode=st.sampled_from(MODES),
+           draw=st.data())
+    def test_row_order_does_not_change_the_selection(self, seed, p, mode, draw):
+        n = draw.draw(st.one_of(st.integers(30, 150), st.integers(p, p + 2)), label="n")
+        rng = np.random.default_rng(seed)
+        _, theta = generate_precision(TopologySpec("scale-free", p, seed=seed % 1000))
+        x = sample(theta, n, DistributionSpec("t", nu=4.0), rng).values
+        # the smallest lambda gives the complete graph, where floor and BIC meet
+        grid = build_grid(1e-5, 1.0, 5)
+        cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode=mode, nu=4.0, max_iter=50)
+        reports = []
+        for rows in (x, x[rng.permutation(n)]):
+            try:
+                reports.append(select(Dataset(rows), grid, cfg))
+            except SelectionError as exc:
+                reports.append(exc)
+        a, b = reports
+        if isinstance(a, SelectionError) or isinstance(b, SelectionError):
+            assert [r.failed for r in a.records] == [r.failed for r in b.records]
+            return
+        assert a.chosen_index == b.chosen_index
+        for field in ("n_edges", "failed", "iterations"):
+            assert [getattr(r, field) for r in a.records] == [getattr(r, field) for r in b.records]
+        assert ([r.bic_bound is None for r in a.records]
+                == [r.bic_bound is None for r in b.records])
+        if n >= 30:
+            # at n <= p + 2 the scatter is singular or nearly so, and psi's rounding
+            # grows with its condition number: 6.5e-6 relative at n = p was seen
+            scale = np.abs(a.state.psi.values).max()
+            assert np.abs(a.state.psi.values - b.state.psi.values).max() <= 1e-12 * scale
