@@ -23,10 +23,14 @@ column-wise from the same plan's neighbor solves, with exact zeros off
 the pattern, and its optimality gap max |inv(Psi) - S| on the pattern and
 the diagonal is measured once, at the end. The sweep cap and the change
 tolerance are the module constants below, read at call time.
+fit_stepwise runs the same fit one sweep at a time and hands out W after
+each unfinished sweep, whose log det bounds the fit's likelihood; fit
+drives it to its end.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +84,43 @@ def fit(
     a precision matrix needs p >= 2. The result's kkt_residual is the
     optimality gap max |inv(Psi) - S| over the edge pattern plus the
     diagonal, in the units of S.
+
+    This runs fit_stepwise to its end, with numpy's warnings silenced.
+    """
+    stepper = fit_stepwise(scatter, edges, w_init)
+    with np.errstate(all="ignore"):
+        while True:
+            try:
+                next(stepper)
+            except StopIteration as done:
+                return done.value
+
+
+def fit_stepwise(
+    scatter,
+    edges: EdgeSet,
+    w_init: np.ndarray | None = None,
+) -> Generator[np.ndarray, None, ConstrainedMLEResult]:
+    """fit, one sweep at a time: a generator that yields the working
+    covariance W, a read-only view, after each sweep that did not converge,
+    and returns fit's result when its fit ends or raises fit's error.
+
+    Each sweep is block-coordinate ascent on the dual of covariance
+    selection, max log det W over W equal to S on the pattern and the
+    diagonal (Dempster 1972; Dahl, Vandenberghe & Roychowdhury 2008): a
+    column update maximizes log det W over the column's free entries and
+    keeps W positive definite. So every W yielded is dual-feasible up to
+    rounding, and log det W + p bounds -(log det Psi - trace(S Psi)) from
+    below for every Psi with the pattern, the fitted one included; the
+    bound rises with each sweep and is attained at the optimum, where
+    W = Psi^{-1}. Nothing runs until the first next(), and the checks fit
+    makes up front are made then.
+
+    A non-finite column enters W before the check after its sweep, so later
+    nodes may compute with it and numpy may warn before the check names the
+    first. The generator silences nothing itself, as a setting it made would
+    stay in force across its yields: run each step under
+    np.errstate(all="ignore"), as fit does.
     """
     s = symmetrize(scatter, "scatter matrix")
     p = s.shape[0]
@@ -113,38 +154,38 @@ def fit(
     w_tol = W_TOL_SCALE * float(np.abs(s).mean())
     n_off = max(p * (p - 1), 1)
     mean_change = math.inf
-    # A non-finite column enters W before the check after the sweep, so later
-    # nodes may compute with it (numpy's warnings silenced); the check names the first.
-    with np.errstate(all="ignore"):
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            for j, nb, b, s_jj, step, w_row, w_col in plan:
-                if nb.size:
-                    # W is exactly symmetric, so its neighbor rows are its neighbor columns
-                    nb_rows = w.take(nb, axis=0)
-                    _, beta, info = dposv(nb_rows.take(nb, axis=1), b)
-                    if info:
-                        _check_steps(steps[:j], sweeps)
-                        raise _singular(j, sweeps)
-                    col = beta.dot(nb_rows)  # as beta @ nb_rows, with less call overhead
-                else:
-                    col = np.zeros(p)
-                col[j] = s_jj
-                np.subtract(col, w_row, out=step)
-                w_col[:] = col
-                w_row[:] = col
-            # a sequential sum in node order: pairwise rounding could move a stop.
-            # The row sums are non-negative, so a non-finite one makes the total non-finite.
-            change = float(np.add.accumulate(np.abs(steps).sum(axis=1))[-1])
-            if not math.isfinite(change):
-                _check_steps(steps, sweeps)
-            mean_change = change / n_off
-            if mean_change < w_tol:
-                break
-        else:
-            raise EstimationError(
-                f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
-                f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
-            )
+    w_read = w.view()
+    w_read.setflags(write=False)
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        for j, nb, b, s_jj, step, w_row, w_col in plan:
+            if nb.size:
+                # W is exactly symmetric, so its neighbor rows are its neighbor columns
+                nb_rows = w.take(nb, axis=0)
+                _, beta, info = dposv(nb_rows.take(nb, axis=1), b)
+                if info:
+                    _check_steps(steps[:j], sweeps)
+                    raise _singular(j, sweeps)
+                col = beta.dot(nb_rows)  # as beta @ nb_rows, with less call overhead
+            else:
+                col = np.zeros(p)
+            col[j] = s_jj
+            np.subtract(col, w_row, out=step)
+            w_col[:] = col
+            w_row[:] = col
+        # a sequential sum in node order: pairwise rounding could move a stop.
+        # The row sums are non-negative, so a non-finite one makes the total non-finite.
+        change = float(np.add.accumulate(np.abs(steps).sum(axis=1))[-1])
+        if not math.isfinite(change):
+            _check_steps(steps, sweeps)
+        mean_change = change / n_off
+        if mean_change < w_tol:
+            break
+        yield w_read
+    else:
+        raise EstimationError(
+            f"covariance sweeps did not converge in {MAX_SWEEPS} iterations "
+            f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
+        )
 
     # Psi column-wise from the same neighbor solves on the converged W
     psi_vals = np.zeros((p, p))

@@ -40,9 +40,13 @@ blocks are positive definite, and each regression of a stacked solve is
 decided on its own scatter and penalty alone, so the edge sets, and with
 them every state, are the same as from independent fits with cold
 starts; only the number of solver calls and active-set rounds drops.
+For selection.select in gaussian mode, the distinct edge sets are fitted
+best-first on a bound on their BIC, and those that cannot win are left
+unfinished (estimate_grid).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,10 +88,12 @@ class EMConfig:
         return replace(self, penalty=PenaltyConfig(self.penalty.alpha, lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EMState:
     """A fitted state. Lambdas that end together share one EMState, so it
-    is frozen and its arrays, psi's included, are read-only copies."""
+    is frozen and its arrays, psi's included, are read-only: mean and tau
+    are copied unless they already are read-only float arrays, which are
+    kept as given (gaussian states share one unit-scale tau)."""
 
     mean: np.ndarray
     psi: PrecisionMatrix
@@ -99,9 +105,11 @@ class EMState:
 
     def __post_init__(self):
         for name in ("mean", "tau"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
 
     @property
     def p(self) -> int:
@@ -110,8 +118,8 @@ class EMState:
 
 @dataclass(frozen=True)
 class SkippedFit:
-    """A lambda whose stage-2 fit estimate_grid skipped: no fit to edges can
-    score below bound, and a state fitted before it already does."""
+    """A lambda whose stage-2 fit estimate_grid left unfinished: no fit to
+    edges can score below bound, and a state fitted before it already does."""
 
     edges: EdgeSet
     bound: float
@@ -211,6 +219,58 @@ def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
         return constrained_mle.fit(scatter, edges, w_init=None)
 
 
+def _fits(scatter: np.ndarray, sets, w_init, scores):
+    """(edges, outcome) once for each edge set in sets, as it is decided:
+    its constrained fit (_constrained_fit), the EstimationError that ended
+    it, or a SkippedFit.
+
+    Without scores, or where scores.bound gives no bound, the sets are
+    fitted one by one in order. Otherwise (a gaussian-mode group, whose
+    fits start cold) they are decided best-first on scores.bound(edges,
+    sign, logdet), a lower bound on the BIC of any fit to edges given the
+    slogdet of a dual-feasible covariance: the scatter before the first
+    sweep, then the covariance constrained_mle.fit_stepwise yields after
+    each unfinished one. The set of lowest bound, the earlier in sets on a
+    tie, runs its next sweep and keeps the larger of its old and new bound;
+    a set whose fit ends is passed on, so the caller records its BIC in
+    scores.best before the next decision. Once the lowest bound is above
+    scores.best, every set left is skipped with its bound.
+    """
+    bounds = None
+    if scores is not None:
+        logdet = np.linalg.slogdet(scatter)
+        bounds = [scores.bound(found, *logdet) for found in sets]
+    if bounds is None or None in bounds:
+        for found in sets:
+            try:
+                fit = _constrained_fit(scatter, found, w_init)
+            except EstimationError as exc:
+                fit = exc
+            yield found, fit
+        return
+    heap = [(bound, k, found, constrained_mle.fit_stepwise(scatter, found))
+            for k, (bound, found) in enumerate(zip(bounds, sets))]
+    heapq.heapify(heap)
+    while heap:
+        bound, k, found, stepper = heapq.heappop(heap)
+        if bound > scores.best:
+            for bound, _, found, _ in [(bound, k, found, stepper), *heap]:
+                yield found, SkippedFit(found, bound)
+            return
+        try:
+            with np.errstate(all="ignore"):  # as constrained_mle.fit runs its sweeps
+                w = next(stepper)
+        except StopIteration as done:
+            fit = done.value
+        except EstimationError as exc:
+            fit = exc
+        else:
+            new = scores.bound(found, *np.linalg.slogdet(w))
+            heapq.heappush(heap, (bound if new is None else max(bound, new), k, found, stepper))
+            continue
+        yield found, fit
+
+
 def _select(scattered, penalties, rule, signs, first):
     """Stage 1 for every lambda of every (lambdas, scatter) pair in
     scattered, each run on its pair's scatter. Returns {lambda: EdgeSet}.
@@ -246,18 +306,16 @@ def estimate_grid(data: Dataset, lams, config: EMConfig, *, scores=None) -> list
     constant column, a column out of floating-point range or an exactly
     collinear column pair (check_columns).
 
-    scores, which only selection.select passes, gives the floor of an
-    edge set and records each fitted state's score. Before an edge set is
-    fitted, scores.floor(edges) returns a lower bound on the score of any
-    fit to it when that bound already loses to a recorded score, and None
-    otherwise; each EMState is passed to scores.record once. An edge set
-    whose floor loses is not fitted, and its lambdas get one SkippedFit
-    holding the edge set and the floor, which select reports as bic_bound.
-    Only gaussian mode has a floor, the saturated likelihood less a rounding
-    margin (selection module docstring); the t likelihood's supremum over
-    psi has no closed form to bound a fit by. In gaussian mode every fit
-    runs at the first iteration, from the largest lambda down, so the
-    sparse edge sets are fitted first.
+    scores, which only selection.select passes, bounds the score of a fit
+    and records each fitted state's score: each EMState is passed to
+    scores.record once, which updates scores.best. In gaussian mode,
+    unless scores.bound gives no bound, the distinct edge sets are fitted
+    best-first on a bound on their score that rises with each stage-2
+    sweep (_fits; the selection module docstring derives it), and the sets
+    still unfinished when the lowest bound is above scores.best are left
+    so: their lambdas get one SkippedFit per set, holding the edge set and
+    its last bound, which select reports as bic_bound. In t mode every set
+    is fitted: the t likelihood has no such bound.
 
     The lambdas run their EM iterations in lockstep. Lambdas whose edge
     sets have agreed so far form a group, which carries the scatter it
@@ -268,7 +326,7 @@ def estimate_grid(data: Dataset, lams, config: EMConfig, *, scores=None) -> list
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data, dtype=float))
-    tau = np.ones(data.n)
+    tau = np.broadcast_to(1.0, data.n)  # read-only, so every gaussian state keeps it uncopied
     mean = data.values.mean(axis=0)
     # a column whose scatter overflows is named by check_columns, not by numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,6 +342,8 @@ def estimate_grid(data: Dataset, lams, config: EMConfig, *, scores=None) -> list
     psi = None if config.mode == "gaussian" else _initial_psi(scatter, nu / (nu - 2.0))
     if psi is not None:  # a gaussian group has no psi and keeps unit scales
         tau, mean, scatter = _e_step(data, mean, psi, nu)
+    # only a gaussian fit is a final state, scored on the scatter it fits
+    bounded = scores if psi is None else None
     # (lambdas, psi, covariance of the last fit, tau, mean, scatter) per group
     # sharing a history; scatter is the one its next iteration fits
     groups = [(members, psi, None, tau, mean, scatter)]
@@ -296,18 +356,13 @@ def estimate_grid(data: Dataset, lams, config: EMConfig, *, scores=None) -> list
             by_edges = {}
             for i in members:
                 by_edges.setdefault(edges[i], []).append(i)
-            for found, shared in by_edges.items():
-                bound = None if scores is None else scores.floor(found)
-                if bound is not None:  # no fit to found can win: skip it
-                    result = SkippedFit(found, bound)
-                    for i in shared:
-                        out[i] = result
-                    continue
-                try:
-                    fit = _constrained_fit(scatter, found, w_prev)
-                except EstimationError as exc:
-                    result = EstimationError(f"iteration {it}: {exc}")
-                    result.__cause__ = exc
+            for found, fit in _fits(scatter, by_edges, w_prev, bounded):
+                shared = by_edges[found]
+                if isinstance(fit, SkippedFit):
+                    result = fit
+                elif isinstance(fit, EstimationError):
+                    result = EstimationError(f"iteration {it}: {fit}")
+                    result.__cause__ = fit
                 else:
                     max_change = (0.0 if psi is None else
                                   float(np.abs(fit.psi.values - psi.values).max()))

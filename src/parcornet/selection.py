@@ -1,28 +1,38 @@
 """Penalty selection by BIC over a geometric lambda grid.
 
-In gaussian mode select skips every stage-2 fit that cannot win. The
-fitted state's mean is the sample mean, and over every psi the Gaussian
-log-likelihood at it peaks at psi = S^-1, S the unit-weight scatter
-(Lauritzen 1996, ch. 5). So no fit with edge set E scores below its floor
+In gaussian mode select leaves unfinished every stage-2 fit that cannot
+win. The fitted state's mean is the sample mean, so its BIC is
+n (trace(S psi) - log det psi + p log 2 pi) + log(n) (|E| + p), S the
+unit-weight scatter. Each stage-2 sweep is block-coordinate ascent on the
+dual of covariance selection (constrained_mle.fit_stepwise): after any
+sweep, and before the first, the working covariance W is positive
+definite and equals S on E and the diagonal, and then
+trace(S psi) - log det psi >= log det W + p for every psi with the
+pattern E. So no fit to E scores below its bound
 
-    F(E) = n (log det S + p (1 + log 2 pi)) + log(n) (|E| + p),
+    B(E, W) = n (log det W + p (1 + log 2 pi)) + log(n) (|E| + p),
 
-which a complete-graph fit attains. Once a fitted state's BIC is below
-F(E) less a rounding margin, em.estimate_grid does not fit E, and the
-lambdas that select E are recorded with bic NaN and bic_bound F(E). The
-margin is FLOOR_RTOL times the size of the floor's likelihood part,
-n (|log det S| + p (1 + log 2 pi)): F(E) and a fitted BIC are each
-computed with rounding, and at the complete graph they are equal in exact
+which rises with each sweep and meets the fitted BIC at the optimum,
+where W = psi^-1. At W = S it is the floor F(E), the BIC of the saturated
+fit, which a complete-graph fit attains. em.estimate_grid decides the
+grid's edge sets best-first on it: the set of lowest bound runs its next
+sweep, until the lowest bound, less a rounding margin, is above the best
+BIC fitted so far, and every set left is skipped. Their lambdas are
+recorded with bic NaN and bic_bound, that bound less the margin. The
+margin is FLOOR_RTOL times the size of the bound's likelihood part,
+n (|log det W| + p (1 + log 2 pi)): the bound and a fitted BIC are each
+computed with rounding, and at the optimum they are equal in exact
 arithmetic. A skipped lambda could not have been chosen, nor tied, so the
-chosen model is the one fitting every lambda gives. No fit is skipped when
-n <= p or log det S has no positive-sign finite value, nor in t mode: the
-supremum of the t likelihood over psi has no closed form to bound it by.
+chosen model is the one fitting every lambda gives; only the records of
+losing lambdas depend on the order, and a fit left unfinished is not known
+to fail, so a lambda whose fit would have failed later is recorded as
+skipped. No fit is skipped when n <= p or log det S has no positive-sign
+finite value, nor in t mode: the t likelihood has no such bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,7 +46,6 @@ from .em import (  # noqa: F401
     estimate,
     estimate_grid,
     mahalanobis,
-    weighted_scatter,
 )
 from .errors import ConfigError, EstimationError, SelectionError
 from .matrices import MAX_ENTRIES, Dataset, PrecisionMatrix
@@ -130,49 +139,40 @@ def bic(state: EMState, data: Dataset, config: EMConfig) -> float:
 
 
 class _Scores:
-    """The BIC of each fitted state and, in gaussian mode, the floor of an
-    edge set: what select hands em.estimate_grid as its scores."""
+    """The BIC of each fitted state and, in gaussian mode, the bound on the
+    BIC of a fit to an edge set: what select hands em.estimate_grid."""
 
     def __init__(self, data: Dataset, config: EMConfig):
         self.data, self.config = data, config
         self.of = {}  # id(state) -> BIC
         self.best = math.inf
+        n, p = data.n, data.p
+        # p (1 + log 2 pi), the saturated fit's -2 log-likelihood per row less
+        # log det S; None where no fit has a bound
+        self._saturated = (None if config.mode != "gaussian" or n <= p
+                           else p * (1.0 + math.log(2.0 * math.pi)))
 
-    @cached_property
-    def _saturated(self):
-        """(n (log det S + p (1 + log 2 pi)), margin), or None where no floor applies.
-
-        Built at the first floor call, after em.check_columns has passed the data.
-        """
-        n, p = self.data.n, self.data.p
-        if self.config.mode != "gaussian" or n <= p:
+    def bound(self, edges, sign, logdet) -> float | None:
+        """B(edges, W) less the margin (module docstring), given (sign, logdet),
+        the slogdet of a covariance W dual-feasible for edges; None where no
+        bound applies or W's determinant has no positive-sign finite value."""
+        if self._saturated is None or not (sign > 0.0 and math.isfinite(logdet)):
             return None
-        s = weighted_scatter(self.data, np.ones(n), self.data.values.mean(axis=0))
-        sign, logdet = np.linalg.slogdet(s)
-        if not (sign > 0.0 and math.isfinite(logdet)):
-            return None
-        const = p * (1.0 + math.log(2.0 * math.pi))
-        return n * (logdet + const), FLOOR_RTOL * n * (abs(logdet) + const)
-
-    def floor(self, edges) -> float | None:
-        """F(edges) when F(edges) less the margin is above the best BIC so far, else None."""
-        if self._saturated is None:
-            return None
-        saturated, margin = self._saturated
-        bound = saturated + math.log(self.data.n) * (len(edges) + self.data.p)
-        return bound if bound - margin > self.best else None
+        n, const = self.data.n, self._saturated
+        bound = n * (logdet + const) + math.log(n) * (len(edges) + self.data.p)
+        return bound - FLOOR_RTOL * n * (abs(logdet) + const)
 
     def record(self, state: EMState) -> None:
         score = self.of[id(state)] = bic(state, self.data, self.config)
         self.best = min(self.best, score)
 
 
-@dataclass
+@dataclass(slots=True)
 class LambdaRecord:
     """One lambda's row of the BIC table. A failed lambda has bic NaN and
     its error; a skipped one (select) has bic NaN, its stage-1 edge count
-    and bic_bound, the floor its BIC could not go below. Neither has EM
-    iterations or counts as converged."""
+    and bic_bound, a value its BIC could not go below and the chosen BIC
+    is below. Neither has EM iterations or counts as converged."""
 
     lam: float
     bic: float
@@ -184,7 +184,7 @@ class LambdaRecord:
     bic_bound: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionReport:
     records: list
     chosen_lambda: float
@@ -218,10 +218,11 @@ def select(data: Dataset, grid: LambdaGrid, config: EMConfig) -> SelectionReport
 
     The whole grid is fitted in one pass (em.estimate_grid): lambdas with
     the same fitted state share it, and its BIC is computed once. In
-    gaussian mode a lambda whose edge set's floor already loses to a
-    fitted BIC is not fitted (module docstring); its record has bic NaN
-    and bic_bound. Failed fits are recorded and excluded from the
-    comparison. Ties go to the larger lambda (sparser model). Raises
+    gaussian mode the edge sets are fitted best-first on a bound on their
+    BIC, and a lambda whose bound loses to a fitted BIC is left unfinished
+    (module docstring); its record has bic NaN and bic_bound, so only the
+    lambdas that were fitted show a BIC. Failed fits are recorded and
+    excluded from the comparison. Ties go to the larger lambda (sparser model). Raises
     SelectionError, naming the first grid value's error, when every grid
     value fails. A column no mode can fit is not a failed fit:
     estimate_grid raises DataError (em.check_columns) and select lets it

@@ -247,6 +247,82 @@ class TestErrors:
             constrained_mle.fit(s, edges)
 
 
+class TestStepwise:
+    """fit_stepwise driven to its end is fit: the same bytes, sweep count,
+    KKT residual and error, on fits that converge, start warm, hit the
+    sweep cap, or fail in a sweep, in the recovery or up front."""
+
+    @staticmethod
+    def battery():
+        rng = np.random.default_rng(44)
+        for p in (2, 3, 10, 60):
+            s = random_scatter(p, rng)
+            for edges in (EdgeSet(p), complete_edges(p), random_edges(p, rng)):
+                yield s, edges, None, None
+                warm = constrained_mle.fit(s, edges).covariance
+                yield s + 0.05 * random_scatter(p, rng), edges, warm, None
+        v = np.arange(1.0, 5.0)
+        yield np.outer(v, v), complete_edges(4), None, None  # singular at node 0, sweep 1
+        capped = random_scatter(8, np.random.default_rng(39))
+        yield capped, random_edges(8, np.random.default_rng(40), q=0.6), None, 2
+        yield capped, random_edges(8, np.random.default_rng(40), q=0.6), None, 0
+        for seed in (0, 3):  # singular scatters that fail in the recovery
+            a, b, c = np.random.default_rng(seed).integers(-5, 6, size=(60, 3)).T
+            x = np.column_stack([a, b, c, a + b - c]).astype(float)
+            yield x.T @ x / 60, complete_edges(4), None, None
+        w = np.eye(4)
+        w[1, 3] = w[3, 1] = np.inf  # a non-finite column update
+        yield 2.0 * np.eye(4), EdgeSet.from_pairs(4, [(0, 1), (0, 2), (2, 3)]), w, None
+        yield 2.0 * np.eye(1), EdgeSet(1), None, None
+        yield np.eye(3), EdgeSet(4), None, None
+        yield np.eye(3), EdgeSet(3), np.eye(4), None
+        yield np.diag([1.0, 0.0, 1.0]), EdgeSet(3), None, None
+
+    @staticmethod
+    def run(call):
+        try:
+            return call()
+        except (DomainError, EstimationError, ShapeError) as exc:
+            return exc
+
+    def test_stepping_to_the_end_equals_fit(self, monkeypatch):
+        outcomes = set()
+        default_cap = constrained_mle.MAX_SWEEPS
+        for s, edges, w_init, cap in self.battery():
+            monkeypatch.setattr(constrained_mle, "MAX_SWEEPS", default_cap if cap is None else cap)
+            want = self.run(lambda: constrained_mle.fit(s, edges, w_init=w_init))
+            stepper = constrained_mle.fit_stepwise(s, edges, w_init)
+            err_state = np.geterr()
+            yielded = []
+
+            def drive():
+                while True:
+                    try:
+                        with np.errstate(all="ignore"):  # as fit and em run each step
+                            w = next(stepper)
+                    except StopIteration as done:
+                        return done.value
+                    # a suspended fit leaves the caller's numpy error state as it
+                    # was, and W is read-only
+                    assert np.geterr() == err_state
+                    assert not w.flags.writeable
+                    yielded.append(w.copy())
+
+            got = self.run(drive)
+            outcomes.add(type(got).__name__)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+                continue
+            assert np.array_equal(got.psi.values, want.psi.values)
+            assert np.array_equal(got.covariance, want.covariance)
+            assert (got.sweeps, got.kkt_residual) == (want.sweeps, want.kkt_residual)
+            # a yield after every sweep but the last, each W matching S on the diagonal
+            assert len(yielded) == got.sweeps - 1
+            assert all(np.array_equal(np.diag(w), np.diag(s)) for w in yielded)
+        assert outcomes == {"ConstrainedMLEResult", "DomainError", "EstimationError",
+                            "ShapeError"}
+
+
 class TestNeighborKernel:
     """fit against the full-block LU sweep in tests/cmle_reference.py.
 

@@ -9,9 +9,9 @@ from scipy import stats
 from em_reference import reference_estimate
 from parcornet import constrained_mle, selection
 from parcornet.elastic_net import PenaltyConfig
-from parcornet.em import MODES, EMConfig, estimate
+from parcornet.em import MODES, EMConfig, EMState, estimate, weighted_scatter
 from parcornet.errors import ConfigError, DataError, EstimationError, SelectionError
-from parcornet.matrices import Dataset, PrecisionMatrix
+from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.pipeline import simulate_ar_garch
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
@@ -127,9 +127,9 @@ class TestSelect:
         cfg = EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian")
         report = select(data, grid, cfg)
         states, skipped = assert_records_match_independent_fits(report, data, grid, cfg)
-        # the dense end is skipped, and every lambda's BIC, fitted or not, is
-        # at least the chosen one
-        assert skipped == [0, 1, 2, 3]
+        # best-first, only the two sparsest lambdas are fitted, and every
+        # lambda's BIC, fitted or not, is at least the chosen one
+        assert skipped == [0, 1, 2, 3, 4, 5]
         assert report.bic_value == min(bic(s, data, cfg) for s in states)
         assert report.bic_value == min(r.bic for r in report.records if r.bic_bound is None)
         assert len(report.records) == 8
@@ -146,14 +146,14 @@ class TestSelect:
             cfg = EMConfig(PenaltyConfig(0.5, 1e-6), mode="gaussian")
             state = estimate(data, cfg)
             assert len(state.edges) == p * (p - 1) // 2
-            scores = selection._Scores(data, cfg)
-            scores.best = -np.inf  # so floor returns the bound
-            floor = scores.floor(state.edges)
-            _, margin = scores._saturated
-            assert abs(bic(state, data, cfg) - floor) <= 0.01 * margin
+            sign, logdet = np.linalg.slogdet(weighted_scatter(data, np.ones(n), state.mean))
+            bound = selection._Scores(data, cfg).bound(state.edges, sign, logdet)
+            margin = selection.FLOOR_RTOL * n * (abs(logdet) + p * (1 + np.log(2 * np.pi)))
+            fitted = bic(state, data, cfg)
+            assert abs(fitted - (bound + margin)) <= 0.01 * margin
             assert margin < 1e-3 * np.log(n)
-            scores.best = bic(state, data, cfg)
-            assert scores.floor(state.edges) is None
+            # so the skip rule, bound > best BIC, cannot skip it once it is the best
+            assert bound <= fitted
 
     @pytest.mark.parametrize("mode, n", [("t", 200), ("gaussian", 10), ("gaussian", 8)])
     def test_nothing_skipped_without_a_floor(self, mode, n):
@@ -184,18 +184,19 @@ class TestSelect:
         data = Dataset(rng.standard_normal((80, 3)))
         grid = build_grid(0.1, 1.0, 3)
         cfg = EMConfig(PenaltyConfig(0.5, 0.1), mode="gaussian")
-        # fail the constrained fit of the largest lambda's edge set only: it is
-        # fitted first, before any BIC could let a gaussian-mode select skip it
+        # fail the constrained fit of the largest lambda's edge set only: its
+        # floor is the lowest, so it runs its first sweep before any BIC could
+        # let a gaussian-mode select skip it
         sparse = estimate(data, cfg.with_lam(grid.hi)).edges
         assert estimate(data, cfg).edges != sparse
-        real = constrained_mle.fit
+        real = constrained_mle.fit_stepwise
 
         def flaky(scatter, edges, w_init=None):
             if edges == sparse:
                 raise EstimationError("forced failure")
-            return real(scatter, edges, w_init=w_init)
+            return (yield from real(scatter, edges, w_init=w_init))
 
-        monkeypatch.setattr(constrained_mle, "fit", flaky)
+        monkeypatch.setattr(constrained_mle, "fit_stepwise", flaky)
         report = select(data, grid, cfg)
         assert report.records[-1].failed
         assert "forced failure" in report.records[-1].error
@@ -207,8 +208,9 @@ class TestSelect:
     def test_all_failed_raises_with_records(self, monkeypatch):
         def broken(scatter, edges, w_init=None):
             raise EstimationError("nope")
+            yield  # a generator, as fit_stepwise is: it raises at its first sweep
 
-        monkeypatch.setattr(constrained_mle, "fit", broken)
+        monkeypatch.setattr(constrained_mle, "fit_stepwise", broken)
         rng = np.random.default_rng(65)
         data = Dataset(rng.standard_normal((40, 3)))
         grid = build_grid(0.1, 1.0, 4)
@@ -240,6 +242,50 @@ class TestSelect:
         assert all(s.iterations > 1 for s in states)
         table = report.to_json_dict()["records"]
         assert [r["em_iterations"] for r in table] == [s.iterations for s in states]
+
+
+class TestBICBound:
+    """The bound select skips on: before the first sweep it is the floor F(E),
+    the BIC of the saturated fit; it rises with every sweep and stays below
+    the fitted BIC, to within far less than the margin."""
+
+    def test_bound_rises_from_the_floor_to_the_fitted_bic(self):
+        rng = np.random.default_rng(69)
+        for case in range(100):
+            p = int(rng.integers(4, 61))
+            n = int(rng.choice([p + 1, p + 2, rng.integers(p + 1, 501)]))
+            dist = DistributionSpec("normal") if case % 2 else DistributionSpec("t", nu=3.0)
+            _, theta = generate_precision(TopologySpec("scale-free", p, seed=case))
+            data = sample(theta, n, dist, spawned_rng(69, case))
+            q = rng.uniform(0.02, 0.9)
+            edges = EdgeSet.from_pairs(p, [(j, k) for j in range(p) for k in range(j + 1, p)
+                                           if rng.random() < q])
+            cfg = EMConfig(PenaltyConfig(0.5, 0.1), mode="gaussian")
+            scores = selection._Scores(data, cfg)
+            mean = data.values.mean(axis=0)
+            s = weighted_scatter(data, np.ones(n), mean)
+
+            def bound_and_margin(w):
+                sign, logdet = np.linalg.slogdet(w)
+                margin = selection.FLOOR_RTOL * n * (abs(logdet) + p * (1 + np.log(2 * np.pi)))
+                return scores.bound(edges, sign, logdet), margin
+
+            bounds = [bound_and_margin(s)]
+            floor = (n * (np.linalg.slogdet(s)[1] + p * (1 + np.log(2 * np.pi)))
+                     + np.log(n) * (len(edges) + p))
+            assert sum(bounds[0]) == pytest.approx(floor, rel=1e-14)
+            stepper = constrained_mle.fit_stepwise(s, edges)
+            while True:
+                try:
+                    bounds.append(bound_and_margin(next(stepper)))
+                except StopIteration as done:
+                    fit = done.value
+                    break
+            fitted = bic(EMState(mean, fit.psi, np.ones(n), edges, 1, 0.0, True), data, cfg)
+            raw = [bound + margin for bound, margin in bounds]
+            assert all(b >= a for a, b in zip(raw, raw[1:]))
+            assert all(r - fitted <= 0.01 * margin for r, (_, margin) in zip(raw, bounds))
+            assert all(bound <= fitted for bound, _ in bounds)
 
 
 class TestGridEquivalence:
