@@ -19,10 +19,11 @@ array, then reduces it once and sums it in node order; a non-finite step
 is named by its node and sweep. Every column update sets W to S on the
 edge pattern and the diagonal up to rounding, so the sweeps stop on one
 rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is recovered
-column-wise from the same plan's neighbor solves, with exact zeros off
-the pattern, and its optimality gap max |inv(Psi) - S| on the pattern and
-the diagonal is measured once, at the end. The sweep cap and the change
-tolerance are the module constants below, read at call time.
+from the same plan's neighbor solves on the converged W and written in one
+step, with exact zeros off the pattern. Its optimality gap max |inv(Psi) - S|
+on the pattern and the diagonal takes an O(p^3) inverse that the fit does
+not use, so the result computes it when it is first read. The sweep cap and
+the change tolerance are the module constants below, read at call time.
 fit_stepwise runs the same fit one sweep at a time and hands out W after
 each unfinished sweep, whose log det bounds the fit's likelihood; fit
 drives it to its end.
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -45,10 +47,21 @@ MAX_SWEEPS = 500
 
 @dataclass
 class ConstrainedMLEResult:
+    """A converged fit: the precision psi, the working covariance W and the
+    sweep count. It holds the scatter and the pattern the fit matched, for
+    kkt_residual; em keeps only psi and W of a fit, never the result."""
+
     psi: PrecisionMatrix
     covariance: np.ndarray
     sweeps: int
-    kkt_residual: float  # max |inv(psi) - S| over the pattern and the diagonal
+    _scatter: np.ndarray = field(repr=False, compare=False)
+    _pattern: np.ndarray = field(repr=False, compare=False)  # the edges plus the diagonal
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """The optimality gap max |inv(psi) - S| over the edge pattern plus the
+        diagonal, in the units of S: an O(p^3) inverse, computed on first read."""
+        return float(np.abs(np.linalg.inv(self.psi.values) - self._scatter)[self._pattern].max())
 
 
 def _check_steps(steps, sweep):
@@ -83,7 +96,7 @@ def fit(
     positive definite. A scatter of p < 2 raises ShapeError up front, as
     a precision matrix needs p >= 2. The result's kkt_residual is the
     optimality gap max |inv(Psi) - S| over the edge pattern plus the
-    diagonal, in the units of S.
+    diagonal, in the units of S, computed when it is first read.
 
     This runs fit_stepwise to its end, with numpy's warnings silenced.
     """
@@ -114,7 +127,9 @@ def fit_stepwise(
     below for every Psi with the pattern, the fitted one included; the
     bound rises with each sweep and is attained at the optimum, where
     W = Psi^{-1}. Nothing runs until the first next(), and the checks fit
-    makes up front are made then.
+    makes up front are made then. When the sweeps stop, the neighbor solves
+    on the converged W are checked in node order, so an error names the
+    first bad node, and Psi takes all its columns in one write.
 
     A non-finite column enters W before the check after its sweep, so later
     nodes may compute with it and numpy may warn before the check names the
@@ -187,24 +202,28 @@ def fit_stepwise(
             f"(mean change {mean_change:.3e}, tolerance {w_tol:.3e})"
         )
 
-    # Psi column-wise from the same neighbor solves on the converged W
-    psi_vals = np.zeros((p, p))
+    # Psi from the same neighbor solves on the converged W, in one write
+    betas, gaps = [], []
     for j, nb, b, s_jj, *_ in plan:
         beta = b
         if nb.size:
             _, beta, info = dposv(w.take(nb, axis=0).take(nb, axis=1), b)
             if info:
                 raise _singular(j, sweeps)
-        gap = s_jj - float(b @ beta)
-        if not np.isfinite(gap) or gap <= 0.0:
+        gap = s_jj - float(b.dot(beta))
+        if not math.isfinite(gap) or gap <= 0.0:
             raise EstimationError(f"nonpositive partial variance at node {j}: {gap:.3e}")
-        psi_vals[j, j] = 1.0 / gap
-        psi_vals[nb, j] = -beta / gap
+        betas.append(beta)
+        gaps.append(gap)
+    gaps = np.array(gaps)
+    psi_vals = np.zeros((p, p))
+    psi_vals[nbrs, rows] = -np.concatenate(betas) / gaps[rows]
+    np.fill_diagonal(psi_vals, 1.0 / gaps)
     try:
-        # averaging symmetrizes roundoff but keeps off-pattern entries exactly zero
+        # averaging symmetrizes roundoff but keeps off-pattern entries exactly
+        # zero; PrecisionMatrix keeps the exactly symmetric average as it is
         psi = PrecisionMatrix(0.5 * (psi_vals + psi_vals.T))
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
     np.fill_diagonal(adj, True)
-    gap = float(np.abs(np.linalg.inv(psi.values) - s)[adj].max())
-    return ConstrainedMLEResult(psi, w, sweeps, gap)
+    return ConstrainedMLEResult(psi, w, sweeps, s, adj)

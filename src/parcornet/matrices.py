@@ -33,14 +33,21 @@ def _square_values(m, name: str) -> np.ndarray:
     a = np.array(getattr(m, "values", m), dtype=float, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DataError(f"{name} contains non-finite entries")
     return a
 
 
 def symmetrize(m, name: str = "matrix") -> np.ndarray:
-    """Return (M + M.T) / 2 after checking symmetry to SYMMETRY_RTOL."""
+    """Return (M + M.T) / 2 after checking symmetry to SYMMETRY_RTOL.
+
+    An M that is exactly symmetric, bit for bit, is returned as a plain
+    copy: the average would give the same bits, except for entries above
+    np.finfo(float).max / 2, which it overflowed to inf.
+    """
     a = _square_values(m, name)
+    if a.tobytes() == a.T.tobytes():
+        return a
     scale = max(float(np.abs(a).max()), 1.0)
     gap = float(np.abs(a - a.T).max())
     if gap > SYMMETRY_RTOL * scale:
@@ -62,14 +69,19 @@ def _pivots_clear(a: np.ndarray) -> bool:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
-    pivots = np.diag(chol) ** 2
-    scale = max(float(np.abs(np.diag(a)).max()), 1.0)
+    pivots = chol.diagonal() ** 2
+    scale = max(float(np.abs(a.diagonal()).max()), 1.0)
     return bool(pivots.min() > PD_PIVOT_TOL * scale)
 
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
-    """Symmetric positive definite matrix (a precision or a scatter inverse)."""
+    """Symmetric positive definite matrix (a precision or a scatter inverse).
+
+    The values are checked finite, symmetric to SYMMETRY_RTOL and positive
+    definite by their Cholesky pivots, and stored read-only as symmetrize
+    returns them: an exactly symmetric matrix is stored as given.
+    """
 
     values: np.ndarray
 
@@ -121,6 +133,9 @@ class EdgeSet:
     pairs may be given as any collection of node pairs or as an (m, 2)
     integer array; it is stored as a frozenset of canonical (j, k) tuples
     of ints with j < k, so a reversed or repeated pair is the same pair.
+    All pairs are checked by one test, 0 <= j < k < p once each pair is
+    ordered; only pairs that fail it are searched, for the first self loop
+    and failing that the first pair out of range, which the error names.
     """
 
     p: int
@@ -135,17 +150,15 @@ class EdgeSet:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ShapeError(f"edges must be node pairs, got an array of shape {ends.shape}")
-        loop = np.flatnonzero(ends[:, 0] == ends[:, 1])
-        if loop.size:
-            j, k = ends[loop[0]].tolist()
-            raise DomainError(f"self loop ({j},{k}) not allowed")
-        out = np.flatnonzero(((ends < 0) | (ends >= self.p)).any(axis=1))
-        if out.size:
-            j, k = ends[out[0]].tolist()
-            raise DomainError(f"edge ({j},{k}) out of range for p={self.p}")
         j, k = ends.T
-        object.__setattr__(self, "pairs",
-                           frozenset(zip(np.minimum(j, k).tolist(), np.maximum(j, k).tolist())))
+        lo, hi = np.minimum(j, k), np.maximum(j, k)
+        if lo.size and not (lo.min() >= 0 and hi.max() < self.p and (lo < hi).all()):
+            loop = np.flatnonzero(j == k)
+            if loop.size:
+                raise DomainError(f"self loop ({j[loop[0]]},{k[loop[0]]}) not allowed")
+            out = np.flatnonzero((lo < 0) | (hi >= self.p))[0]
+            raise DomainError(f"edge ({j[out]},{k[out]}) out of range for p={self.p}")
+        object.__setattr__(self, "pairs", frozenset(zip(lo.tolist(), hi.tolist())))
 
     @classmethod
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":

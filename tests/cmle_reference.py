@@ -114,4 +114,6 @@ def reference_fit(scatter, edges, w_init=None, tol_scale=W_TOL_SCALE,
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    return ConstrainedMLEResult(psi, w, sweeps, kkt_residual(w, s, edges))
+    pattern = edges.to_adjacency()
+    np.fill_diagonal(pattern, True)
+    return ConstrainedMLEResult(psi, w, sweeps, s, pattern)

@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,13 @@ from hypothesis import strategies as st
 
 from cmle_reference import reference_fit
 from parcornet import constrained_mle
+from parcornet.elastic_net import PenaltyConfig
+from parcornet.em import EMConfig
 from parcornet.errors import DomainError, EstimationError, ShapeError
 from parcornet.matrices import EdgeSet
+from parcornet.netgen import TopologySpec, generate_precision
+from parcornet.samplers import DistributionSpec, sample, spawned_rng
+from parcornet.selection import build_grid, select
 
 
 def random_scatter(p, rng):
@@ -153,7 +162,28 @@ class TestSolverBehavior:
             res = constrained_mle.fit(s, edges)
             mask = edges.to_adjacency() | np.eye(p, dtype=bool)
             gap = np.abs(np.linalg.inv(res.psi.values) - s)[mask].max()
-            assert res.kkt_residual == pytest.approx(gap, rel=1e-6)
+            assert res.kkt_residual == gap
+
+    def test_kkt_residual_is_computed_on_read(self, monkeypatch):
+        # the fit itself inverts nothing; the first read does, and a second
+        # read gives the same float without inverting again
+        rng = np.random.default_rng(46)
+        s = random_scatter(7, rng)
+        edges = random_edges(7, rng)
+        inverted = []
+        real_inv = np.linalg.inv
+
+        def counting_inv(a):
+            inverted.append(a)
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        res = constrained_mle.fit(s, edges)
+        constrained_mle.fit(s, edges, w_init=res.covariance)
+        assert inverted == []
+        first = res.kkt_residual
+        assert len(inverted) == 1 and inverted[0] is res.psi.values
+        assert res.kkt_residual == first and len(inverted) == 1
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(-4.0, 2.0))
@@ -374,3 +404,63 @@ class TestNeighborKernel:
             with pytest.raises(EstimationError) as got:
                 constrained_mle.fit(s, edges)
             assert type(got.value) is type(want.value)
+
+
+def fit_bytes(res):
+    """The psi and covariance bytes, sweep count and KKT residual of a fit."""
+    tail = f"{res.sweeps} {res.kkt_residual.hex()};".encode()
+    return res.psi.values.tobytes() + res.covariance.tobytes() + tail
+
+
+# (fits, total sweeps) and sha256 of the fit_bytes of TestPinnedFits' two batteries
+PINNED_BATTERY_SHAPE = (88, 229)
+PINNED_BATTERY_DIGEST = "3fa74d0d5273c773881862ac376919608affaa2045a3c726c94398e64c3b21bc"
+PINNED_SELECT_CHOSEN = 2
+PINNED_SELECT_SHAPE = (35, 104)
+PINNED_SELECT_DIGEST = "c04f80d87c53114711c434d57f118ef3eafa97feb696c50bfa1d49be60d614de"
+
+
+class TestPinnedFits:
+    """Stage 2's exact output on fixed inputs: a change to stage 2 that
+    moves one bit of psi, W, a sweep count or the KKT residual fails here.
+    The bytes are those of the pinned numpy and OpenBLAS."""
+
+    def test_cold_and_warm_fits_from_p2_to_p12(self):
+        rng = np.random.default_rng(45)
+        fits = []
+        for p in range(2, 13):
+            s = random_scatter(p, rng)
+            # the empty pattern isolates every node, the sparse random one some
+            for edges in (EdgeSet(p), complete_edges(p), random_edges(p, rng, q=0.25),
+                          random_edges(p, rng, q=0.6)):
+                cold = constrained_mle.fit(s, edges)
+                warm = constrained_mle.fit(s + 0.05 * random_scatter(p, rng), edges,
+                                           w_init=cold.covariance)
+                fits += [cold, warm]
+        assert (len(fits), sum(f.sweeps for f in fits)) == PINNED_BATTERY_SHAPE
+        assert hashlib.sha256(b"".join(map(fit_bytes, fits))).hexdigest() == PINNED_BATTERY_DIGEST
+
+    def test_fits_of_a_t_mode_select(self, monkeypatch):
+        real = constrained_mle.fit
+        digest = hashlib.sha256()
+        sweeps, results = [], []
+
+        def capture(scatter, edges, w_init=None):
+            out = real(scatter, edges, w_init)
+            digest.update(fit_bytes(out))
+            sweeps.append(out.sweeps)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(constrained_mle, "fit", capture)
+        _, theta = generate_precision(TopologySpec("scale-free", 8, seed=7))
+        data = sample(theta, 150, DistributionSpec("t", nu=4.0), spawned_rng(5, 0))
+        grid = build_grid(0.05, 0.8, 5)
+        report = select(data, grid, EMConfig(PenaltyConfig(0.5, grid.lo), mode="t", nu=4.0))
+        assert report.chosen_index == PINNED_SELECT_CHOSEN
+        assert (len(sweeps), sum(sweeps)) == PINNED_SELECT_SHAPE
+        assert digest.hexdigest() == PINNED_SELECT_DIGEST
+        # a result holds its scatter for kkt_residual, so none may outlive
+        # select inside the report
+        gc.collect()
+        assert all(ref() is None for ref in results)

@@ -27,6 +27,30 @@ class TestSymmetrize:
         out = symmetrize(m)
         assert np.array_equal(out, out.T)
         assert out[0, 1] == pytest.approx(0.5 + 5e-11)
+        assert out.tobytes() == (0.5 * (m + m.T)).tobytes()
+
+    def test_exactly_symmetric_input_keeps_the_bits_of_the_average(self):
+        # including signed zeros and subnormals; the copy is a new array
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-300, 300, size=(9, 9))
+        a = 0.5 * (a + a.T)
+        a[0, 1] = a[1, 0] = -0.0
+        a[2, 3] = a[3, 2] = 5e-324
+        out = symmetrize(a)
+        assert out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert not np.shares_memory(out, a)
+        # mixed signed zeros are equal but not the same bits: they are averaged to +0.0
+        b = np.eye(3)
+        b[0, 1], b[1, 0] = 0.0, -0.0
+        assert symmetrize(b).tobytes() == (0.5 * (b + b.T)).tobytes()
+
+    def test_exactly_symmetric_entries_past_half_the_float_range_are_kept(self):
+        # the one input whose bits differ from the average's: 2 * x overflowed to inf
+        big = np.finfo(float).max
+        m = np.array([[big, 1.0], [1.0, big]])
+        assert np.array_equal(symmetrize(m), m)
+        with np.errstate(over="ignore"):
+            assert np.isinf(0.5 * (m + m.T)).all(where=np.eye(2, dtype=bool))
 
     def test_large_asymmetry_rejected(self):
         m = np.array([[1.0, 0.6], [0.5, 2.0]])
@@ -140,7 +164,89 @@ class TestPrecisionToPartialCorrelation:
             precision_to_partial_correlation(m)
 
 
+class TestErrorMessages:
+    """Every validation error keeps its type and its exact text."""
+
+    @pytest.mark.parametrize("build, exc, message", [
+        (lambda: symmetrize(np.ones((2, 3)), "scatter matrix"), ShapeError,
+         "scatter matrix must be a square 2-d array, got shape (2, 3)"),
+        (lambda: symmetrize(np.ones(3)), ShapeError,
+         "matrix must be a square 2-d array, got shape (3,)"),
+        (lambda: symmetrize(np.array([[1.0, np.inf], [np.inf, 1.0]])), DataError,
+         "matrix contains non-finite entries"),
+        (lambda: symmetrize(np.array([[1.0, 0.6], [0.5, 2.0]]), "w"), ShapeError,
+         "w is not symmetric: max asymmetry 1.000e-01 exceeds 1e-08 relative tolerance"),
+        (lambda: PrecisionMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), DomainError,
+         "precision matrix is not positive definite"),
+        (lambda: PrecisionMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]])), DataError,
+         "precision matrix contains non-finite entries"),
+        (lambda: PrecisionMatrix(np.array([[1.0, 0.6], [0.5, 2.0]])), ShapeError,
+         "precision matrix is not symmetric: max asymmetry 1.000e-01 exceeds 1e-08 "
+         "relative tolerance"),
+        (lambda: PrecisionMatrix(np.ones((2, 3))), ShapeError,
+         "precision matrix must be a square 2-d array, got shape (2, 3)"),
+        (lambda: PrecisionMatrix(np.array([[1.0]])), ShapeError,
+         "precision matrix needs dimension >= 2"),
+        (lambda: EdgeSet(3, [(0, 1), (2, 2), (0, 5)]), DomainError,
+         "self loop (2,2) not allowed"),
+        (lambda: EdgeSet(3, [(0, 5), (-1, -1)]), DomainError,
+         "self loop (-1,-1) not allowed"),
+        (lambda: EdgeSet(3, [(1, 0), (3, 1), (0, -1)]), DomainError,
+         "edge (3,1) out of range for p=3"),
+        (lambda: EdgeSet(4, np.array([[0, -1]])), DomainError,
+         "edge (0,-1) out of range for p=4"),
+        (lambda: EdgeSet(4, np.array([[0, 1, 2]])), ShapeError,
+         "edges must be node pairs, got an array of shape (1, 3)"),
+        (lambda: EdgeSet(4, [0, 1]), ShapeError,
+         "edges must be node pairs, got an array of shape (2,)"),
+        (lambda: EdgeSet(0), ShapeError, "EdgeSet needs p >= 1"),
+    ])
+    def test_type_and_text(self, build, exc, message):
+        with pytest.raises(exc) as err:
+            build()
+        assert type(err.value) is exc and str(err.value) == message
+
+
+def canonical_pairs(p, ends):
+    """EdgeSet's canonicalization as a loop over the pairs: the first self
+    loop is an error, then the first pair out of range, else the set of
+    (min, max) pairs."""
+    for j, k in ends:
+        if j == k:
+            raise DomainError(f"self loop ({j},{k}) not allowed")
+    for j, k in ends:
+        if not (0 <= j < p and 0 <= k < p):
+            raise DomainError(f"edge ({j},{k}) out of range for p={p}")
+    return frozenset((min(j, k), max(j, k)) for j, k in ends)
+
+
 class TestEdgeSet:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 8).flatmap(lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.tuples(st.integers(-1, p), st.integers(-1, p)), max_size=12),
+        st.floats(0.0, 1.0))))
+    def test_pairs_match_the_loop_canonicalization(self, case):
+        # arrays and lists of pairs, with reversed and repeated pairs, and
+        # mostly valid ones, so that a fault is often one pair among many
+        p, ends, keep = case
+        valid = [(j, k) for j, k in ends if j != k and 0 <= j < p and 0 <= k < p]
+        for pairs in (ends, valid + [(k, j) for j, k in valid][: int(keep * len(valid))]):
+            try:
+                want = canonical_pairs(p, pairs)
+            except DomainError as exc:
+                want = exc
+            for given_as in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                try:
+                    got = EdgeSet(p, given_as).pairs
+                except DomainError as exc:
+                    got = exc
+                if isinstance(want, DomainError):
+                    assert isinstance(got, DomainError) and str(got) == str(want)
+                else:
+                    assert got == want
+                    assert all(type(j) is int and type(k) is int for j, k in got)
+
     def test_canonical_ordering_and_contains(self):
         e = EdgeSet.from_pairs(4, [(2, 0), (1, 3)])
         assert (0, 2) in e and (2, 0) in e
