@@ -20,20 +20,36 @@ Each round of the primal-dual active-set (PDAS) update of Hintermuller,
 Ito & Kunisch (2003) reads every running response's dual residual
 z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha
 with the signs of that expression, and solves all the support systems
-in one batch, or in a few by block size (BATCH_BLOCK). Each response is
-one row of every per-response array, so a round takes and writes whole
-rows, and its dual residuals are one product per Gram. A response stops
-when its (support, signs) repeats: that fixed point is the KKT
-condition, so the solution is exact rather than accurate to a
-tolerance. PDAS can cycle. A response that revisits an earlier state,
-meets a singular block or uses MAX_ROUNDS rounds goes on by
-feature-sign steps (Lee et al. 2007), each of which lowers its
-objective, and is returned unconverged if those too use MAX_ROUNDS.
-A solve starts from given supports and signs: all-zero signs start
-every response from 0 (a cold start), and where the solution is unique
-any other start (a warm start) ends at the same point.
-KAPPA, MAX_ROUNDS and BATCH_BLOCK are module constants, read at call
-time.
+in a few batches. Each response is one row of every per-response array,
+so a round takes and writes whole rows, and its dual residuals are one
+product per Gram, formed on views of the whole arrays while every
+response runs. A response stops when its (support, signs) repeats: that
+fixed point is the KKT condition, so the solution is exact rather than
+accurate to a tolerance.
+
+A round reads the supports of all the responses it solves in one pass:
+it sorts them by support size, takes every support coordinate and its
+right-hand side at once, and cuts the sorted rows into batches by size.
+Supports below BATCH_BLOCK coordinates share one batch; above it a batch
+holds the sizes from m to below m + m // BAND_SPLIT, so its blocks
+differ in size by at most an eighth. A batch of one size stacks its
+blocks as they are; in one of several sizes each block is padded to the
+largest with an identity block and a zero right-hand side, read from a
+zero row and column kept beside each H. On the 96 stage-1 solves of a
+p = 60 gaussian select, factor-2 bands padded 40% of the LU flops and
+these bands pad 14%.
+
+PDAS can cycle. Each round keeps the states it moved to as one array
+over the responses that went on, and a response is compared with every
+earlier state it held, as a whole array per round. A response that
+revisits an earlier state, meets a singular block or uses MAX_ROUNDS
+rounds goes on by feature-sign steps (Lee et al. 2007), each of which
+lowers its objective, and is returned unconverged if those too use
+MAX_ROUNDS. A solve starts from given supports and signs: all-zero
+signs start every response from 0 (a cold start), and where the
+solution is unique any other start (a warm start) ends at the same
+point. KAPPA, MAX_ROUNDS, BATCH_BLOCK and BAND_SPLIT are module
+constants, read at call time.
 """
 from __future__ import annotations
 
@@ -62,11 +78,17 @@ MAX_ROUNDS = 1000
 # precision's epsilon, 2**-26, separates those from the conditioning of
 # genuine data (1e4 at n = p + 2).
 SINGULAR_RTOL = 2.0**-26
-# Support systems smaller than this are solved in one batch; larger ones in
-# batches whose sizes lie within a factor of 2, so that the padding of a
-# batch to its largest support (a hub node's, or the smallest lambda's in
-# a stack) does not multiply the cost of every small system in it.
+# Support systems smaller than BATCH_BLOCK are solved in one batch; a
+# larger one shares a batch only with sizes from m to below
+# m + m // BAND_SPLIT, so that padding a batch to its largest support (a
+# hub node's, or the smallest lambda's in a stack) costs at most about
+# 40% more LU flops than its blocks need. Each batch also costs a few
+# fixed numpy calls. Replaying the 96 stage-1 solves of a p = 60 gaussian
+# select, bands of a factor of 2 (BAND_SPLIT = 1, 40% of LU flops
+# padding) took 7% longer than these (14%), and one batch per exact size
+# (5%, twice the batches) as long.
 BATCH_BLOCK = 16
+BAND_SPLIT = 8
 
 
 @dataclass(frozen=True)
@@ -115,41 +137,89 @@ class GramFit:
         return bool(self.response_converged.all())
 
 
-def _solve_supports(hx, g, thr, scale, state, b, q, lk):
+def _band_starts(p):
+    """The smallest support size of each batch band, over supports of 1 to
+    p - 1 coordinates: sizes below BATCH_BLOCK share one band, and above
+    it a band that starts at size m holds the sizes below m + m //
+    BAND_SPLIT, so that the blocks of a batch differ in size by at most
+    that fraction."""
+    starts, m = [1], BATCH_BLOCK
+    while m < p:
+        starts.append(m)
+        m += max(m // BAND_SPLIT, 1)
+    return starts
+
+
+def _solve_supports(hp, g, thr, scale, bands, b, q, signs, lk):
     """Solve the support systems of the responses in rows q into b.
 
-    lk holds the Gram of each row in q. state holds each response's signs
-    on its support and 0 off it. hx stacks the s matrices H on top of an
-    identity block, s p + p rows by 2 p columns, which pads blocks to a
-    common size. Supports smaller than BATCH_BLOCK are solved as one
-    batch, and larger ones in batches whose sizes lie within a factor of
-    2, each padded to its largest support. Returns a mask over q of the
+    signs holds each row's signs on its support and 0 off it, lk its
+    Gram. hp holds the s matrices H, each with one more row and column of
+    zeros, index p, at which padded supports point. The rows are sorted by
+    support size and their supports and right-hand sides read in one
+    pass, then solved in one batch per band of sizes (bands holds the
+    smallest size of each, from _band_starts). A batch of one size takes
+    its supports as they lie; in one of several sizes each block is padded
+    to the batch's largest with an identity block and a zero right-hand
+    side, which costs about ten more array operations per batch. Rows
+    with an empty support solve nothing. Returns a mask over q of the
     responses whose block is singular; their coefficients are left as
     they were.
     """
-    act = state[q] != 0
-    size = act.sum(axis=1)
-    band = np.frexp(np.maximum(size, BATCH_BLOCK - 1))[1]
-    singular = np.zeros(q.size, dtype=bool)
-    for v in np.unique(band):
-        j = np.flatnonzero(band == v)
-        singular[j] = _solve_batch(hx, g, thr, scale, state, b, q[j], lk[j], act[j], size[j])
-    return singular
+    p, w = signs.shape[1], hp.shape[1]
+    support = signs != 0
+    size = support.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    size, rows, lk = size[order], q[order], lk[order]
+    flat = np.flatnonzero(support[order])  # row by row, each support in ascending order
+    at, col = np.divmod(flat, p)
+    rhs = g[rows].ravel().take(flat) - np.repeat(thr[lk], size) * signs[order].ravel().take(flat)
+    # the flat index in hp of the row of H each support coordinate reads
+    head = ((lk * w)[at] + col) * w
+    x = np.empty_like(rhs)
+    singular = np.zeros(size.size, dtype=bool)
+    start = np.cumsum(size) - size  # of each row's support in at, col, rhs and x
+    cuts = [*np.searchsorted(size, bands).tolist(), size.size]
+    begin, sizes = start.tolist(), size.tolist()
+    hflat = hp.reshape(-1)
+    for a, z in zip(cuts[:-1], cuts[1:]):
+        if a == z:
+            continue
+        lo, hi, m = begin[a], begin[z - 1] + sizes[z - 1], sizes[z - 1]
+        if sizes[a] == m:  # one size: the batch's supports are consecutive rows
+            cols, r = col[lo:hi].reshape(z - a, m), rhs[lo:hi].reshape(z - a, m)
+            blocks = hflat.take(head[lo:hi].reshape(z - a, m)[:, :, None] + cols[:, None, :])
+            x[lo:hi] = _lu_solve(blocks, r).ravel()
+            continue
+        # each support left-aligned in a row of m, padded at index p
+        fill = np.arange(m) < size[a:z, None]
+        cols, r = np.full((z - a, m), w - 1), np.zeros((z - a, m))
+        rowat = np.repeat(((lk[a:z] * w + w - 1) * w)[:, None], m, axis=1)
+        cols[fill], r[fill], rowat[fill] = col[lo:hi], rhs[lo:hi], head[lo:hi]
+        blocks = hflat.take(rowat[:, :, None] + cols[:, None, :])
+        pad, at_pad = np.nonzero(~fill)
+        blocks[pad, at_pad, at_pad] = 1.0
+        x[lo:hi] = _lu_solve(blocks, r)[fill]
+    solved = cuts[0]  # the rows before it have an empty support
+    if solved < size.size:
+        singular[solved:] = _singular(x, rhs, start[solved:], scale[lk[solved:]])
+    if singular.any():
+        keep = ~singular
+        put = keep[at]
+        b[rows[keep]] = 0.0
+        b[rows[at[put]], col[put]] = x[put]
+    else:
+        b[rows] = 0.0
+        b[rows[at], col] = x
+    out = np.empty(q.size, dtype=bool)
+    out[order] = singular
+    return out
 
 
-def _solve_batch(hx, g, thr, scale, state, b, q, lk, act, size):
-    """_solve_supports for one batch, padded to its largest support."""
-    p = b.shape[1]
-    m = int(size.max())
-    pad = np.arange(m) >= size[:, None]
-    rows = np.argsort(~act, axis=1, kind="stable")[:, :m]  # each support first, ascending
-    at_row = np.where(pad, hx.shape[0] - p + np.arange(m), lk[:, None] * p + rows)
-    at_col = np.where(pad, p + np.arange(m), rows)
-    blocks = hx[at_row[:, :, None], at_col[:, None, :]]
-    qc = q[:, None]
-    rhs = np.where(pad, 0.0, g[qc, rows] - thr[lk[:, None]] * state[qc, rows])
+def _lu_solve(blocks, rhs):
+    """Solve each block against its row of rhs; nan where LU fails."""
     try:
-        x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
+        return np.linalg.solve(blocks, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:  # an exactly singular block: find it, one block at a time
         x = np.full(rhs.shape, np.nan)
         for j in range(x.shape[0]):
@@ -157,31 +227,39 @@ def _solve_batch(hx, g, thr, scale, state, b, q, lk, act, size):
                 x[j] = np.linalg.solve(blocks[j], rhs[j])
             except np.linalg.LinAlgError:
                 pass
-    singular = _singular(x, scale[lk], rhs)
-    keep = ~singular
-    b[q[keep]] = 0.0
-    filled = ~pad & keep[:, None]
-    b[q[np.nonzero(filled)[0]], rows[filled]] = x[filled]
-    return singular
+        return x
 
 
-def _singular(x, scale, rhs):
-    """True where the solve x of a block of an H with max |H| = scale
-    against rhs shows a singular block: LU failed (x is nan), or x is as
-    large as only an eigenvalue below SINGULAR_RTOL times scale could make
-    it. An empty block is not singular."""
-    reach = np.abs(x).max(axis=-1, initial=0.0) * scale * SINGULAR_RTOL
-    return ~(reach <= np.abs(rhs).max(axis=-1, initial=0.0))
+def _singular(x, rhs, start, scale):
+    """True for each nonempty block whose solve shows it singular.
+
+    Block i's solve and right-hand side are x and rhs from start[i] to
+    start[i + 1] (the last to the end), on an H with max |H| = scale[i].
+    It is singular when LU failed (x is nan), or x is as large as only an
+    eigenvalue below SINGULAR_RTOL times scale could make it.
+    """
+    reach = np.maximum.reduceat(np.abs(x), start) * scale * SINGULAR_RTOL
+    return ~(reach <= np.maximum.reduceat(np.abs(rhs), start))
 
 
-def _products(h, x, lk):
-    """Row j of the result is h[lk[j]] @ x[j], for lk in ascending order:
-    one product per Gram, over its run of rows."""
-    out = np.empty_like(x)
-    cut = np.flatnonzero(lk[1:] != lk[:-1]) + 1
-    for a, z in zip([0, *cut.tolist()], [*cut.tolist(), lk.size]):
-        out[a:z] = (h[lk[a]] @ x[a:z].T).T
-    return out
+def _residuals(h, g, weight, b, live, gram_of):
+    """The dual residuals KAPPA H_jj b_j + g_j - (H b)_j of the rows in
+    live, ascending; on views of the whole arrays when every row is live.
+    Each Gram's product is one matrix product over its rows."""
+    if live.size == b.shape[0]:
+        b3 = b.reshape(h.shape[0], -1, h.shape[1])
+        v = weight[:, None, :] * b3
+        v += g.reshape(b3.shape)
+        v -= np.matmul(h, b3.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return v.reshape(b.shape)
+    x = b[live]
+    lk = gram_of[live]
+    v = weight[lk] * x
+    cut = [0, *(np.flatnonzero(lk[1:] != lk[:-1]) + 1).tolist(), lk.size]
+    v += g[live]
+    for a, z in zip(cut[:-1], cut[1:]):
+        v[a:z] -= (h[lk[a]] @ x[a:z].T).T
+    return v
 
 
 def _feature_sign(h, g, thr, b, own, budget, scale):
@@ -225,7 +303,7 @@ def _feature_sign(h, g, thr, b, own, budget, scale):
         except np.linalg.LinAlgError:
             target = np.full(idx.size, np.nan)
         d, ends = target - start, True
-        if _singular(target, scale, rhs):
+        if _singular(target, rhs, [0], scale)[0]:
             w, v = np.linalg.eigh(block)
             proj = v.T @ rhs
             flat = w <= SINGULAR_RTOL * w.max(initial=0.0)
@@ -267,8 +345,8 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     response its starting support and signs in the same layout; its entry
     in the response's own row is ignored. All zeros is the cold start:
     every response starts from 0. The nonzero (warm) supports are solved
-    once as a batch before the first round, and that solve is not
-    counted as a round; a response whose warm block is singular starts
+    once, batched as in a round, before the first round, and that solve
+    is not counted as a round; a response whose warm block is singular starts
     from 0 instead. The solution is unique when lam(1-alpha) > 0 or every
     support block is positive definite, so a start changes the rounds,
     not the result. Every response then runs the batched PDAS rounds; a
@@ -301,13 +379,20 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     own = np.tile(cols, s)
     thr = np.array([pen.lam * pen.alpha for pen in penalties])
     ridge = np.array([pen.lam * (1.0 - pen.alpha) for pen in penalties])
-    h = grams + ridge[:, None, None] * np.eye(p)
-    hx = np.zeros(((s + 1) * p, 2 * p))
-    hx[:s * p, :p] = h.reshape(s * p, p)
-    hx[s * p:, p:] = np.eye(p)
+    hp = np.zeros((s, p + 1, p + 1))
+    h = hp[:, :p, :p]
+    h[...] = grams
+    diagonal = hp.reshape(s, -1)[:, :p * (p + 2):p + 2]  # a view of each H_jj
+    diagonal += ridge[:, None]
     scale = np.abs(h).max(axis=(1, 2))
-    g = grams[:, :, cols].transpose(0, 2, 1).reshape(s * r, p)
-    weight = KAPPA * np.diagonal(h, axis1=1, axis2=2)
+    g = grams.transpose(0, 2, 1)[:, cols].reshape(s * r, p)
+    weight = KAPPA * diagonal
+    # each row's support threshold, infinite on its own column
+    top = np.empty((s, r, p))
+    top[...] = thr[:, None, None]
+    top = top.reshape(s * r, p)
+    top[np.arange(s * r), own] = np.inf
+    bands = _band_starts(p)
     b = np.zeros((s * r, p))
     # signs on the support, 0 off it
     state = np.sign(start).transpose(0, 2, 1).reshape(s * r, p).astype(np.int8)
@@ -315,37 +400,41 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     warm = np.flatnonzero(state.any(axis=1))
     if warm.size:
         # a singular warm block leaves its coefficients at 0: start it cold
-        singular = _solve_supports(hx, g, thr, scale, state, b, warm, gram_of[warm])
+        singular = _solve_supports(hp, g, thr, scale, bands, b, warm, state[warm], gram_of[warm])
         state[warm[singular]] = 0
-    seen = [{key.tobytes()} for key in state]
+    # (rows, their states) after every round: a live row is in each entry
+    history = [(np.arange(s * r), state.copy())]
     rounds = np.zeros(s * r, dtype=np.int64)
     converged = np.zeros(s * r, dtype=bool)
-    handed = []  # responses left to the feature-sign steps
+    handed = [np.arange(0)]  # responses left to the feature-sign steps
     live = np.arange(s * r)
+    t = 0  # rounds run, the same for every live response
     while live.size:
-        rounds[live] += 1
-        lk = gram_of[live]
-        bl = b[live]
-        v = weight[lk] * bl + g[live] - _products(h, bl, lk)
-        new = np.where(np.abs(v) > thr[lk, None], np.sign(v), 0.0).astype(np.int8)
-        new[np.arange(live.size), own[live]] = 0
-        same = (new == state[live]).all(axis=1)
+        t += 1
+        rounds[live] = t
+        every = live.size == s * r
+        v = _residuals(h, g, weight, b, live, gram_of)
+        new = np.sign(v).astype(np.int8)
+        new *= np.abs(v) > (top if every else top[live])
+        same = (new == (state if every else state[live])).all(axis=1)
         converged[live[same]] = True
-        going = ~same
-        for j in np.flatnonzero(going).tolist():
-            q, key = int(live[j]), new[j].tobytes()
-            if key in seen[q] or rounds[q] >= MAX_ROUNDS:
-                going[j] = False
-                handed.append(q)
-            else:
-                seen[q].add(key)
-        live = live[going]
+        live, new = live[~same], new[~same]
+        # a response that is back at an earlier state, or out of rounds,
+        # stops; the state it just left is the last entry, which differs
+        stop = np.full(live.size, t >= MAX_ROUNDS)
+        for rows, states in history[:-1]:
+            stop |= (states[np.searchsorted(rows, live)] == new).all(axis=1)
+        if stop.any():
+            handed.append(live[stop])
+            live, new = live[~stop], new[~stop]
         if live.size:
-            state[live] = new[going]
-            singular = _solve_supports(hx, g, thr, scale, state, b, live, gram_of[live])
-            handed.extend(live[singular].tolist())
-            live = live[~singular]
-    for q in handed:
+            state[live] = new
+            history.append((live, new))
+            singular = _solve_supports(hp, g, thr, scale, bands, b, live, new, gram_of[live])
+            if singular.any():
+                handed.append(live[singular])
+                live = live[~singular]
+    for q in np.concatenate(handed).tolist():
         k = gram_of[q]
         b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS,
                                                    scale[k])

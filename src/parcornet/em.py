@@ -150,9 +150,15 @@ def weighted_mean(data: Dataset, tau: np.ndarray) -> np.ndarray:
 
 
 def weighted_scatter(data: Dataset, tau: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i tau_i (x_i - mean)(x_i - mean)^T."""
+    """(1/n) sum_i tau_i (x_i - mean)(x_i - mean)^T, exactly symmetric.
+
+    The product is not symmetric bit for bit, so it is averaged with its
+    transpose here, once, by the formula of matrices.symmetrize; every
+    stage-2 fit to the scatter then takes symmetrize's copy path.
+    """
     x = data.values - mean
-    return (x * tau[:, None]).T @ x / data.n
+    s = (x * tau[:, None]).T @ x / data.n
+    return 0.5 * (s + s.T)
 
 
 def check_columns(data: Dataset, scatter: np.ndarray) -> None:

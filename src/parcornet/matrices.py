@@ -7,6 +7,7 @@ immutable after construction.
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -175,10 +176,12 @@ class EdgeSet:
         return iter(sorted(self.pairs))
 
     def to_adjacency(self) -> np.ndarray:
-        adj = np.zeros(self.p * self.p, dtype=bool)
-        adj[[j * self.p + k for j, k in self.pairs]] = True
-        adj = adj.reshape(self.p, self.p)
-        return adj | adj.T
+        """The symmetric p x p bool matrix that is True at both (j, k) and (k, j) of every pair."""
+        adj = np.zeros((self.p, self.p), dtype=bool)
+        ends = np.fromiter(itertools.chain.from_iterable(self.pairs), dtype=np.intp,
+                           count=2 * len(self.pairs)).reshape(-1, 2).T
+        adj[ends, ends[::-1]] = True
+        return adj
 
 
 @dataclass(frozen=True)

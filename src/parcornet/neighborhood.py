@@ -6,9 +6,9 @@ read only the p x p scatter (or centered Gram) of the data. A stack of
 scatters, each with its own penalty (the lambdas of an EM iteration),
 runs as one exact active-set solve over all their regressions
 (elastic_net.solve_gram): each round moves every running node's support
-and signs at once and solves all their support systems as one batch,
-and each node stops when its support and signs repeat, which is its KKT
-condition. Each scatter gives the edge set it gives alone. The solve
+and signs at once and solves their support systems in a few batches by
+support size, and each node stops when its support and signs repeat,
+which is its KKT condition. Each scatter gives the edge set it gives alone. The solve
 starts from the supports and signs the caller passes in: all zeros for
 a cold start, or for example those the same regressions ended on at a
 neighbouring lambda or on the previous EM iteration's scatter (a warm
@@ -16,7 +16,9 @@ start), which changes only how many rounds the solve takes wherever the
 solution is unique. The dual weight KAPPA and the round cap MAX_ROUNDS
 are the module constants of elastic_net. The selected supports are
 joined into undirected edges by the AND or OR rule of Meinshausen &
-Buhlmann (2006).
+Buhlmann (2006), for every scatter of the stack in one array operation;
+each scatter's EdgeSet is built from its part of the joined upper
+triangles.
 """
 from __future__ import annotations
 
@@ -56,15 +58,18 @@ def select_edges(grams: np.ndarray, penalties, rule: str, signs: np.ndarray):
     p = np.shape(grams)[-1]
     fit = solve_gram(grams, np.arange(p), penalties, signs)
     end = np.sign(fit.coefficients).astype(np.int8)
-    out = []
-    for k, pen in enumerate(penalties):
-        bad = np.flatnonzero(~fit.response_converged[k])
-        if bad.size:
-            warnings.warn(f"lambda {pen.lam:g}: regressions for {bad.size} of {p} nodes did not "
-                          f"converge in {int(fit.response_rounds[k, bad].max())} rounds: "
+    if not fit.converged:
+        for k in np.flatnonzero(~fit.response_converged.all(axis=1)).tolist():
+            bad = np.flatnonzero(~fit.response_converged[k])
+            warnings.warn(f"lambda {penalties[k].lam:g}: regressions for {bad.size} of {p} nodes "
+                          f"did not converge in {int(fit.response_rounds[k, bad].max())} rounds: "
                           f"nodes {bad.tolist()}")
-        chosen = end[k] != 0
-        adj = chosen & chosen.T if rule == "and" else chosen | chosen.T
-        # adj is symmetric by construction, so its upper triangle holds every edge once
-        out.append(EdgeSet(p, np.argwhere(np.triu(adj, k=1))))
-    return out, end
+    # chosen[k, j, i]: node i's regression on scatter k selects node j
+    chosen = end != 0
+    mutual = chosen.transpose(0, 2, 1)
+    adj = chosen & mutual if rule == "and" else chosen | mutual
+    # adj is symmetric, so its upper triangles hold every edge once
+    adj &= np.arange(p)[:, None] < np.arange(p)
+    k, j, i = np.unravel_index(np.flatnonzero(adj), adj.shape)
+    parts = np.split(np.column_stack([j, i]), np.searchsorted(k, np.arange(1, len(end))))
+    return [EdgeSet(p, part) for part in parts], end

@@ -339,12 +339,12 @@ class TestWarmStart:
         gram = self.gram(80, 8, 6)
         pen = PenaltyConfig(0.5, 0.05)
         calls = []
-        for name in ("_products", "_solve_supports"):
+        for name in ("_residuals", "_solve_supports"):
             real = getattr(elastic_net, name)
             monkeypatch.setattr(elastic_net, name,
                                 lambda *args, name=name, real=real: calls.append(name) or real(*args))
         cold = solve_one(gram, range(8), pen)
-        assert calls[0] == "_products"
+        assert calls[0] == "_residuals"
         own = np.diag(np.where(np.arange(8) % 2, 1, -1)).astype(np.int8)
         marked = solve_one(gram, range(8), pen, own)
         assert np.array_equal(marked.coefficients, cold.coefficients)
@@ -405,6 +405,30 @@ class TestStack:
             assert np.array_equal(stacked.response_rounds[k], alone.response_rounds)
             assert np.array_equal(stacked.response_converged[k], alone.response_converged)
         assert stacked.sweeps == stacked.response_rounds.sum()
+
+    @settings(deadline=None, max_examples=12)
+    @given(st.data())
+    def test_stacked_beside_other_size_bands_matches_alone(self, data):
+        # p up to 40 and penalties from 0.002 to 0.8 of lam_max put the
+        # supports of one stack in several batch bands (sizes 1-15, 16-17,
+        # ..., 30-32, 33-36, ...), each Gram's at its own sizes
+        s = data.draw(st.integers(2, 4), label="s")
+        p = data.draw(st.integers(20, 40), label="p")
+        alpha = data.draw(st.sampled_from([1.0, 0.5]), label="alpha")
+        warm = data.draw(st.booleans(), label="warm")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grams = np.stack([self.draw_gram(rng, 3 * p + 10, p) for _ in range(s)])
+        factors = np.geomspace(0.002, 0.8, s)[rng.permutation(s)]
+        pens = [PenaltyConfig(alpha, f * TestBlockKernel.lam_max(g, alpha)) for g, f in zip(grams, factors)]
+        start = (rng.integers(-1, 2, size=(s, p, p)) if warm else np.zeros((s, p, p))).astype(np.int8)
+        stacked = solve_gram(grams, range(p), pens, start)
+        sizes = (stacked.coefficients != 0).sum(axis=1)
+        assert sizes.max() >= elastic_net.BATCH_BLOCK > sizes.min()
+        for k in range(s):
+            alone = solve_one(grams[k], range(p), pens[k], start[k])
+            assert np.array_equal(np.sign(stacked.coefficients[k]), np.sign(alone.coefficients))
+            assert np.array_equal(stacked.response_rounds[k], alone.response_rounds)
+            assert np.array_equal(stacked.response_converged[k], alone.response_converged)
 
     def test_scaled_gram_beside_others_changes_nothing(self):
         # the singular-block test reads each response's own Gram's scale

@@ -17,7 +17,7 @@ from parcornet.em import (
     weighted_scatter,
 )
 from parcornet.errors import ConfigError, EstimationError
-from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix
+from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix, symmetrize
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
 from parcornet.selection import build_grid
@@ -102,6 +102,22 @@ class TestMSteps:
         want = sum(t * np.outer(r - mean, r - mean) for t, r in zip(tau, x)) / 7
         got = weighted_scatter(Dataset(x), tau, mean)
         assert np.abs(got - want).max() < 1e-12
+
+    def test_weighted_scatter_is_symmetric_bit_for_bit(self):
+        # the product averaged with its transpose by symmetrize's formula, so
+        # that every stage-2 fit to the scatter takes symmetrize's copy path
+        rng = np.random.default_rng(56)
+        asymmetric = []
+        for n, p in ((7, 3), (40, 12), (500, 60)):
+            x = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, size=p)
+            tau = rng.uniform(0.2, 3.0, size=n)
+            mean = weighted_mean(Dataset(x), tau)
+            got = weighted_scatter(Dataset(x), tau, mean)
+            assert got.tobytes() == got.T.tobytes()
+            raw = ((x - mean) * tau[:, None]).T @ (x - mean) / n
+            asymmetric.append(raw.tobytes() != raw.T.tobytes())
+            assert got.tobytes() == symmetrize(raw).tobytes()
+        assert any(asymmetric)  # the product alone is not symmetric
 
     def test_unit_scales_recover_plain_moments(self):
         rng = np.random.default_rng(54)

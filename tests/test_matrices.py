@@ -220,6 +220,14 @@ def canonical_pairs(p, ends):
     return frozenset((min(j, k), max(j, k)) for j, k in ends)
 
 
+def loop_adjacency(edges):
+    """EdgeSet.to_adjacency as a loop over the pairs."""
+    adj = np.zeros(edges.p * edges.p, dtype=bool)
+    adj[[j * edges.p + k for j, k in edges.pairs]] = True
+    adj = adj.reshape(edges.p, edges.p)
+    return adj | adj.T
+
+
 class TestEdgeSet:
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 8).flatmap(lambda p: st.tuples(
@@ -246,6 +254,16 @@ class TestEdgeSet:
                 else:
                     assert got == want
                     assert all(type(j) is int and type(k) is int for j, k in got)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 12).flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=40))))
+    def test_adjacency_matches_the_loop_version(self, case):
+        p, ends = case
+        e = EdgeSet(p, [(j, k) for j, k in ends if j != k])
+        adj = e.to_adjacency()
+        assert adj.dtype == bool and adj.shape == (p, p)
+        assert np.array_equal(adj, loop_adjacency(e))
 
     def test_canonical_ordering_and_contains(self):
         e = EdgeSet.from_pairs(4, [(2, 0), (1, 3)])
