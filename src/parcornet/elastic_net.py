@@ -21,35 +21,35 @@ Ito & Kunisch (2003) reads every running response's dual residual
 z = g - H b, sets its support to |KAPPA H_jj b_j + z_j| > lam*alpha
 with the signs of that expression, and solves all the support systems
 in a few batches. Each response is one row of every per-response array,
-so a round takes and writes whole rows, and its dual residuals are one
-product per Gram, formed on views of the whole arrays while every
-response runs. A response stops when its (support, signs) repeats: that
-fixed point is the KKT condition, so the solution is exact rather than
-accurate to a tolerance.
+so a round takes and writes whole rows, and its dual residuals come from
+one batched product over the stack. A response stops when its (support,
+signs) repeats: that fixed point is the KKT condition, so the solution
+is exact rather than accurate to a tolerance.
 
 A round reads the supports of all the responses it solves in one pass:
 it sorts them by support size, takes every support coordinate and its
 right-hand side at once, and cuts the sorted rows into batches by size.
 Supports below BATCH_BLOCK coordinates share one batch; above it a batch
-holds the sizes from m to below m + m // BAND_SPLIT, so its blocks
-differ in size by at most an eighth. A batch of one size stacks its
-blocks as they are; in one of several sizes each block is padded to the
-largest with an identity block and a zero right-hand side, read from a
-zero row and column kept beside each H. On the 96 stage-1 solves of a
-p = 60 gaussian select, factor-2 bands padded 40% of the LU flops and
-these bands pad 14%.
+holds the sizes from m to below m + m // 8, so its blocks differ in size
+by at most an eighth. Each block is padded to its batch's largest with
+an identity block and a zero right-hand side, read from an identity
+kept beside each H, so every batch takes the same few array operations.
+On the 96 stage-1 solves of a p = 60 gaussian select, factor-2 bands
+padded 40% of the LU flops and these bands pad 14%.
 
-PDAS can cycle. Each round keeps the states it moved to as one array
-over the responses that went on, and a response is compared with every
-earlier state it held, as a whole array per round. A response that
-revisits an earlier state, meets a singular block or uses MAX_ROUNDS
-rounds goes on by feature-sign steps (Lee et al. 2007), each of which
-lowers its objective, and is returned unconverged if those too use
-MAX_ROUNDS. A solve starts from given supports and signs: all-zero
+PDAS can cycle. The states of the running responses are kept as one
+array with a layer per round, and each round compares the new states
+with all of its layers at once: one comparison finds the responses that
+repeat their last state and those back at an earlier one, so a round
+costs a fixed number of array operations however many came before. A
+response that revisits an earlier state, meets a singular block or uses
+MAX_ROUNDS rounds goes on by feature-sign steps (Lee et al. 2007), each
+of which lowers its objective, and is returned unconverged if those too
+use MAX_ROUNDS. A solve starts from given supports and signs: all-zero
 signs start every response from 0 (a cold start), and where the
 solution is unique any other start (a warm start) ends at the same
-point. KAPPA, MAX_ROUNDS, BATCH_BLOCK and BAND_SPLIT are module
-constants, read at call time.
+point. KAPPA, MAX_ROUNDS and BATCH_BLOCK are module constants, read at
+call time.
 """
 from __future__ import annotations
 
@@ -79,16 +79,9 @@ MAX_ROUNDS = 1000
 # genuine data (1e4 at n = p + 2).
 SINGULAR_RTOL = 2.0**-26
 # Support systems smaller than BATCH_BLOCK are solved in one batch; a
-# larger one shares a batch only with sizes from m to below
-# m + m // BAND_SPLIT, so that padding a batch to its largest support (a
-# hub node's, or the smallest lambda's in a stack) costs at most about
-# 40% more LU flops than its blocks need. Each batch also costs a few
-# fixed numpy calls. Replaying the 96 stage-1 solves of a p = 60 gaussian
-# select, bands of a factor of 2 (BAND_SPLIT = 1, 40% of LU flops
-# padding) took 7% longer than these (14%), and one batch per exact size
-# (5%, twice the batches) as long.
+# larger one shares a batch only with sizes from m to below m + m // 8
+# (see _band_starts).
 BATCH_BLOCK = 16
-BAND_SPLIT = 8
 
 
 @dataclass(frozen=True)
@@ -140,13 +133,19 @@ class GramFit:
 def _band_starts(p):
     """The smallest support size of each batch band, over supports of 1 to
     p - 1 coordinates: sizes below BATCH_BLOCK share one band, and above
-    it a band that starts at size m holds the sizes below m + m //
-    BAND_SPLIT, so that the blocks of a batch differ in size by at most
-    that fraction."""
+    it a band that starts at size m holds the sizes below m + m // 8.
+
+    Padding a batch to its largest support (a hub node's, or the smallest
+    lambda's in a stack) then costs at most about 40% more LU flops than
+    its blocks need, and each batch also costs a few fixed numpy calls.
+    Replaying the 96 stage-1 solves of a p = 60 gaussian select, bands of
+    a factor of 2 (40% of LU flops padding) took 7% longer than these
+    (14%), and one batch per exact size (5%, twice the batches) as long.
+    """
     starts, m = [1], BATCH_BLOCK
     while m < p:
         starts.append(m)
-        m += max(m // BAND_SPLIT, 1)
+        m += max(m // 8, 1)
     return starts
 
 
@@ -154,17 +153,17 @@ def _solve_supports(hp, g, thr, scale, bands, b, q, signs, lk):
     """Solve the support systems of the responses in rows q into b.
 
     signs holds each row's signs on its support and 0 off it, lk its
-    Gram. hp holds the s matrices H, each with one more row and column of
-    zeros, index p, at which padded supports point. The rows are sorted by
-    support size and their supports and right-hand sides read in one
-    pass, then solved in one batch per band of sizes (bands holds the
-    smallest size of each, from _band_starts). A batch of one size takes
-    its supports as they lie; in one of several sizes each block is padded
-    to the batch's largest with an identity block and a zero right-hand
-    side, which costs about ten more array operations per batch. Rows
-    with an empty support solve nothing. Returns a mask over q of the
-    responses whose block is singular; their coefficients are left as
-    they were.
+    Gram. hp holds the s matrices H in its leading p x p corners, with an
+    identity block after them. The rows are sorted by support size and
+    their supports and right-hand sides read in one pass, then solved in
+    one batch per band of sizes (bands holds the smallest size of each,
+    from _band_starts). Every support is padded to the largest of its
+    band with coordinates p, p + 1, ..., whose rows and columns in hp
+    are the identity's, and a zero right-hand side; so each batch is one
+    gather of its blocks, one batched LU solve and one write, whether or
+    not its sizes differ. Rows with an empty support solve nothing.
+    Returns a mask over q of the responses whose block is singular; their
+    coefficients are left as they were.
     """
     p, w = signs.shape[1], hp.shape[1]
     support = signs != 0
@@ -174,35 +173,36 @@ def _solve_supports(hp, g, thr, scale, bands, b, q, signs, lk):
     flat = np.flatnonzero(support[order])  # row by row, each support in ascending order
     at, col = np.divmod(flat, p)
     rhs = g[rows].ravel().take(flat) - np.repeat(thr[lk], size) * signs[order].ravel().take(flat)
-    # the flat index in hp of the row of H each support coordinate reads
-    head = ((lk * w)[at] + col) * w
-    x = np.empty_like(rhs)
-    singular = np.zeros(size.size, dtype=bool)
-    start = np.cumsum(size) - size  # of each row's support in at, col, rhs and x
-    cuts = [*np.searchsorted(size, bands).tolist(), size.size]
-    begin, sizes = start.tolist(), size.tolist()
+    # band i holds rows cuts[i] to ends[i]; the rows before cuts[0] have an
+    # empty support
+    cuts = np.searchsorted(size, bands)
+    ends = np.append(cuts[1:], size.size)
+    solved = cuts[0]
+    n = size[solved:]
+    wide = np.repeat(size[ends - 1], ends - cuts)  # the largest of each row's band
+    # each support left-aligned in a row of its band's width, its k-th pad
+    # coordinate p + k; cols and heads are the columns and the flat index
+    # in hp of the rows that every entry of the padded blocks reads
+    begin = np.cumsum(wide) - wide
+    cols = np.arange(wide.sum()) - np.repeat(begin - p + n, wide)
+    fill = cols < p
+    cols[fill] = col
+    heads = (np.repeat(lk[solved:] * w, wide) + cols) * w
+    r = np.zeros(cols.size)
+    r[fill] = rhs
+    x = np.empty(cols.size)
     hflat = hp.reshape(-1)
-    for a, z in zip(cuts[:-1], cuts[1:]):
-        if a == z:
-            continue
-        lo, hi, m = begin[a], begin[z - 1] + sizes[z - 1], sizes[z - 1]
-        if sizes[a] == m:  # one size: the batch's supports are consecutive rows
-            cols, r = col[lo:hi].reshape(z - a, m), rhs[lo:hi].reshape(z - a, m)
-            blocks = hflat.take(head[lo:hi].reshape(z - a, m)[:, :, None] + cols[:, None, :])
-            x[lo:hi] = _lu_solve(blocks, r).ravel()
-            continue
-        # each support left-aligned in a row of m, padded at index p
-        fill = np.arange(m) < size[a:z, None]
-        cols, r = np.full((z - a, m), w - 1), np.zeros((z - a, m))
-        rowat = np.repeat(((lk[a:z] * w + w - 1) * w)[:, None], m, axis=1)
-        cols[fill], r[fill], rowat[fill] = col[lo:hi], rhs[lo:hi], head[lo:hi]
-        blocks = hflat.take(rowat[:, :, None] + cols[:, None, :])
-        pad, at_pad = np.nonzero(~fill)
-        blocks[pad, at_pad, at_pad] = 1.0
-        x[lo:hi] = _lu_solve(blocks, r)[fill]
-    solved = cuts[0]  # the rows before it have an empty support
-    if solved < size.size:
-        singular[solved:] = _singular(x, rhs, start[solved:], scale[lk[solved:]])
+    offsets, sizes = begin.tolist(), size.tolist()
+    for a, z in zip(cuts.tolist(), ends.tolist()):
+        if a < z:
+            lo, m = offsets[a - solved], sizes[z - 1]
+            hi = lo + (z - a) * m
+            blocks = hflat.take(heads[lo:hi].reshape(z - a, m)[:, :, None]
+                                + cols[lo:hi].reshape(z - a, m)[:, None, :])
+            x[lo:hi] = _lu_solve(blocks, r[lo:hi].reshape(z - a, m)).ravel()
+    singular = np.zeros(size.size, dtype=bool)
+    singular[solved:] = _singular(x, r, begin, scale[lk[solved:]])
+    x = x[fill]
     if singular.any():
         keep = ~singular
         put = keep[at]
@@ -244,21 +244,14 @@ def _singular(x, rhs, start, scale):
 
 def _residuals(h, g, weight, b, live, gram_of):
     """The dual residuals KAPPA H_jj b_j + g_j - (H b)_j of the rows in
-    live, ascending; on views of the whole arrays when every row is live.
-    Each Gram's product is one matrix product over its rows."""
-    if live.size == b.shape[0]:
-        b3 = b.reshape(h.shape[0], -1, h.shape[1])
-        v = weight[:, None, :] * b3
-        v += g.reshape(b3.shape)
-        v -= np.matmul(h, b3.transpose(0, 2, 1)).transpose(0, 2, 1)
-        return v.reshape(b.shape)
-    x = b[live]
+    live, formed in place. The products H b are one batched matrix product
+    over every row of the stack, of which the live rows are taken."""
+    s, p = h.shape[:2]
+    hb = np.matmul(h, b.reshape(s, -1, p).transpose(0, 2, 1))  # H_k b, one column per row
     lk = gram_of[live]
-    v = weight[lk] * x
-    cut = [0, *(np.flatnonzero(lk[1:] != lk[:-1]) + 1).tolist(), lk.size]
+    v = weight[lk] * b[live]
     v += g[live]
-    for a, z in zip(cut[:-1], cut[1:]):
-        v[a:z] -= (h[lk[a]] @ x[a:z].T).T
+    v -= hb[lk, :, live % hb.shape[2]]
     return v
 
 
@@ -379,10 +372,16 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     own = np.tile(cols, s)
     thr = np.array([pen.lam * pen.alpha for pen in penalties])
     ridge = np.array([pen.lam * (1.0 - pen.alpha) for pen in penalties])
-    hp = np.zeros((s, p + 1, p + 1))
+    # H, then an identity block as wide as the most padding a band needs
+    starts = _band_starts(p)
+    w = p + max(max(hi - lo for lo, hi in zip(starts, [*starts[1:], p])) - 1, 0)
+    bands = np.array(starts)
+    hp = np.zeros((s, w, w))
     h = hp[:, :p, :p]
     h[...] = grams
-    diagonal = hp.reshape(s, -1)[:, :p * (p + 2):p + 2]  # a view of each H_jj
+    diagonal = hp.reshape(s, -1)[:, ::w + 1]
+    diagonal[:, p:] = 1.0
+    diagonal = diagonal[:, :p]  # a view of each H_jj
     diagonal += ridge[:, None]
     scale = np.abs(h).max(axis=(1, 2))
     g = grams.transpose(0, 2, 1)[:, cols].reshape(s * r, p)
@@ -392,7 +391,6 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     top[...] = thr[:, None, None]
     top = top.reshape(s * r, p)
     top[np.arange(s * r), own] = np.inf
-    bands = _band_starts(p)
     b = np.zeros((s * r, p))
     # signs on the support, 0 off it
     state = np.sign(start).transpose(0, 2, 1).reshape(s * r, p).astype(np.int8)
@@ -402,8 +400,9 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
         # a singular warm block leaves its coefficients at 0: start it cold
         singular = _solve_supports(hp, g, thr, scale, bands, b, warm, state[warm], gram_of[warm])
         state[warm[singular]] = 0
-    # (rows, their states) after every round: a live row is in each entry
-    history = [(np.arange(s * r), state.copy())]
+    # the state each live row held after every round, one layer per round
+    # with the rows in the order of live; the last is the current state
+    trail = state[None]
     rounds = np.zeros(s * r, dtype=np.int64)
     converged = np.zeros(s * r, dtype=bool)
     handed = [np.arange(0)]  # responses left to the feature-sign steps
@@ -412,28 +411,22 @@ def solve_gram(grams: np.ndarray, columns, penalties, start: np.ndarray) -> Gram
     while live.size:
         t += 1
         rounds[live] = t
-        every = live.size == s * r
         v = _residuals(h, g, weight, b, live, gram_of)
         new = np.sign(v).astype(np.int8)
-        new *= np.abs(v) > (top if every else top[live])
-        same = (new == (state if every else state[live])).all(axis=1)
+        new *= np.abs(v) > top[live]
+        held = (trail == new).all(axis=2)  # new is the state of that round
+        same = held[-1]
         converged[live[same]] = True
-        live, new = live[~same], new[~same]
-        # a response that is back at an earlier state, or out of rounds,
-        # stops; the state it just left is the last entry, which differs
-        stop = np.full(live.size, t >= MAX_ROUNDS)
-        for rows, states in history[:-1]:
-            stop |= (states[np.searchsorted(rows, live)] == new).all(axis=1)
-        if stop.any():
-            handed.append(live[stop])
-            live, new = live[~stop], new[~stop]
+        # a response that is back at an earlier state, or out of rounds, stops
+        go = ~held.any(axis=0) & (t < MAX_ROUNDS)
+        handed.append(live[~(go | same)])
+        live, new = live[go], new[go]
+        trail = np.concatenate((trail[:, go], new[None]))
         if live.size:
-            state[live] = new
-            history.append((live, new))
             singular = _solve_supports(hp, g, thr, scale, bands, b, live, new, gram_of[live])
             if singular.any():
                 handed.append(live[singular])
-                live = live[~singular]
+                live, trail = live[~singular], trail[:, ~singular]
     for q in np.concatenate(handed).tolist():
         k = gram_of[q]
         b[q], steps, converged[q] = _feature_sign(h[k], g[q], thr[k], b[q], own[q], MAX_ROUNDS,

@@ -154,7 +154,10 @@ def weighted_scatter(data: Dataset, tau: np.ndarray, mean: np.ndarray) -> np.nda
 
     The product is not symmetric bit for bit, so it is averaged with its
     transpose here, once, by the formula of matrices.symmetrize; every
-    stage-2 fit to the scatter then takes symmetrize's copy path.
+    stage-2 fit to the scatter then takes symmetrize's copy path. The
+    average cannot overflow where the product did not: each entry is a
+    finite sum divided by n >= 2, so it is at most np.finfo(float).max / 2
+    in magnitude, below the entries symmetrize's average overflows.
     """
     x = data.values - mean
     s = (x * tau[:, None]).T @ x / data.n

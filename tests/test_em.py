@@ -119,6 +119,20 @@ class TestMSteps:
             assert got.tobytes() == symmetrize(raw).tobytes()
         assert any(asymmetric)  # the product alone is not symmetric
 
+    def test_weighted_scatter_average_stays_finite_at_the_top_of_range(self):
+        # each entry is a finite sum over n >= 2 rows divided by n, so at most
+        # half the largest float: the average with the transpose cannot
+        # overflow where the product itself did not
+        big = np.finfo(float).max
+        a = np.sqrt(big / 2) * (1 - 2.0**-40)
+        x = np.array([[a, a, 1.0], [-a, -a * (1 - 2.0**-30), -1.0]])
+        for tau in (np.ones(2), np.array([1.0, 0.999])):
+            raw = (x * tau[:, None]).T @ x / 2
+            assert np.isfinite(raw).all() and raw[0, 0] > 0.499 * big and raw[0, 1] > 0.499 * big
+            got = weighted_scatter(Dataset(x), tau, np.zeros(3))
+            assert np.isfinite(got).all()
+            assert np.array_equal(np.diag(got), np.diag(raw))
+
     def test_unit_scales_recover_plain_moments(self):
         rng = np.random.default_rng(54)
         x = rng.standard_normal((15, 3))
