@@ -202,15 +202,10 @@ def _solve_supports(hp, g, thr, scale, bands, b, q, signs, lk):
             x[lo:hi] = _lu_solve(blocks, r[lo:hi].reshape(z - a, m)).ravel()
     singular = np.zeros(size.size, dtype=bool)
     singular[solved:] = _singular(x, r, begin, scale[lk[solved:]])
-    x = x[fill]
-    if singular.any():
-        keep = ~singular
-        put = keep[at]
-        b[rows[keep]] = 0.0
-        b[rows[at[put]], col[put]] = x[put]
-    else:
-        b[rows] = 0.0
-        b[rows[at], col] = x
+    keep = ~singular
+    put = keep[at]
+    b[rows[keep]] = 0.0
+    b[rows[at[put]], col[put]] = x[fill][put]
     out = np.empty(q.size, dtype=bool)
     out[order] = singular
     return out

@@ -8,8 +8,8 @@ runs as one exact active-set solve over all their regressions
 (elastic_net.solve_gram): each round moves every running node's support
 and signs at once and solves their support systems in a few batches by
 support size, and each node stops when its support and signs repeat,
-which is its KKT condition. Each scatter gives the edge set it gives alone. The solve
-starts from the supports and signs the caller passes in: all zeros for
+which is its KKT condition. Each scatter gives the edge set it gives
+alone. The solve starts from the supports and signs the caller passes in: all zeros for
 a cold start, or for example those the same regressions ended on at a
 neighbouring lambda or on the previous EM iteration's scatter (a warm
 start), which changes only how many rounds the solve takes wherever the
@@ -58,12 +58,11 @@ def select_edges(grams: np.ndarray, penalties, rule: str, signs: np.ndarray):
     p = np.shape(grams)[-1]
     fit = solve_gram(grams, np.arange(p), penalties, signs)
     end = np.sign(fit.coefficients).astype(np.int8)
-    if not fit.converged:
-        for k in np.flatnonzero(~fit.response_converged.all(axis=1)).tolist():
-            bad = np.flatnonzero(~fit.response_converged[k])
-            warnings.warn(f"lambda {penalties[k].lam:g}: regressions for {bad.size} of {p} nodes "
-                          f"did not converge in {int(fit.response_rounds[k, bad].max())} rounds: "
-                          f"nodes {bad.tolist()}")
+    for k in np.flatnonzero(~fit.response_converged.all(axis=1)).tolist():
+        bad = np.flatnonzero(~fit.response_converged[k])
+        warnings.warn(f"lambda {penalties[k].lam:g}: regressions for {bad.size} of {p} nodes "
+                      f"did not converge in {int(fit.response_rounds[k, bad].max())} rounds: "
+                      f"nodes {bad.tolist()}")
     # chosen[k, j, i]: node i's regression on scatter k selects node j
     chosen = end != 0
     mutual = chosen.transpose(0, 2, 1)
