@@ -385,7 +385,7 @@ def network_to_json_dict(pc: PartialCorrelationMatrix, names, lam: float, bic: f
     names = list(names)
     edges = [
         {"i": j + 1, "j": k + 1, "weight": float(pc.values[j, k])}
-        for j, k in sorted(pc.edge_set().pairs)
+        for j, k in pc.edge_set()
     ]
     d = {"p": pc.p, "nodes": names, "edges": edges, "lambda": lam, "bic": bic}
     if extra:

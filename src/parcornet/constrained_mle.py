@@ -12,9 +12,9 @@ node's neighbor block W[nb, nb] beta = S[nb, j] by Cholesky and sets the
 column to beta' W[nb, :]. It gathers the neighbor rows of W once and
 reads the block as their nb columns; W is kept exactly symmetric, so the
 rows are also the neighbor columns. Each fit builds one node plan from
-the edge set's adjacency: per node its neighbors, S[nb, j] and S[j, j],
-and views of its row of steps and of its row and column of W, which the
-sweeps write through. Each sweep records every column step in one p x p
+the edge set's neighbor lists, with no p x p adjacency: per node its
+neighbors, S[nb, j] and S[j, j], and views of its row of steps and of its
+row and column of W, which the sweeps write through. Each sweep records every column step in one p x p
 array, then reduces it once and sums it in node order; a non-finite step
 is named by its node and sweep. Every column update sets W to S on the
 edge pattern and the diagonal up to rounding, so the sweeps stop on one
@@ -48,20 +48,23 @@ MAX_SWEEPS = 500
 @dataclass
 class ConstrainedMLEResult:
     """A converged fit: the precision psi, the working covariance W and the
-    sweep count. It holds the scatter and the pattern the fit matched, for
-    kkt_residual; em keeps only psi and W of a fit, never the result."""
+    sweep count. It holds the scatter and the edge set the fit matched, for
+    kkt_residual, which builds the p x p pattern only when it is read; em
+    keeps only psi and W of a fit, never the result."""
 
     psi: PrecisionMatrix
     covariance: np.ndarray
     sweeps: int
     _scatter: np.ndarray = field(repr=False, compare=False)
-    _pattern: np.ndarray = field(repr=False, compare=False)  # the edges plus the diagonal
+    _edges: EdgeSet = field(repr=False, compare=False)
 
     @cached_property
     def kkt_residual(self) -> float:
         """The optimality gap max |inv(psi) - S| over the edge pattern plus the
         diagonal, in the units of S: an O(p^3) inverse, computed on first read."""
-        return float(np.abs(np.linalg.inv(self.psi.values) - self._scatter)[self._pattern].max())
+        pattern = self._edges.to_adjacency()
+        np.fill_diagonal(pattern, True)
+        return float(np.abs(np.linalg.inv(self.psi.values) - self._scatter)[pattern].max())
 
 
 def _check_steps(steps, sweep):
@@ -131,6 +134,11 @@ def fit_stepwise(
     on the converged W are checked in node order, so an error names the
     first bad node, and Psi takes all its columns in one write.
 
+    The node plan takes each node's neighbors from edges.neighbor_lists(),
+    the edge set's sorted pairs read both ways round, row by row; the fit
+    builds no p x p adjacency, and its result keeps the edge set, from
+    which kkt_residual builds the pattern when it is read.
+
     A non-finite column enters W before the check after its sweep, so later
     nodes may compute with it and numpy may warn before the check names the
     first. The generator silences nothing itself, as a setting it made would
@@ -155,10 +163,9 @@ def fit_stepwise(
         w = s.copy()
 
     # the node plan; row j of steps holds node j's column step of the current
-    # sweep. The adjacency's nonzeros come row by row, so node j's neighbors
-    # and its S[nb, j] are one ascending slice of each.
-    adj = edges.to_adjacency()
-    rows, nbrs = np.nonzero(adj)
+    # sweep. The neighbor lists come row by row, so node j's neighbors and
+    # its S[nb, j] are one ascending slice of each.
+    rows, nbrs = edges.neighbor_lists()
     rhs = s[nbrs, rows]
     bounds = np.searchsorted(rows, np.arange(p + 1)).tolist()
     steps = np.empty((p, p))
@@ -225,5 +232,4 @@ def fit_stepwise(
         psi = PrecisionMatrix(0.5 * (psi_vals + psi_vals.T))
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    np.fill_diagonal(adj, True)
-    return ConstrainedMLEResult(psi, w, sweeps, s, adj)
+    return ConstrainedMLEResult(psi, w, sweeps, s, edges)

@@ -7,9 +7,9 @@ immutable after construction.
 from __future__ import annotations
 
 import csv
-import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,61 +127,117 @@ class PartialCorrelationMatrix:
         return EdgeSet(self.p, np.column_stack(np.nonzero(np.triu(self.values, k=1))))
 
 
-@dataclass(frozen=True)
 class EdgeSet:
     """Unordered node pairs over nodes 0..p-1, no self loops.
 
     pairs may be given as any collection of node pairs or as an (m, 2)
-    integer array; it is stored as a frozenset of canonical (j, k) tuples
-    of ints with j < k, so a reversed or repeated pair is the same pair.
-    All pairs are checked by one test, 0 <= j < k < p once each pair is
-    ordered; only pairs that fail it are searched, for the first self loop
-    and failing that the first pair out of range, which the error names.
+    integer array. Each pair is stored once, as (j, k) with j < k, in one
+    read-only int64 (m, 2) array sorted by (j, k): a reversed or repeated
+    pair is the same pair, and the set iterates in that order. Input in
+    that order already, as stage 1 and np.nonzero give it, is recognised
+    by a few vector comparisons; any other is sorted and merged. The
+    stored pairs are then checked by one test, 0 <= j < k < p; only when
+    it fails is the input searched, in its own order, for the first self
+    loop and failing that the first pair out of range, which the error
+    names.
+
+    Two edge sets are equal when their p and their arrays' bytes are; the
+    hash is computed once, on first use. pairs, the frozenset of (j, k)
+    int tuples, is built when it is first read, which the estimator never
+    does: stage 2 takes neighbor_lists. An EdgeSet is immutable; it
+    pickles and copies through its constructor.
     """
 
-    p: int
-    pairs: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, p: int, pairs=frozenset()):
+        if p < 1:
             raise ShapeError("EdgeSet needs p >= 1")
-        ends = np.array(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs),
-                        dtype=np.int64)
+        ends = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         if ends.size == 0:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ShapeError(f"edges must be node pairs, got an array of shape {ends.shape}")
-        j, k = ends.T
-        lo, hi = np.minimum(j, k), np.maximum(j, k)
-        if lo.size and not (lo.min() >= 0 and hi.max() < self.p and (lo < hi).all()):
+        canon = np.sort(ends, axis=1)
+        lo, hi = canon[:, 0], canon[:, 1]
+        # is each pair after the one before in (j, k) order? Compared by parts:
+        # one index j * p + k would overflow past p = 2**31.5
+        if len(canon) > 1 and not ((lo[1:] > lo[:-1])
+                                   | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+            canon = canon[np.lexsort((hi, lo))]
+            lo, hi = canon[:, 0], canon[:, 1]
+            canon = canon[np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))]
+            lo, hi = canon[:, 0], canon[:, 1]
+        # canon is in (j, k) order, so its first j is its least
+        if len(canon) and not (canon[0, 0] >= 0 and hi.max() < p and (lo < hi).all()):
+            j, k = ends.T
+            lo, hi = np.sort(ends, axis=1).T
             loop = np.flatnonzero(j == k)
             if loop.size:
                 raise DomainError(f"self loop ({j[loop[0]]},{k[loop[0]]}) not allowed")
-            out = np.flatnonzero((lo < 0) | (hi >= self.p))[0]
-            raise DomainError(f"edge ({j[out]},{k[out]}) out of range for p={self.p}")
-        object.__setattr__(self, "pairs", frozenset(zip(lo.tolist(), hi.tolist())))
+            out = np.flatnonzero((lo < 0) | (hi >= p))[0]
+            raise DomainError(f"edge ({j[out]},{k[out]}) out of range for p={p}")
+        canon.setflags(write=False)
+        self.__dict__.update(p=p, _ends=canon)
 
     @classmethod
     def from_pairs(cls, p: int, pairs) -> "EdgeSet":
         return cls(p, list(pairs))
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EdgeSet, (self.p, self._ends)
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({self.p!r}, {list(self)!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeSet):
+            return NotImplemented
+        return self.p == other.p and self._ends.tobytes() == other._ends.tobytes()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.p, self._ends.tobytes()))
+
+    @cached_property
+    def pairs(self) -> frozenset:
+        """The pairs as a frozenset of (j, k) int tuples, j < k."""
+        return frozenset(self)
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._ends)
 
     def __contains__(self, pair) -> bool:
         j, k = pair
-        return (min(j, k), max(j, k)) in self.pairs
+        return bool(((self._ends[:, 0] == min(j, k)) & (self._ends[:, 1] == max(j, k))).any())
 
     def __iter__(self):
-        return iter(sorted(self.pairs))
+        return zip(*self._ends.T.tolist())
 
     def to_adjacency(self) -> np.ndarray:
         """The symmetric p x p bool matrix that is True at both (j, k) and (k, j) of every pair."""
         adj = np.zeros((self.p, self.p), dtype=bool)
-        ends = np.fromiter(itertools.chain.from_iterable(self.pairs), dtype=np.intp,
-                           count=2 * len(self.pairs)).reshape(-1, 2).T
+        ends = self._ends.T
         adj[ends, ends[::-1]] = True
         return adj
+
+    def neighbor_lists(self) -> tuple:
+        """(rows, cols): the nonzeros of to_adjacency() in row-major order,
+        as np.nonzero gives them, without the p x p matrix. Node j's
+        neighbors are the ascending slice of cols where rows is j."""
+        j, k = self._ends.T
+        # row r takes its columns below r from pairs (., r) and then those
+        # above r from pairs (r, .); each part ascends in the pairs' order
+        rows, cols = np.concatenate((k, j)), np.concatenate((j, k))
+        order = np.argsort(rows, kind="stable")
+        return rows[order], cols[order]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ are the module constants of elastic_net. The selected supports are
 joined into undirected edges by the AND or OR rule of Meinshausen &
 Buhlmann (2006), for every scatter of the stack in one array operation;
 each scatter's EdgeSet is built from its part of the joined upper
-triangles.
+triangles, whose pairs come sorted by (j, k), the order EdgeSet stores,
+so it keeps them as they are after a few vector checks.
 """
 from __future__ import annotations
 

@@ -114,6 +114,4 @@ def reference_fit(scatter, edges, w_init=None, tol_scale=W_TOL_SCALE,
         psi = PrecisionMatrix(psi_vals)
     except DomainError as exc:
         raise EstimationError(f"recovered precision is not positive definite: {exc}") from exc
-    pattern = edges.to_adjacency()
-    np.fill_diagonal(pattern, True)
-    return ConstrainedMLEResult(psi, w, sweeps, s, pattern)
+    return ConstrainedMLEResult(psi, w, sweeps, s, edges)

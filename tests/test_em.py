@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +240,20 @@ class TestSharedStates:
             state.iterations = 1
         moved = dataclasses.replace(state, iterations=0)
         assert moved.iterations == 0 and states[1].iterations == state.iterations
+
+    def test_state_survives_pickle_and_deepcopy(self):
+        _, theta = generate_precision(TopologySpec("scale-free", 6, seed=6))
+        data = sample(theta, 200, DistributionSpec("normal"), spawned_rng(2, 0))
+        state = estimate(data, EMConfig(pen(0.05), mode="gaussian"))
+        assert len(state.edges) > 0
+        for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+            assert copied.edges == state.edges and hash(copied.edges) == hash(state.edges)
+            assert copied.edges.pairs == state.edges.pairs
+            for name in ("mean", "tau"):
+                assert np.array_equal(getattr(copied, name), getattr(state, name))
+            assert np.array_equal(copied.psi.values, state.psi.values)
+            assert (copied.iterations, copied.max_change, copied.converged) == (
+                state.iterations, state.max_change, state.converged)
 
     def test_mean_and_tau_are_copies(self):
         mean, tau = np.zeros(3), np.ones(4)

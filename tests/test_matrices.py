@@ -1,3 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +20,8 @@ from parcornet.matrices import (
     precision_to_partial_correlation,
     symmetrize,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_pd(p, rng, cond=None):
@@ -233,27 +242,40 @@ class TestEdgeSet:
     @given(st.integers(1, 8).flatmap(lambda p: st.tuples(
         st.just(p),
         st.lists(st.tuples(st.integers(-1, p), st.integers(-1, p)), max_size=12),
-        st.floats(0.0, 1.0))))
+        st.floats(0.0, 1.0),
+        st.randoms(use_true_random=False))))
     def test_pairs_match_the_loop_canonicalization(self, case):
         # arrays and lists of pairs, with reversed and repeated pairs, and
         # mostly valid ones, so that a fault is often one pair among many
-        p, ends, keep = case
+        p, ends, keep, rng = case
         valid = [(j, k) for j, k in ends if j != k and 0 <= j < p and 0 <= k < p]
         for pairs in (ends, valid + [(k, j) for j, k in valid][: int(keep * len(valid))]):
             try:
                 want = canonical_pairs(p, pairs)
             except DomainError as exc:
-                want = exc
-            for given_as in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
-                try:
-                    got = EdgeSet(p, given_as).pairs
-                except DomainError as exc:
-                    got = exc
-                if isinstance(want, DomainError):
-                    assert isinstance(got, DomainError) and str(got) == str(want)
-                else:
-                    assert got == want
-                    assert all(type(j) is int and type(k) is int for j, k in got)
+                # the error names a pair by its place in the input
+                for given_as in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                    with pytest.raises(DomainError) as err:
+                        EdgeSet(p, given_as)
+                    assert str(err.value) == str(exc)
+                continue
+            # the same pairs in any order, either way round and repeated or not,
+            # make one edge set, which reads as the frozenset reference does
+            shuffled = [(k, j) if rng.random() < 0.5 else (j, k)
+                        for j, k in rng.sample(pairs, len(pairs))]
+            orders = (pairs, pairs[::-1], shuffled, sorted(want))
+            built = [EdgeSet(p, o) for o in orders]
+            built += [EdgeSet(p, np.array(o, dtype=np.int64).reshape(-1, 2)) for o in orders]
+            adj = loop_adjacency(built[0])
+            for e in built:
+                assert e == built[0] and hash(e) == hash(built[0])
+                assert e.pairs == want and len(e) == len(want)
+                assert all(type(j) is int and type(k) is int for j, k in e.pairs)
+                assert list(e) == sorted(want)
+                for a in range(-1, p + 1):
+                    for b in range(-1, p + 1):
+                        assert ((a, b) in e) == ((min(a, b), max(a, b)) in want)
+                assert np.array_equal(e.to_adjacency(), adj)
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 12).flatmap(lambda p: st.tuples(
@@ -264,6 +286,10 @@ class TestEdgeSet:
         adj = e.to_adjacency()
         assert adj.dtype == bool and adj.shape == (p, p)
         assert np.array_equal(adj, loop_adjacency(e))
+        # stage 2's neighbor lists are the adjacency's nonzeros, row by row
+        rows, cols = e.neighbor_lists()
+        want_rows, want_cols = np.nonzero(loop_adjacency(e))
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     def test_canonical_ordering_and_contains(self):
         e = EdgeSet.from_pairs(4, [(2, 0), (1, 3)])
@@ -306,6 +332,39 @@ class TestEdgeSet:
             e = EdgeSet(4, pairs)
             assert e == want and len(e) == 3
             assert np.array_equal(e.to_adjacency(), want.to_adjacency())
+
+    def test_pairs_past_the_range_of_one_flat_index(self):
+        # at p = 2**33 a pair taken as one index j * p + k would wrap int64
+        p = 2**33
+        e = EdgeSet(p, [(2**32, p - 1), (0, 1)])
+        same = EdgeSet(p, [(1, 0), (p - 1, 2**32)])
+        assert e == same and hash(e) == hash(same)
+        assert len(e) == 2 and list(e) == [(0, 1), (2**32, p - 1)]
+        assert (2**32, p - 1) in e and (p - 1, 2**32) in same and (0, 1) in e
+        assert (0, p - 1) not in e and (1, 2**32) not in e and (0, 2**32) not in e
+        assert e.pairs == same.pairs == frozenset({(0, 1), (2**32, p - 1)})
+        assert e != EdgeSet(p + 1, [(0, 1), (2**32, p - 1)])
+
+    def test_survives_pickle_and_deepcopy(self):
+        e = EdgeSet(6, [(4, 1), (0, 5), (2, 3), (1, 4)])
+        for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+            assert copied == e and hash(copied) == hash(e)
+            assert copied.pairs == e.pairs and list(copied) == list(e)
+            assert np.array_equal(copied.to_adjacency(), e.to_adjacency())
+            with pytest.raises(AttributeError):
+                copied.p = 7
+        assert pickle.loads(pickle.dumps(EdgeSet(3))) == EdgeSet(3)
+
+    def test_unpickled_in_another_process_hashes_as_one_built_there(self):
+        # bytes hash differently in each interpreter, so a hash kept from
+        # before pickling would be stale in the process that loads it
+        e = EdgeSet(6, [(4, 1), (0, 5)])
+        assert {e: 1}[EdgeSet(6, [(0, 5), (1, 4)])] == 1
+        code = ("import pickle, sys\nfrom parcornet.matrices import EdgeSet\n"
+                "e = pickle.loads(sys.stdin.buffer.read())\n"
+                "assert {e: 1}[EdgeSet(6, [(0, 5), (1, 4)])] == 1\n")
+        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(e), check=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="random"))
 
     def test_random_adjacency_round_trip(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -136,6 +138,19 @@ class TestSelect:
         assert report.chosen_lambda == grid.values[report.chosen_index]
         table = report.to_json_dict()["records"]
         assert [r["bic"] is None for r in table] == [r["bic_bound"] is not None for r in table]
+
+    def test_report_survives_pickle_and_deepcopy(self):
+        _, theta = generate_precision(TopologySpec("scale-free", 6, seed=6))
+        data = sample(theta, 400, DistributionSpec("normal"), spawned_rng(2, 0))
+        grid = build_grid(0.02, 1.0, 8)
+        report = select(data, grid, EMConfig(PenaltyConfig(0.5, grid.lo), mode="gaussian"))
+        assert len(report.state.edges) > 0
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert copied.to_json_dict() == report.to_json_dict()
+            assert copied.state.edges == report.state.edges
+            assert hash(copied.state.edges) == hash(report.state.edges)
+            assert copied.state.edges.pairs == report.state.edges.pairs
+            assert np.array_equal(copied.state.psi.values, report.state.psi.values)
 
     def test_complete_graph_floor_equals_its_bic(self):
         """The floor is attained by the complete graph, so the margin is the
