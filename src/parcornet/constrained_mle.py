@@ -14,9 +14,9 @@ reads the block as their nb columns; W is kept exactly symmetric, so the
 rows are also the neighbor columns. Each fit builds one node plan from
 the edge set's neighbor lists, with no p x p adjacency: per node its
 neighbors, S[nb, j] and S[j, j], and views of its row of steps and of its
-row and column of W, which the sweeps write through. Each sweep records every column step in one p x p
-array, then reduces it once and sums it in node order; a non-finite step
-is named by its node and sweep. Every column update sets W to S on the
+row and column of W, which the sweeps write through. Each sweep records
+every column step in one p x p array, then reduces it once and sums it in
+node order; a non-finite step is named by its node and sweep. Every column update sets W to S on the
 edge pattern and the diagonal up to rounding, so the sweeps stop on one
 rule, the mean change of W. At the optimum W = Psi^{-1}; Psi is recovered
 from the same plan's neighbor solves on the converged W and written in one
