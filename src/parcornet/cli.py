@@ -311,6 +311,8 @@ def cmd_simulate(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         manifest["seed"] = args.seed
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
     os.makedirs(args.out, exist_ok=True)
     sizes = [len(manifest[key]) for key in ("topologies", "distributions", "sample_sizes")]
     cells = itertools.product(*map(range, sizes), range(manifest["runs"]))

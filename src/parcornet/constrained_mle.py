@@ -88,17 +88,18 @@ def fit(
 ) -> ConstrainedMLEResult:
     """Fit the zero-constrained precision matrix for the given scatter.
 
-    w_init warm-starts the working covariance (its diagonal is reset to
-    the scatter's). It is copied as given, so it must be exactly
-    symmetric, as the covariance of a previous fit is. The sweeps stop
-    when the mean absolute change of the off-diagonal of W falls below
-    W_TOL_SCALE times mean |S|; exhausting MAX_SWEEPS first raises
-    EstimationError with the last change, as do neighbor blocks that are
-    singular or not positive definite, non-finite column updates,
-    nonpositive partial variances and a recovered precision that is not
-    positive definite. A scatter of p < 2 raises ShapeError up front, as
-    a precision matrix needs p >= 2. The result's kkt_residual is the
-    optimality gap max |inv(Psi) - S| over the edge pattern plus the
+    w_init warm-starts the working covariance, taken as it is: it is
+    copied, so it must be exactly symmetric, as a previous fit's covariance
+    is. The sweeps stop when a sweep's absolute change of W, summed over all
+    entries and divided by the p(p-1) off-diagonal ones, falls below
+    W_TOL_SCALE times mean |S|; only a warm start's first sweep moves the
+    diagonal, so only its change includes diagonal moves. Exhausting
+    MAX_SWEEPS first raises EstimationError with the last change, as do
+    neighbor blocks that are singular or not positive definite, non-finite
+    column updates, nonpositive partial variances and a recovered precision
+    that is not positive definite. A scatter of p < 2 raises ShapeError up
+    front, as a precision matrix needs p >= 2. The result's kkt_residual is
+    the optimality gap max |inv(Psi) - S| over the edge pattern plus the
     diagonal, in the units of S, computed when it is first read.
 
     This runs fit_stepwise to its end, with numpy's warnings silenced.
@@ -124,20 +125,18 @@ def fit_stepwise(
     Each sweep is block-coordinate ascent on the dual of covariance
     selection, max log det W over W equal to S on the pattern and the
     diagonal (Dempster 1972; Dahl, Vandenberghe & Roychowdhury 2008): a
-    column update maximizes log det W over the column's free entries and
-    keeps W positive definite. So every W yielded is dual-feasible up to
-    rounding, and log det W + p bounds -(log det Psi - trace(S Psi)) from
-    below for every Psi with the pattern, the fitted one included; the
-    bound rises with each sweep and is attained at the optimum, where
-    W = Psi^{-1}. Nothing runs until the first next(), and the checks fit
-    makes up front are made then. When the sweeps stop, the neighbor solves
-    on the converged W are checked in node order, so an error names the
-    first bad node, and Psi takes all its columns in one write.
-
-    The node plan takes each node's neighbors from edges.neighbor_lists(),
-    the edge set's sorted pairs read both ways round, row by row; the fit
-    builds no p x p adjacency, and its result keeps the edge set, from
-    which kkt_residual builds the pattern when it is read.
+    column update maximizes log det W over the column's free entries and,
+    from a feasible W such as the cold start W = S, keeps W positive
+    definite. A warm start's first sweep moves its pattern entries and
+    diagonal to S, which can leave W indefinite. Every W yielded is
+    dual-feasible up to rounding; from a cold start, log det W + p bounds
+    -(log det Psi - trace(S Psi)) from below for every Psi with the
+    pattern, the fitted one included, rises with each sweep and is attained
+    at the optimum, where W = Psi^{-1}. Nothing runs until the first next(),
+    and the checks fit makes up front are made then. When the sweeps stop,
+    the neighbor solves on the converged W are checked in node order, so an
+    error names the first bad node, and Psi takes all its columns in one
+    write.
 
     A non-finite column enters W before the check after its sweep, so later
     nodes may compute with it and numpy may warn before the check names the
@@ -158,7 +157,6 @@ def fit_stepwise(
         w = np.array(w_init, dtype=float)
         if w.shape != (p, p):
             raise EstimationError(f"w_init must have shape ({p},{p})")
-        np.fill_diagonal(w, np.diag(s))
     else:
         w = s.copy()
 

@@ -222,9 +222,9 @@ def _constrained_fit(scatter: np.ndarray, edges: EdgeSet, w_init):
     except EstimationError:
         if w_init is None:
             raise
-        # after a pattern change the warm start, its diagonal reset to the new
-        # scatter's, need not be positive definite, and a neighbor block can fail
-        # its Cholesky test: retry cold
+        # the warm start is the last fit's covariance as it is; the first column
+        # updates move its pattern entries to the new scatter, which can leave W
+        # indefinite, and a neighbor block then fails its Cholesky test: retry cold
         return constrained_mle.fit(scatter, edges, w_init=None)
 
 

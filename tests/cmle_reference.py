@@ -67,7 +67,6 @@ def reference_fit(scatter, edges, w_init=None, tol_scale=W_TOL_SCALE,
         w = symmetrize(w_init, "w_init")
         if w.shape != (p, p):
             raise EstimationError(f"w_init must have shape ({p},{p})")
-        np.fill_diagonal(w, np.diag(s))
     else:
         w = s.copy()
 
@@ -96,9 +95,11 @@ def reference_fit(scatter, edges, w_init=None, tol_scale=W_TOL_SCALE,
                 new_col = np.zeros(p - 1)
             if not np.all(np.isfinite(new_col)):
                 raise EstimationError(f"non-finite column update at node {j}, sweep {sweeps}")
-            change += float(np.abs(new_col - w[oth, j]).sum())
+            # the diagonal moves only in a warm start's first sweep
+            change += float(np.abs(new_col - w[oth, j]).sum()) + abs(s[j, j] - w[j, j])
             w[oth, j] = new_col
             w[j, oth] = new_col
+            w[j, j] = s[j, j]
         if change / n_off < w_tol:
             if kkt_residual(w, s, edges) <= kkt_rtol * scale:
                 break

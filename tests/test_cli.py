@@ -185,12 +185,15 @@ class TestSimulate:
         (SMOKE_MANIFEST, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         # above sys.maxsize: rejected before anything the size of runs is built
         ({**SMOKE_MANIFEST, "runs": 10**30}, [], f"runs must be at most {sys.maxsize}, got {10**30}"),
+        (SMOKE_MANIFEST, ["--threads", "0"], "--threads must be a positive integer, got 0"),
+        (SMOKE_MANIFEST, ["--threads", "-3"], "--threads must be a positive integer, got -3"),
     ])
     def test_bad_manifest_or_seed_names_field_before_any_cell_exit_2(
             self, tmp_path, capsys, monkeypatch, manifest, flags, named):
         monkeypatch.setattr(cli, "_simulate_cell", lambda *args: pytest.fail("a cell ran"))
         man = write_json(tmp_path / "man.json", manifest)
         assert cli.main(["simulate", man, *flags, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert named in err
         assert "bad input" not in err
@@ -671,7 +674,7 @@ PINNED_METRICS = (
     "scale-free,t3,60,0,gaussian,0.5,0.22360679775,1029.19617091,"
     "9,5,4,0,0.714285714286,0.444444444444,0.602633960277,1,0,\n"
     "scale-free,t3,60,0,t,0.5,0.22360679775,958.025403065,"
-    "6,5,1,0,0.909090909091,0.166666666667,0.304272784796,1,0,\n"
+    "6,5,1,0,0.909090909091,0.166666666667,0.304272784797,1,0,\n"
     "scale-free,contaminated0.8,60,0,gaussian,0.5,1,1213.96300467,"
     "5,4,1,1,0.8,0.2,0.692320723786,1,0,\n"
     "scale-free,contaminated0.8,60,0,t,0.5,1,1251.76373938,"
@@ -679,11 +682,11 @@ PINNED_METRICS = (
     "random,normal,60,0,gaussian,0.5,0.22360679775,1219.59694708,"
     "13,10,3,0,0.869565217391,0.230769230769,0.488316724997,1,0,\n"
     "random,normal,60,0,t,0.5,0.22360679775,1241.0931129,"
-    "12,10,2,0,0.909090909091,0.166666666667,0.356048820677,1,0,\n"
+    "12,10,2,0,0.909090909091,0.166666666667,0.356048820386,1,0,\n"
     "random,t3,60,0,gaussian,0.5,0.22360679775,1217.70713533,"
     "13,10,3,0,0.869565217391,0.230769230769,0.808827947853,1,0,\n"
     "random,t3,60,0,t,0.5,0.22360679775,1011.1480616,"
-    "7,6,1,4,0.705882352941,0.142857142857,1.05794780862,1,0,\n"
+    "7,6,1,4,0.705882352941,0.142857142857,1.05794780873,1,0,\n"
     "random,contaminated0.8,60,0,gaussian,0.5,1,1245.76640253,"
     "4,4,0,6,0.571428571429,0,1.23720266032,1,0,\n"
     "random,contaminated0.8,60,0,t,0.5,1,1273.11410544,"
@@ -691,7 +694,7 @@ PINNED_METRICS = (
     "band,normal,60,0,gaussian,0.5,1,1292.95823187,"
     "6,6,0,3,0.8,0,1.04607556922,1,0,\n"
     "band,normal,60,0,t,0.5,0.22360679775,1333.79723556,"
-    "10,9,1,0,0.947368421053,0.1,0.442913791971,1,0,\n"
+    "10,9,1,0,0.947368421053,0.1,0.44291379201,1,0,\n"
     "band,t3,60,0,gaussian,0.5,0.22360679775,1141.86716431,"
     "12,9,3,0,0.857142857143,0.25,0.873984393703,1,0,\n"
     "band,t3,60,0,t,0.5,0.22360679775,1057.14679099,"
@@ -731,11 +734,11 @@ PINNED_METRICS = (
     "small-world,t3,60,0,gaussian,0.5,0.05,1158.86412142,"
     "14,11,3,1,0.846153846154,0.214285714286,1.07029719164,1,0,\n"
     "small-world,t3,60,0,t,0.5,0.22360679775,1045.0901228,"
-    "9,8,1,4,0.761904761905,0.111111111111,1.26252603653,1,0,\n"
+    "9,8,1,4,0.761904761905,0.111111111111,1.26252603654,1,0,\n"
     "small-world,contaminated0.8,60,0,gaussian,0.5,1,1311.05829709,"
     "8,5,3,7,0.5,0.375,1.66582077537,1,0,\n"
     "small-world,contaminated0.8,60,0,t,0.5,1,1336.96105418,"
-    "4,2,2,10,0.25,0.5,1.75903115587,1,0,\n"
+    "4,2,2,10,0.25,0.5,1.75903115606,1,0,\n"
     "core-periphery,normal,60,0,gaussian,0.5,1,1321.88373287,"
     "1,1,0,0,1,0,0.106929159679,1,0,\n"
     "core-periphery,normal,60,0,t,0.5,1,1351.77236851,"

@@ -108,6 +108,28 @@ class TestSolverBehavior:
         assert warm.sweeps <= cold.sweeps
         assert np.abs(cold.psi.values - warm.psi.values).max() < 1e-8
 
+    def test_warm_start_is_taken_as_it_is(self):
+        # the previous fit's covariance with its diagonal reset to the rescaled
+        # scatter's has smallest eigenvalue -0.63, and its first neighbor block
+        # fails its Cholesky test; the covariance as it is fits
+        x = np.random.default_rng(5).standard_normal((40, 5))
+        x[:, 1] += 0.9 * x[:, 0]
+        x[:, 2] += 0.5 * x[:, 1]
+        xc = x - x.mean(axis=0)
+        s = xc.T @ xc / 40
+        edges = EdgeSet.from_pairs(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
+        d = np.diag([1.0, 0.2, 1.0, 1.0, 1.0])
+        rescaled = d @ s @ d
+        first = constrained_mle.fit(s, edges)
+        reset = first.covariance.copy()
+        np.fill_diagonal(reset, np.diag(rescaled))
+        assert np.linalg.eigvalsh(reset).min() < -0.5
+        cold = constrained_mle.fit(rescaled, edges)
+        warm = constrained_mle.fit(rescaled, edges, w_init=first.covariance)
+        assert warm.sweeps <= cold.sweeps
+        tol = 1e-12 * np.abs(cold.psi.values).max()
+        assert np.abs(warm.psi.values - cold.psi.values).max() <= tol
+
     def test_reversed_and_repeated_pairs_fit_bit_for_bit(self):
         # the neighbour lists come from the adjacency, so the order and
         # orientation in which the pairs were given cannot change a sweep
@@ -142,8 +164,13 @@ class TestSolverBehavior:
     def test_diagonal_of_working_covariance_matches_scatter(self):
         rng = np.random.default_rng(37)
         s = random_scatter(5, rng)
-        res = constrained_mle.fit(s, random_edges(5, rng))
+        edges = random_edges(5, rng)
+        res = constrained_mle.fit(s, edges)
         assert np.array_equal(np.diag(res.covariance), np.diag(s))
+        # a warm start's diagonal is set to the new scatter's by its first sweep
+        s2 = s + 0.05 * random_scatter(5, rng)
+        warm = constrained_mle.fit(s2, edges, w_init=res.covariance)
+        assert np.array_equal(np.diag(warm.covariance), np.diag(s2))
 
     def test_kkt_residual_reported(self):
         rng = np.random.default_rng(38)
@@ -413,11 +440,11 @@ def fit_bytes(res):
 
 
 # (fits, total sweeps) and sha256 of the fit_bytes of TestPinnedFits' two batteries
-PINNED_BATTERY_SHAPE = (88, 229)
-PINNED_BATTERY_DIGEST = "3fa74d0d5273c773881862ac376919608affaa2045a3c726c94398e64c3b21bc"
+PINNED_BATTERY_SHAPE = (88, 243)
+PINNED_BATTERY_DIGEST = "ef1f25acca88f11e74a4e5c406d3dc26326b50795d39eccb17d46c965c32ffb4"
 PINNED_SELECT_CHOSEN = 2
-PINNED_SELECT_SHAPE = (35, 104)
-PINNED_SELECT_DIGEST = "c04f80d87c53114711c434d57f118ef3eafa97feb696c50bfa1d49be60d614de"
+PINNED_SELECT_SHAPE = (35, 113)
+PINNED_SELECT_DIGEST = "4ff3eeb1c30f030d4cf8d21c3930d00f7490e972c904389024f688aecb9c27f4"
 
 
 class TestPinnedFits:

@@ -22,7 +22,7 @@ from parcornet.errors import ConfigError, EstimationError
 from parcornet.matrices import Dataset, EdgeSet, PrecisionMatrix, symmetrize
 from parcornet.netgen import TopologySpec, generate_precision
 from parcornet.samplers import DistributionSpec, sample, spawned_rng
-from parcornet.selection import build_grid
+from parcornet.selection import build_grid, select
 
 
 def pen(lam, alpha=0.5):
@@ -206,6 +206,27 @@ class TestColdRetry:
         with pytest.raises(EstimationError, match="cold fit failed"):
             _constrained_fit(scatter, edges, None)
         assert cold_calls == [None]
+
+    def test_select_needs_the_retry(self, monkeypatch):
+        # n = p + 2 t3 draws: many warm starts fail (116 here), and every
+        # lambda still fits because each failed one is redone cold
+        real_fit = constrained_mle.fit
+        warm_raised = []
+
+        def counting(scatter, edges, w_init=None):
+            try:
+                return real_fit(scatter, edges, w_init=w_init)
+            except EstimationError:
+                warm_raised.append(w_init is not None)
+                raise
+
+        monkeypatch.setattr(constrained_mle, "fit", counting)
+        _, theta = generate_precision(TopologySpec("scale-free", 8, seed=11))
+        data = sample(theta, 10, DistributionSpec("t", nu=3.0), np.random.default_rng(188))
+        grid = build_grid(0.02, 2.0, 16)
+        report = select(data, grid, EMConfig(pen(grid.lo), mode="t", nu=3.0))
+        assert any(warm_raised)
+        assert not any(r.failed for r in report.records)
 
 
 class TestFailedFits:
